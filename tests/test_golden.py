@@ -1,0 +1,71 @@
+"""Byte-exact golden outputs: every subcommand in both formats on the small
+committed inputs under tests/golden/inputs.
+
+A refactor that shifts a single digit of any output fails here.  To
+regenerate the goldens after an intended output change, run
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import pytest
+
+from chronon_lab import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
+
+
+def _in(name: str) -> str:
+    return str(INPUTS / name)
+
+
+CASES = {
+    "conditional_bell": ["conditional", "--state", _in("bell.json")],
+    "conditional_rank2": ["conditional", "--state", _in("rank2.json")],
+    "conditional_cq": ["conditional", "--state", _in("cq.json")],
+    "conditional_trotter": [
+        "conditional", "--state", _in("cq.json"), "--trotter-n", "16", "--eps", "1e-6",
+    ],
+    "entropy_plain": ["entropy", "--state", _in("rank2.json")],
+    "entropy_conditional": ["entropy", "--state", _in("rank2.json"), "--conditional"],
+    "entropy_conditional_cq": ["entropy", "--state", _in("cq.json"), "--conditional"],
+    "entropy_reduce": ["entropy", "--state", _in("xi.json"), "--reduce", "2", "2"],
+    "entropy_measure": [
+        "entropy", "--state", _in("xi.json"), "--measure", _in("basis.json"),
+    ],
+    "mlcheck": ["mlcheck", "--dims", "2,3", "--trials", "6", "--seed", "7"],
+    "gaussian": ["gaussian", "--grid", "64"],
+    "lorentz": ["lorentz", "--v", "0.6"],
+    "flow_ticks": ["flow", "--config", _in("flow.json")],
+    "flow_ratio": ["flow", "--config", _in("flow.json"), "--ratio", "a", "b"],
+    "flow_dilation": ["flow", "--config", _in("flow.json"), "--dilation", _in("cq.json")],
+    "simultaneity_theta": [
+        "simultaneity", "--theta1", "1.5", "--theta2", "4", "--vmax", "2",
+    ],
+    "simultaneity_counts": [
+        "simultaneity", "--s1", "0.5", "--t1", "1", "--s2", "0.75", "--t2", "2",
+        "--entropy", "0.25",
+    ],
+}
+FORMATS = ("csv", "json")
+
+
+def _render(case: str, fmt: str, out: Path) -> bytes:
+    code = cli.run(CASES[case] + ["--format", fmt, "--out", str(out)])
+    assert code == 0, f"{case} ({fmt}) exited {code}"
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_matches_golden(case, fmt, tmp_path):
+    expected = (GOLDEN / f"{case}.{fmt}").read_bytes()
+    assert _render(case, fmt, tmp_path / "out") == expected
+
+
+if __name__ == "__main__":
+    for case in sorted(CASES):
+        for fmt in FORMATS:
+            _render(case, fmt, GOLDEN / f"{case}.{fmt}")
