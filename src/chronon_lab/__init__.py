@@ -8,8 +8,9 @@ hbar = 1 convention (ThermalContext.hbar_one).
 """
 
 from .entropy import (
+    ConditionalState,
     EntropyValue,
-    conditional_density,
+    conditional_state,
     cq_conditional,
     generalized_conditional,
     trotter_conditional_density,
@@ -83,6 +84,7 @@ __all__ = [
     "BipartiteState",
     "Boost",
     "ClassicalQuantumState",
+    "ConditionalState",
     "CorrelationBasis",
     "DensityMatrix",
     "EntropyValue",
@@ -105,7 +107,7 @@ __all__ = [
     "build_measurement_operator",
     "check_bound_invariance",
     "clock_ratio",
-    "conditional_density",
+    "conditional_state",
     "cq_conditional",
     "cq_embed",
     "dilation_from_conditioning",

@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
 Subcommands: entropy, conditional, mlcheck, gaussian, lorentz, flow,
-simultaneity.  Output is deterministic for a fixed (inputs, seed, format)
-triple: CSV uses '.' decimals, 9 significant digits and LF endings; the
-randomized mlcheck sweep draws from numpy's counter-based Philox generator.
+simultaneity.  Output is deterministic for fixed inputs and format (and
+mlcheck's --seed): CSV uses '.' decimals, 9 significant digits and LF
+endings; the randomized mlcheck sweep draws from numpy's counter-based
+Philox generator.
 Exit codes: 0 success, 1 invalid input (message names the violated
 invariant), 2 numerical failure.
 """
@@ -20,7 +21,7 @@ from . import gaussian as gaussian_mod
 from . import relativity
 from .entropy import (
     EntropyValue,
-    conditional_density,
+    conditional_state,
     cq_conditional,
     generalized_conditional,
     trotter_conditional_density,
@@ -69,10 +70,6 @@ def _emit_json(obj, out_path: str | None) -> None:
 def _emit_kv_csv(pairs: list[tuple[str, str]], out_path: str | None) -> None:
     lines = [f"{k},{v}" for k, v in pairs]
     _emit("\n".join(lines) + "\n", out_path)
-
-
-def _natural_ctx() -> ThermalContext:
-    return ThermalContext()
 
 
 # --- subcommands ---
@@ -128,14 +125,13 @@ def _cmd_conditional(args) -> int:
     else:
         raise InvalidState("conditional needs a cq or bipartite input")
 
-    ctx = _natural_ctx()
-    value = generalized_conditional(bi).nats
-    cond = conditional_density(bi)
-    spectrum = [float(w) for w in np.linalg.eigvalsh(cond)]
+    cs = conditional_state(bi)
+    value = cs.entropy.nats
+    spectrum = [float(w) for w in cs.spectrum]
     report = {
         "conditionalEntropy": value,
         "conditionalSpectrum": spectrum,
-        "antiqubitVelocity": antiqubit_process_velocity(bi, ctx),
+        "antiqubitVelocity": antiqubit_process_velocity(cs, ThermalContext()),
     }
     if branch_value is not None:
         report["branchConditional"] = branch_value
@@ -144,7 +140,7 @@ def _cmd_conditional(args) -> int:
         report["trotter"] = {
             "n": args.trotter_n,
             "eps": args.eps,
-            "distance": frobenius(approx - cond),
+            "distance": frobenius(approx - cs.density),
         }
 
     if args.format == "csv":
@@ -191,7 +187,7 @@ def _cmd_gaussian(args) -> int:
     xs = np.linspace(0.0, gaussian_mod.SEARCH_UPPER, args.grid)
     xg, vg = gaussian_mod.max_G()
     xh, vh = gaussian_mod.max_H()
-    ctx = _natural_ctx()
+    ctx = ThermalContext()
     packet = gaussian_mod.GaussianPacket(sigma_k0=args.sigma_k0)
     bounds = {
         "process": gaussian_mod.bound_process_velocity(ctx),
@@ -237,7 +233,7 @@ def _cmd_lorentz(args) -> int:
     packet = gaussian_mod.GaussianPacket(sigma_k0=args.sigma_k0)
     report = relativity.check_bound_invariance(
         packet,
-        _natural_ctx(),
+        ThermalContext(),
         boost,
         length_exponent=args.length_exponent,
         temp_exponent=args.temp_exponent,
@@ -347,7 +343,7 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_simultaneity(args) -> int:
-    ctx = _natural_ctx()
+    ctx = ThermalContext()
     if args.theta1 is not None and args.theta2 is not None:
         theta1, theta2 = args.theta1, args.theta2
     elif None not in (args.s1, args.t1, args.s2, args.t2):
@@ -387,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, default_format):
         p.add_argument("--format", choices=("csv", "json"), default=default_format)
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("entropy", help="von Neumann / conditional entropy of a state file")
     common(p, "csv")
@@ -409,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", default="2,3,4")
     p.add_argument("--dim", dest="dims", help="single dimension (alias for --dims)")
     p.add_argument("--trials", type=int, default=40)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_mlcheck)
 
     p = sub.add_parser("gaussian", help="partition-entropy grid and maxima")

@@ -14,6 +14,12 @@ For rank-deficient joints the limit degenerates to the exponential of the
 *support-compressed* exponent P (log rho - id (x) log rho_B) P, evaluated
 within the support of rho; this is the form implemented here, and it is the
 one that preserves the identity S(A|B) = S(joint) - S(B) exactly.
+
+:func:`conditional_state` is the only place that builds rho_{A|B}.  One
+pass decomposes the joint and rho_B once each, diagonalizes the compressed
+exponent once, and returns the entropy, the density and its spectrum
+together as a :class:`ConditionalState`; every consumer reads that record
+instead of rebuilding the pipeline.
 """
 
 from __future__ import annotations
@@ -49,47 +55,24 @@ def von_neumann(rho: DensityMatrix) -> EntropyValue:
     return EntropyValue(max(s, 0.0))
 
 
+@dataclass(frozen=True)
+class ConditionalState:
+    """One pass of the conditional-entropy pipeline for a bipartite joint.
+
+    entropy is S(A|B) = S(joint) - S(B); density is rho_{A|B} on the
+    joint's support (Hermitian, eigenvalues may exceed 1, which is what
+    makes the entropy negative); spectrum holds its eigenvalues, ascending.
+    """
+
+    entropy: EntropyValue
+    density: np.ndarray
+    spectrum: np.ndarray
+
+
 def cq_conditional(cq: ClassicalQuantumState) -> EntropyValue:
     """Branch-averaged entropy sum_i p_i S(Psi_i); never negative."""
     s = sum(p * von_neumann(state).nats for p, state in cq.branches)
     return EntropyValue(s)
-
-
-def _exponent_and_support(bi: BipartiteState, cutoff: float):
-    """Shared plumbing: exponent A = log rho - id (x) log rho_B plus the
-    joint's support basis, with the containment check supp(rho) within
-    supp(id (x) rho_B)."""
-    rho = bi.joint.mat
-    rho_b = linalg.partial_trace(rho, bi.dim_a, bi.dim_b, keep="B")
-    log_joint, proj_joint = linalg.support_log(rho, cutoff)
-    log_b, proj_b = linalg.support_log(rho_b, cutoff)
-    embed_proj = np.kron(np.eye(bi.dim_a), proj_b)
-    leak = linalg.frobenius(proj_joint - embed_proj @ proj_joint @ embed_proj)
-    if leak > SUPPORT_CONTAINMENT_TOL:
-        raise SupportMismatch(
-            f"joint support leaks out of id (x) supp(rho_B) by {leak:.3e}"
-        )
-    exponent = log_joint - np.kron(np.eye(bi.dim_a), log_b)
-    basis = linalg.support_basis(rho, cutoff)
-    return rho, exponent, basis
-
-
-def conditional_density(
-    bi: BipartiteState, cutoff: float = linalg.DEFAULT_SUPPORT_CUTOFF
-) -> np.ndarray:
-    """Closed-form conditional density matrix on the joint's support.
-
-    Computes exp(P A P) within the support of the joint, where
-    A = support_log(rho) - id (x) support_log(rho_B) and P projects onto
-    supp(rho).  Hermitian and positive there; eigenvalues may exceed 1
-    (that excess is what makes conditional entropy negative).
-    """
-    _, exponent, basis = _exponent_and_support(bi, cutoff)
-    compressed = linalg.dag(basis) @ exponent @ basis
-    compressed = (compressed + linalg.dag(compressed)) / 2
-    mu, u = np.linalg.eigh(compressed)
-    w = basis @ u
-    return (w * np.exp(mu)) @ linalg.dag(w)
 
 
 def trotter_conditional_density(
@@ -99,7 +82,7 @@ def trotter_conditional_density(
 
     Requires a full-rank joint (and marginal); pass eps > 0 to mix with
     eps * I/d first when the input is rank-deficient.  Converges to
-    conditional_density as n grows.
+    ``conditional_state(bi).density`` as n grows.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -122,26 +105,56 @@ def trotter_conditional_density(
     return np.linalg.matrix_power(root @ inv_root_b, n)
 
 
-def generalized_conditional(
+
+
+def conditional_state(
     bi: BipartiteState, cutoff: float = linalg.DEFAULT_SUPPORT_CUTOFF
-) -> EntropyValue:
-    """Conditional entropy S(A|B) = S(joint) - S(B), conditioning on the
-    second factor.
+) -> ConditionalState:
+    """Conditional entropy and density matrix of a joint, conditioning on
+    the second factor.
 
-    The value is cross-checked against the trace form
-    -tr(rho log rho_{A|B}) built from the conditional density matrix; a
-    disagreement beyond 1e-8 raises ConvergenceFailure.  Negative values
-    occur exactly for the entangled ("anti-qubit") joints.
+    Computes rho_{A|B} = exp(P A P) within the support of the joint, where
+    A = log rho - id (x) log rho_B and P projects onto supp(rho).  A joint
+    whose support leaks out of id (x) supp(rho_B) raises SupportMismatch.
+    The entropy S(joint) - S(B) is cross-checked against the trace form
+    -tr(rho log rho_{A|B}); a disagreement beyond 1e-8 raises
+    ConvergenceFailure.
     """
-    s_joint = von_neumann(bi.joint).nats
-    s_b = von_neumann(bi.marginal_b()).nats
-    primary = s_joint - s_b
+    rho = bi.joint.mat
+    marginal = bi.marginal_b()
+    w, basis = linalg.support_spectrum(rho, cutoff)
+    log_b, proj_b = linalg.support_log(marginal.mat, cutoff)
+    proj_joint = basis @ linalg.dag(basis)
+    embed_proj = np.kron(np.eye(bi.dim_a), proj_b)
+    leak = linalg.frobenius(proj_joint - embed_proj @ proj_joint @ embed_proj)
+    if leak > SUPPORT_CONTAINMENT_TOL:
+        raise SupportMismatch(
+            f"joint support leaks out of id (x) supp(rho_B) by {leak:.3e}"
+        )
+    log_joint = (basis * np.log(w)) @ linalg.dag(basis)
+    exponent = log_joint - np.kron(np.eye(bi.dim_a), log_b)
+    compressed = linalg.dag(basis) @ exponent @ basis
+    compressed = (compressed + linalg.dag(compressed)) / 2
+    mu, u = np.linalg.eigh(compressed)
+    vecs = basis @ u
+    density = (vecs * np.exp(mu)) @ linalg.dag(vecs)
 
-    cond = conditional_density(bi, cutoff)
-    log_cond, _ = linalg.support_log(cond, cutoff)
-    dual = -float(np.trace(bi.joint.mat @ log_cond).real)
+    primary = von_neumann(bi.joint).nats - von_neumann(marginal).nats
+    dual = -float(np.trace(rho @ ((vecs * mu) @ linalg.dag(vecs))).real)
     if abs(primary - dual) > DUAL_PATH_TOL:
         raise ConvergenceFailure(
             f"conditional-entropy paths disagree: {primary} vs {dual}"
         )
-    return EntropyValue(primary)
+    return ConditionalState(
+        entropy=EntropyValue(primary),
+        density=density,
+        spectrum=np.linalg.eigvalsh(density),
+    )
+
+
+def generalized_conditional(
+    bi: BipartiteState, cutoff: float = linalg.DEFAULT_SUPPORT_CUTOFF
+) -> EntropyValue:
+    """S(A|B) alone: the entropy of :func:`conditional_state`, negative
+    exactly for the entangled ("anti-qubit") joints."""
+    return conditional_state(bi, cutoff).entropy

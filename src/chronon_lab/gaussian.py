@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 from .entropy import EntropyValue
 from .errors import NegativeArgument, NonpositiveResolution
-from .speed_limits import ThermalContext
+from .speed_limits import ThermalContext, _golden_min
 
 SEARCH_UPPER = 6.0  # erf saturates to 1 within 1e-12 well before x = 6
 SEARCH_GRID = 1024
 BRACKET_TOL = 1e-10
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -74,23 +73,6 @@ def scaled_function_H(x: float) -> float:
     return _binary_entropy(erf(x)) * x
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 > f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = f(x2)
-    x_star = 0.5 * (lo + hi)
-    return x_star, f(x_star)
-
-
 def _grid_seeded_max(f) -> tuple[float, float]:
     """Coarse grid over [0, SEARCH_UPPER], then golden-section refinement."""
     step = SEARCH_UPPER / (SEARCH_GRID - 1)
@@ -101,7 +83,8 @@ def _grid_seeded_max(f) -> tuple[float, float]:
             best_i, best_v = i, v
     lo = max(0.0, (best_i - 1) * step)
     hi = min(SEARCH_UPPER, (best_i + 1) * step)
-    return _golden_max(f, lo, hi, BRACKET_TOL)
+    x_star = _golden_min(lambda x: -f(x), lo, hi, BRACKET_TOL)
+    return x_star, f(x_star)
 
 
 def max_G() -> tuple[float, float]:

@@ -133,42 +133,37 @@ def matrix_func(a: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
     return (v * fw) @ dag(v)
 
 
-def support_log(
+def support_spectrum(
     rho: np.ndarray, cutoff: float = DEFAULT_SUPPORT_CUTOFF
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix log restricted to the support of a PSD Hermitian matrix.
+    """Eigenvalues and eigenvectors spanning the support of a PSD Hermitian
+    matrix.
 
     Eigenvalues above ``cutoff`` (relative to the largest eigenvalue) form
-    the support; the log vanishes off it.  Returns ``(logm, projector)``.
-    Eigenvalues below ``-cutoff`` raise NegativeEigenvalue.
+    the support.  Returns ``(values, columns)``, ascending, from a single
+    eigendecomposition.  Eigenvalues below ``-cutoff`` raise
+    NegativeEigenvalue.
     """
     spec = eig_hermitian(rho)
     w, v = spec.eigenvalues, spec.eigenvectors
     if w[0] < -cutoff:
         raise NegativeEigenvalue(f"eigenvalue {w[0]:.3e} below -cutoff")
-    top = max(float(w[-1]), 0.0)
-    thr = cutoff * top
-    keep = w > thr
-    vk = v[:, keep]
-    if vk.shape[1] == 0:
-        z = np.zeros_like(np.asarray(rho, dtype=np.complex128))
-        return z, z.copy()
-    logw = np.log(w[keep])
-    logm = (vk * logw) @ dag(vk)
+    keep = w > cutoff * max(float(w[-1]), 0.0)
+    return w[keep], v[:, keep]
+
+
+def support_log(
+    rho: np.ndarray, cutoff: float = DEFAULT_SUPPORT_CUTOFF
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix log restricted to the support of a PSD Hermitian matrix.
+
+    The support is that of :func:`support_spectrum`; the log vanishes off
+    it.  Returns ``(logm, projector)``, both zero for an empty support.
+    """
+    w, vk = support_spectrum(rho, cutoff)
+    logm = (vk * np.log(w)) @ dag(vk)
     proj = vk @ dag(vk)
     return logm, proj
-
-
-def support_basis(
-    rho: np.ndarray, cutoff: float = DEFAULT_SUPPORT_CUTOFF
-) -> np.ndarray:
-    """Orthonormal columns spanning the support of a PSD Hermitian matrix."""
-    spec = eig_hermitian(rho)
-    w, v = spec.eigenvalues, spec.eigenvectors
-    if w[0] < -cutoff:
-        raise NegativeEigenvalue(f"eigenvalue {w[0]:.3e} below -cutoff")
-    thr = cutoff * max(float(w[-1]), 0.0)
-    return v[:, w > thr]
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -40,7 +40,8 @@ def encode_matrix(m: np.ndarray) -> dict:
 
 def decode_matrix(obj: dict) -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+        rows, cols, data = int(obj["rows"]), int(obj["cols"]), list(obj["data"])
+        flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidState(f"malformed matrix object: {exc}") from exc
     if rows < 1 or cols < 1:
@@ -49,7 +50,6 @@ def decode_matrix(obj: dict) -> np.ndarray:
         raise InvalidState(
             f"matrix data length {len(data)} != rows*cols = {rows * cols}"
         )
-    flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
     return flat.reshape(rows, cols)
 
 
@@ -85,28 +85,46 @@ def encode_state(state) -> dict:
     raise InvalidState(f"cannot encode object of type {type(state).__name__}")
 
 
+def _field(obj: dict, name: str, convert):
+    """convert(obj[name]); a missing or malformed field raises InvalidState
+    naming it."""
+    if not isinstance(obj, dict):
+        raise InvalidState(
+            f"expected a JSON object with field {name!r}, got {type(obj).__name__}"
+        )
+    if name not in obj:
+        raise InvalidState(f"missing field {name!r}")
+    try:
+        return convert(obj[name])
+    except (TypeError, ValueError) as exc:
+        raise InvalidState(f"field {name!r} is malformed: {exc}") from exc
+
+
 def decode_state(obj: dict):
-    kind = obj.get("kind")
+    kind = _field(obj, "kind", str)
     if kind == "state_vector":
-        return StateVector(_decode_vector(obj["matrix"]))
+        return StateVector(_field(obj, "matrix", _decode_vector))
     if kind == "density":
-        return DensityMatrix(decode_matrix(obj["matrix"]))
+        return DensityMatrix(_field(obj, "matrix", decode_matrix))
     if kind == "cq":
         branches = [
-            (float(b["p"]), DensityMatrix(decode_matrix(b["matrix"])))
-            for b in obj["branches"]
+            (_field(b, "p", float), DensityMatrix(_field(b, "matrix", decode_matrix)))
+            for b in _field(obj, "branches", list)
         ]
         return ClassicalQuantumState(tuple(branches))
     if kind == "bipartite":
         return BipartiteState(
-            joint=DensityMatrix(decode_matrix(obj["matrix"])),
-            dim_a=int(obj["dimA"]),
-            dim_b=int(obj["dimB"]),
+            joint=DensityMatrix(_field(obj, "matrix", decode_matrix)),
+            dim_a=_field(obj, "dimA", int),
+            dim_b=_field(obj, "dimB", int),
         )
     if kind == "correlation_basis":
-        system = tuple(StateVector(_decode_vector(m)) for m in obj["system"])
-        apparatus = tuple(StateVector(_decode_vector(m)) for m in obj["apparatus"])
-        return CorrelationBasis(system_basis=system, apparatus_basis=apparatus)
+        system = _field(obj, "system", list)
+        apparatus = _field(obj, "apparatus", list)
+        return CorrelationBasis(
+            system_basis=tuple(StateVector(_decode_vector(m)) for m in system),
+            apparatus_basis=tuple(StateVector(_decode_vector(m)) for m in apparatus),
+        )
     raise InvalidState(f"unknown state kind {kind!r}")
 
 

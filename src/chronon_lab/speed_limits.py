@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .entropy import EntropyValue, generalized_conditional, conditional_density
+from .entropy import ConditionalState, EntropyValue
 from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
@@ -28,7 +28,7 @@ from .errors import (
     NonpositiveEntropy,
     NonpositiveTemperature,
 )
-from .states import BipartiteState, StateVector
+from .states import StateVector
 
 ORTHOGONALITY_TOL = 1e-9
 SCAN_GRID_POINTS = 4096
@@ -195,15 +195,13 @@ def orthogonalization_time(
     return OrthogonalizationResult(t_orth=t_orth, overlap_trace=trace, bound=bound)
 
 
-def antiqubit_process_velocity(bi: BipartiteState, ctx: ThermalContext) -> float:
-    """Process velocity 4 k T (S(A|B) - E0) / h for a bipartite joint.
+def antiqubit_process_velocity(cs: ConditionalState, ctx: ThermalContext) -> float:
+    """Process velocity 4 k T (S(A|B) - E0) / h for a bipartite joint's
+    conditional state (see :func:`chronon_lab.entropy.conditional_state`).
 
     E0 is the smallest eigenvalue of -log rho_{A|B} on its support, i.e.
     -ln of the conditional density's largest eigenvalue.  The shift keeps
     the velocity non-negative even when S(A|B) < 0.
     """
-    s = generalized_conditional(bi).nats
-    cond = conditional_density(bi)
-    lam_max = float(np.linalg.eigvalsh(cond)[-1])
-    e0 = -math.log(lam_max)
-    return 4.0 * ctx.k * ctx.T * (s - e0) / ctx.h
+    e0 = -math.log(float(cs.spectrum[-1]))
+    return 4.0 * ctx.k * ctx.T * (cs.entropy.nats - e0) / ctx.h

@@ -38,14 +38,6 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     return rho / linalg.trace_real(rho)
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish unitary via QR with phase fixing."""
-    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    ph = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * ph
-
-
 @dataclass(frozen=True)
 class MlTrial:
     dim: int

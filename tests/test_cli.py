@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from chronon_lab import cli
+from chronon_lab import cli, entropy
+from chronon_lab.entropy import EntropyValue, generalized_conditional
+from chronon_lab.errors import ConvergenceFailure
 from chronon_lab.serialization import save_state
 from chronon_lab.states import ClassicalQuantumState, DensityMatrix, StateVector
 
@@ -140,6 +142,43 @@ class TestConditionalCommand:
             ["conditional", "--state", bell_file, "--trotter-n", "8"], capsys
         )
         assert code == 2
+
+    def test_dual_path_disagreement_exit_two(self, bell_file, monkeypatch, capsys):
+        # skew S(joint) alone, so S(joint) - S(B) no longer matches -tr(rho log rho_{A|B})
+        exact = entropy.von_neumann
+
+        def skewed(rho):
+            s = exact(rho)
+            return EntropyValue(s.nats + 1e-6) if rho.dim == 4 else s
+
+        monkeypatch.setattr(entropy, "von_neumann", skewed)
+        with pytest.raises(ConvergenceFailure):
+            generalized_conditional(bell_state())
+        code = cli.run(["conditional", "--state", bell_file])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: conditional-entropy paths disagree")
+
+
+class TestMalformedStateFiles:
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"kind": "density"}, "'matrix'"),
+            ([1, 2, 3], "JSON object"),
+            ({"kind": "bipartite", "dimB": 2,
+              "matrix": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}, "'dimA'"),
+            ({"kind": "correlation_basis"}, "'system'"),
+            ({"kind": "density", "matrix": {"rows": 1, "cols": 1, "data": 5}}, "'matrix'"),
+        ],
+    )
+    def test_exit_one_naming_the_field(self, payload, field, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code = cli.run(["entropy", "--state", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
 
 
 class TestMlcheckCommand:
@@ -275,6 +314,23 @@ class TestSimultaneityCommand:
         assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--state", "s.json"],
+        ["conditional", "--state", "s.json"],
+        ["gaussian"],
+        ["lorentz", "--v", "0.5"],
+        ["flow", "--config", "c.json"],
+        ["simultaneity"],
+    ],
+)
+def test_seed_accepted_only_by_mlcheck(argv):
+    assert cli.build_parser().parse_args(["mlcheck", "--seed", "1"]).seed == 1
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv + ["--seed", "1"])
+
+
 class TestDeterminism:
     def test_mlcheck_bytes_stable(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -301,6 +357,7 @@ OPERATION_COVERAGE = {
     # module operation           -> subcommand whose call graph reaches it
     "linalg.eig_hermitian": "entropy",
     "linalg.matrix_func": "conditional (trotter)",
+    "linalg.support_spectrum": "conditional",
     "linalg.support_log": "conditional",
     "linalg.tensor": "conditional (cq embed)",
     "linalg.partial_trace": "entropy (reduce), conditional",
@@ -310,9 +367,9 @@ OPERATION_COVERAGE = {
     "states.cq_embed": "conditional",
     "entropy.von_neumann": "entropy",
     "entropy.cq_conditional": "entropy (conditional)",
-    "entropy.conditional_density": "conditional",
+    "entropy.conditional_state": "conditional",
     "entropy.trotter_conditional_density": "conditional (trotter)",
-    "entropy.generalized_conditional": "conditional",
+    "entropy.generalized_conditional": "entropy (conditional)",
     "speed_limits.time_quantum": "flow",
     "speed_limits.ml_bound_shifted": "mlcheck",
     "speed_limits.orthogonalization_time": "mlcheck",
@@ -350,10 +407,11 @@ def test_every_operation_reachable_from_a_subcommand():
     import chronon_lab.states
 
     public_ops = {
-        "linalg": ["eig_hermitian", "matrix_func", "support_log", "tensor", "partial_trace"],
+        "linalg": ["eig_hermitian", "matrix_func", "support_spectrum", "support_log",
+                   "tensor", "partial_trace"],
         "states": ["build_measurement_operator", "measurement_probability",
                    "reduce_over_apparatus", "cq_embed"],
-        "entropy": ["von_neumann", "cq_conditional", "conditional_density",
+        "entropy": ["von_neumann", "cq_conditional", "conditional_state",
                     "trotter_conditional_density", "generalized_conditional"],
         "speed_limits": ["time_quantum", "ml_bound_shifted", "orthogonalization_time",
                          "process_velocity", "state_count", "antiqubit_process_velocity"],

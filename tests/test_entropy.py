@@ -5,7 +5,7 @@ import pytest
 
 from chronon_lab.entropy import (
     EntropyValue,
-    conditional_density,
+    conditional_state,
     cq_conditional,
     generalized_conditional,
     trotter_conditional_density,
@@ -95,12 +95,12 @@ class TestConditionalDensity:
         bi = BipartiteState(
             joint=DensityMatrix(np.kron(rho_a, rho_b)), dim_a=2, dim_b=2
         )
-        cond = conditional_density(bi)
+        cond = conditional_state(bi).density
         assert frobenius(cond - np.kron(rho_a, np.eye(2))) <= 1e-8
 
     def test_bell_doubles_its_projector(self):
         bi = bell_state()
-        cond = conditional_density(bi)
+        cond = conditional_state(bi).density
         assert frobenius(cond - 2.0 * bi.joint.mat) <= 1e-10
         w = np.linalg.eigvalsh(cond)
         assert w[-1] == pytest.approx(2.0, abs=1e-10)
@@ -108,7 +108,7 @@ class TestConditionalDensity:
     def test_cq_embedding_block_diagonal(self, rng):
         cq = random_cq(rng, dim=2, branches=2)
         bi = cq_embed(cq)
-        cond = conditional_density(bi)
+        cond = conditional_state(bi).density
         # register sectors stay uncoupled
         for s in range(2):
             for t in range(2):
@@ -129,7 +129,7 @@ class TestTrotterConditionalDensity:
 
     def test_convergence_to_closed_form(self, rng):
         bi = BipartiteState(joint=random_density(4, rng), dim_a=2, dim_b=2)
-        cond = conditional_density(bi)
+        cond = conditional_state(bi).density
         dists = [
             frobenius(trotter_conditional_density(bi, n) - cond)
             for n in (1, 4, 16, 64, 256, 1024)
@@ -176,7 +176,7 @@ class TestGeneralizedConditional:
         # recompute -tr(rho log rho_{A|B}) by hand and compare
         for _ in range(20):
             bi = random_separable(rng)
-            cond = conditional_density(bi)
+            cond = conditional_state(bi).density
             log_cond, _ = support_log(cond)
             dual = -float(np.trace(bi.joint.mat @ log_cond).real)
             assert abs(generalized_conditional(bi).nats - dual) <= 1e-8

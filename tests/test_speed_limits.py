@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chronon_lab.entropy import EntropyValue
+from chronon_lab.entropy import EntropyValue, conditional_state
 from chronon_lab.errors import (
     DegenerateSpectrum,
     DimensionMismatch,
@@ -163,7 +163,7 @@ class TestOrthogonalizationTime:
 
 class TestAntiqubitVelocity:
     def test_bell_state_zero(self):
-        assert antiqubit_process_velocity(bell_state(), NATURAL) == pytest.approx(0.0, abs=1e-9)
+        assert antiqubit_process_velocity(conditional_state(bell_state()), NATURAL) == pytest.approx(0.0, abs=1e-9)
 
     def test_product_scalar_oracle(self, rng):
         rho_a = np.diag([0.75, 0.25]).astype(complex)
@@ -173,7 +173,7 @@ class TestAntiqubitVelocity:
             dim_b=2,
         )
         expected = 4.0 * (entropy_oracle([0.75, 0.25]) - (-math.log(0.75)))
-        v = antiqubit_process_velocity(bi, NATURAL)
+        v = antiqubit_process_velocity(conditional_state(bi), NATURAL)
         assert v == pytest.approx(expected, abs=1e-9)
         assert v == pytest.approx(1.098612, abs=1e-6)
 
@@ -183,9 +183,9 @@ class TestAntiqubitVelocity:
             dim_a=2,
             dim_b=2,
         )
-        assert antiqubit_process_velocity(bi, NATURAL) == pytest.approx(0.0, abs=1e-9)
+        assert antiqubit_process_velocity(conditional_state(bi), NATURAL) == pytest.approx(0.0, abs=1e-9)
 
     def test_temperature_scaling(self):
         bi = bell_state()
-        v1 = antiqubit_process_velocity(bi, ThermalContext(T=2.0))
+        v1 = antiqubit_process_velocity(conditional_state(bi), ThermalContext(T=2.0))
         assert v1 == pytest.approx(0.0, abs=1e-9)
