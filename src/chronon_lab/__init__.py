@@ -31,7 +31,6 @@ from .gaussian import (
     bound_classical_velocity,
     bound_process_velocity,
     bound_resolution_velocity,
-    erf,
     max_G,
     max_H,
     partition_entropy_G,
@@ -51,9 +50,7 @@ from .relativity import (
     InvarianceReport,
     check_bound_invariance,
     gamma,
-    transform_entropy,
     transform_temperature,
-    transform_time_quantum,
 )
 from .speed_limits import (
     OrthogonalizationResult,
@@ -112,7 +109,6 @@ __all__ = [
     "cq_embed",
     "dilation_from_conditioning",
     "eig_hermitian",
-    "erf",
     "gamma",
     "generalized_conditional",
     "matrix_func",
@@ -132,9 +128,7 @@ __all__ = [
     "support_log",
     "tensor",
     "time_quantum",
-    "transform_entropy",
     "transform_temperature",
-    "transform_time_quantum",
     "trotter_conditional_density",
     "von_neumann",
 ]

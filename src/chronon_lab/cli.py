@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -72,6 +73,18 @@ def _emit_kv_csv(pairs: list[tuple[str, str]], out_path: str | None) -> None:
     _emit("\n".join(lines) + "\n", out_path)
 
 
+def _require(args, rule: str, holds, *names: str) -> None:
+    """InvalidState naming the first given flag whose value breaks rule."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and not holds(value):
+            raise InvalidState(f"--{name.replace('_', '-')} must be {rule}, got {value}")
+
+
+def _at_least_one(n: int) -> bool:
+    return n >= 1
+
+
 # --- subcommands ---
 
 
@@ -115,6 +128,8 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_conditional(args) -> int:
+    _require(args, ">= 1", _at_least_one, "trotter_n")
+    _require(args, "finite", math.isfinite, "eps")
     state = load_state(args.state)
     if isinstance(state, ClassicalQuantumState):
         bi = cq_embed(state)
@@ -162,6 +177,7 @@ def _cmd_mlcheck(args) -> int:
     dims = [int(d) for d in args.dims.split(",") if d]
     if not dims or any(d < 2 for d in dims):
         raise InvalidState(f"--dims must list integers >= 2, got {args.dims!r}")
+    _require(args, ">= 1", _at_least_one, "trials")
     result = ml_bound_sweep(dims, args.trials, args.seed)
     report = {
         "dims": dims,
@@ -184,6 +200,7 @@ def _cmd_mlcheck(args) -> int:
 
 
 def _cmd_gaussian(args) -> int:
+    _require(args, ">= 1", _at_least_one, "grid")
     xs = np.linspace(0.0, gaussian_mod.SEARCH_UPPER, args.grid)
     xg, vg = gaussian_mod.max_G()
     xh, vh = gaussian_mod.max_H()
@@ -229,6 +246,7 @@ def _cmd_gaussian(args) -> int:
 
 
 def _cmd_lorentz(args) -> int:
+    _require(args, "finite", math.isfinite, "temp_exponent", "length_exponent")
     boost = relativity.Boost(v=args.v, c=args.c)
     packet = gaussian_mod.GaussianPacket(sigma_k0=args.sigma_k0)
     report = relativity.check_bound_invariance(
@@ -343,6 +361,7 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_simultaneity(args) -> int:
+    _require(args, "finite", math.isfinite, "theta1", "theta2", "t1", "t2")
     ctx = ThermalContext()
     if args.theta1 is not None and args.theta2 is not None:
         theta1, theta2 = args.theta1, args.theta2

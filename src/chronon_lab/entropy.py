@@ -17,15 +17,18 @@ one that preserves the identity S(A|B) = S(joint) - S(B) exactly.
 
 :func:`conditional_state` is the only place that builds rho_{A|B}.  One
 pass decomposes the joint and rho_B once each, diagonalizes the compressed
-exponent once, and returns the entropy, the density and its spectrum
-together as a :class:`ConditionalState`; every consumer reads that record
-instead of rebuilding the pipeline.
+exponent once, and returns the entropy and the density together as a
+:class:`ConditionalState`, which decomposes the density only when its
+spectrum is asked for; every consumer reads that record instead of
+rebuilding the pipeline.  The entropies of the joint and of rho_B come from
+the spectra their DensityMatrix validation already computed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,8 +53,7 @@ class EntropyValue:
 
 def von_neumann(rho: DensityMatrix) -> EntropyValue:
     """-sum_i w_i ln w_i over the spectrum's support; in [0, ln dim]."""
-    w = np.linalg.eigvalsh(rho.mat)
-    s = -sum(linalg.xlnx(float(x)) for x in w if x > 0.0)
+    s = -sum(linalg.xlnx(float(x)) for x in rho.eigenvalues if x > 0.0)
     return EntropyValue(max(s, 0.0))
 
 
@@ -61,12 +63,16 @@ class ConditionalState:
 
     entropy is S(A|B) = S(joint) - S(B); density is rho_{A|B} on the
     joint's support (Hermitian, eigenvalues may exceed 1, which is what
-    makes the entropy negative); spectrum holds its eigenvalues, ascending.
+    makes the entropy negative); spectrum holds its eigenvalues, ascending,
+    and is computed on first use only.
     """
 
     entropy: EntropyValue
     density: np.ndarray
-    spectrum: np.ndarray
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.density)
 
 
 def cq_conditional(cq: ClassicalQuantumState) -> EntropyValue:
@@ -103,8 +109,6 @@ def trotter_conditional_density(
         np.eye(bi.dim_a), linalg.matrix_func(rho_b, lambda x: x ** (-1.0 / n))
     )
     return np.linalg.matrix_power(root @ inv_root_b, n)
-
-
 
 
 def conditional_state(
@@ -145,11 +149,7 @@ def conditional_state(
         raise ConvergenceFailure(
             f"conditional-entropy paths disagree: {primary} vs {dual}"
         )
-    return ConditionalState(
-        entropy=EntropyValue(primary),
-        density=density,
-        spectrum=np.linalg.eigvalsh(density),
-    )
+    return ConditionalState(entropy=EntropyValue(primary), density=density)
 
 
 def generalized_conditional(

@@ -38,7 +38,7 @@ class NegativeEigenvalue(ChrononError):
 
 
 class SizeOverflow(ChrononError):
-    """Tensor-product dimension above the configured cap."""
+    """Tensor-product dimension or flow tick count above its cap."""
 
 
 class DimensionMismatch(ChrononError):

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .entropy import EntropyValue, cq_conditional, von_neumann
-from .errors import NoActiveSystem, NonpositiveEntropy, NonpositiveVelocity
+from .errors import NoActiveSystem, NonpositiveEntropy, NonpositiveVelocity, SizeOverflow
 from .speed_limits import ThermalContext, TimeQuantum, time_quantum
 from .states import ClassicalQuantumState
+
+MAX_TICKS = 10**6  # largest merged flow simulate_flow will build
 
 
 @dataclass(frozen=True)
@@ -56,29 +58,32 @@ class ThermalFlow:
                 raise ValueError("tick times must be non-decreasing")
         object.__setattr__(self, "ticks", ticks)
 
-    def for_system(self, system_id: str) -> list:
-        return [t for t in self.ticks if t.system_id == system_id]
-
 
 def simulate_flow(
     systems: list, ctx: ThermalContext, horizon: float
 ) -> ThermalFlow:
     """Merge the periodic ticks of every active system up to the horizon.
 
-    Systems with zero entropy contribute no ticks; if none is active the
-    flow is undefined and NoActiveSystem is raised.  Equal tick times are
-    ordered lexicographically by system id.
+    The horizon must be positive and finite.  Systems with zero entropy
+    contribute no ticks; if none is active the flow is undefined and
+    NoActiveSystem is raised.  A flow of more than MAX_TICKS ticks raises
+    SizeOverflow before any tick is built.  Equal tick times are ordered
+    lexicographically by system id.
     """
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     active = [s for s in systems if s.entropy.nats > 0.0]
     if not active:
         raise NoActiveSystem("no system has positive entropy: nothing happens")
+    quanta = [(spec, time_quantum(spec.entropy, ctx).dt) for spec in active]
+    # horizon / dt may overflow to inf for a vanishing quantum
+    counts = [horizon / dt for _, dt in quanta]
+    n_ticks = sum(math.floor(q) if math.isfinite(q) else q for q in counts)
+    if n_ticks > MAX_TICKS:
+        raise SizeOverflow(f"flow needs {n_ticks} ticks, above the cap of {MAX_TICKS}")
     ticks = []
-    for spec in active:
-        dt = time_quantum(spec.entropy, ctx).dt
-        n_max = int(math.floor(horizon / dt))
-        for n in range(1, n_max + 1):
+    for (spec, dt), q in zip(quanta, counts):
+        for n in range(1, math.floor(q) + 1):
             t = n * dt  # exact multiple, no accumulated drift
             if t <= horizon:
                 ticks.append(Tick(time=t, quantum=dt, system_id=spec.id))

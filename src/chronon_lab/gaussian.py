@@ -44,11 +44,6 @@ class PartitionEntropy:
     entropy: EntropyValue
 
 
-def erf(x: float) -> float:
-    """Error function 2/sqrt(pi) * integral_0^x exp(-t^2) dt."""
-    return math.erf(x)
-
-
 def _binary_entropy(p: float) -> float:
     q = 1.0 - p
     s = 0.0
@@ -63,14 +58,14 @@ def partition_entropy_G(x: float) -> PartitionEntropy:
     """Binary entropy (nats) of the in-interval weight erf(x)."""
     if x < 0.0:
         raise NegativeArgument(f"x must be >= 0, got {x}")
-    return PartitionEntropy(x=x, entropy=EntropyValue(_binary_entropy(erf(x))))
+    return PartitionEntropy(x=x, entropy=EntropyValue(_binary_entropy(math.erf(x))))
 
 
 def scaled_function_H(x: float) -> float:
     """Product G(x) * x driving the classical-velocity bound."""
     if x < 0.0:
         raise NegativeArgument(f"x must be >= 0, got {x}")
-    return _binary_entropy(erf(x)) * x
+    return _binary_entropy(math.erf(x)) * x
 
 
 def _grid_seeded_max(f) -> tuple[float, float]:

@@ -90,10 +90,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ dag(v)
-
 
 def eig_hermitian(a: np.ndarray) -> Spectrum:
     """Hermitian eigendecomposition with ascending eigenvalues."""
@@ -175,7 +171,8 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out_cols = a.shape[1] * b.shape[1]
     if max(out_rows, out_cols) > cap:
         raise SizeOverflow(
-            f"tensor product dimension {max(out_rows, out_cols)} exceeds cap {cap}"
+            f"tensor product dimension {max(out_rows, out_cols)} exceeds the "
+            f"{_MAX_DIM_ENV} cap {cap}"
         )
     return np.kron(a, b)
 

@@ -1,13 +1,16 @@
-"""Lorentz-frame transforms of temperature, entropy, length and time quanta,
-plus the invariance check for the composite velocity bound.
+"""Lorentz-frame transform of temperature and the invariance check for the
+composite velocity bound.
 
 The literature disagrees on how temperature (and length) should scale with
-the Lorentz factor, so every transform here takes its gamma exponent as an
-explicit parameter.  Defaults follow the conventions this library's bound
-check certifies: temperature gamma^(-1/2) for the standalone transform, and
-the (-1, -1) length/temperature pair for the invariance report, which is the
-only pair under which the boosted and rest-frame bound values agree exactly.
-Entropy is frame-invariant; so are h and k.
+the Lorentz factor, so the temperature transform and the check take their
+gamma exponents as explicit parameters.  Defaults follow the conventions
+this library's bound check certifies: temperature gamma^(-1/2) for the
+standalone transform, and the (-1, -1) length/temperature pair for the
+invariance report, which is the only pair under which the boosted and
+rest-frame bound values agree exactly.  Entropy is frame-invariant, and so
+are h and k, so the time quantum h/(4kTS) of one frame follows from the
+other's by recomputing it at the transformed temperature:
+dt = gamma^(-e) * dt_bar when T = gamma^e * T_bar.
 """
 
 from __future__ import annotations
@@ -66,27 +69,15 @@ def gamma(b: Boost) -> float:
 def transform_temperature(
     t_bar: float, b: Boost, exponent: float = TEMPERATURE_EXPONENT_DEFAULT
 ) -> float:
-    """Map the other frame's temperature to ours: T = gamma^exponent * T_bar."""
+    """Map the other frame's temperature to ours: T = gamma^exponent * T_bar.
+
+    Evaluated as T_bar / gamma^(-exponent).  :func:`check_bound_invariance`
+    calls it with its temperature exponent negated to get the boosted
+    frame's temperature from the rest frame's.
+    """
     if t_bar <= 0.0:
         raise NonpositiveTemperature(f"temperature must be positive, got {t_bar}")
-    return gamma(b) ** exponent * t_bar
-
-
-def transform_entropy(s: EntropyValue) -> EntropyValue:
-    """Entropy is frame-invariant: the identity map."""
-    return s
-
-
-def transform_time_quantum(
-    dt_bar: TimeQuantum, b: Boost, temp_exponent: float = PLANCK_TEMPERATURE_EXPONENT
-) -> TimeQuantum:
-    """Push the temperature transform through the time-quantum formula.
-
-    With invariant S, h, k and T = gamma^e * T_bar, the quantum picks up the
-    inverse factor: dt = gamma^(-e) * dt_bar.  The default exponent -1 yields
-    dt = gamma * dt_bar, the dilation the invariance check relies on.
-    """
-    return TimeQuantum(gamma(b) ** (-temp_exponent) * dt_bar.dt)
+    return t_bar / gamma(b) ** (-exponent)
 
 
 @dataclass(frozen=True)
@@ -122,12 +113,12 @@ def check_bound_invariance(
     """
     g = gamma(b)
     x_star, _ = max_H()
-    s_star = transform_entropy(partition_entropy_G(x_star).entropy)
+    s_star = partition_entropy_G(x_star).entropy  # frame-invariant
     r_rest = x_star * packet.sigma_k0
     dt_rest = time_quantum(s_star, ctx)
     rest = FrameQuantities(T=ctx.T, S=s_star, r=r_rest, dt_min=dt_rest)
 
-    t_boost = ctx.T / (g**temp_exponent)  # inverse of transform_temperature
+    t_boost = transform_temperature(ctx.T, b, -temp_exponent)
     ctx_boost = ThermalContext(T=t_boost, h=ctx.h, k=ctx.k, c=ctx.c)
     dt_boost = time_quantum(s_star, ctx_boost)
     r_boost = g**length_exponent * r_rest

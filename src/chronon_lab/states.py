@@ -10,7 +10,7 @@ correct value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,9 +52,15 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator."""
+    """Hermitian, unit-trace, positive-semidefinite operator.
+
+    eigenvalues holds the ascending spectrum that the positivity check
+    computes, so consumers such as the von Neumann entropy need not
+    decompose the matrix again.
+    """
 
     mat: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -71,6 +77,7 @@ class DensityMatrix:
         if w[0] < -VALIDATION_ATOL:
             raise InvalidState(f"negative eigenvalue {w[0]:.3e}")
         object.__setattr__(self, "mat", np.asarray(m, dtype=np.complex128))
+        object.__setattr__(self, "eigenvalues", w)
 
     @property
     def dim(self) -> int:
@@ -139,11 +146,6 @@ class BipartiteState:
                 f"dim_a*dim_b = {self.dim_a * self.dim_b} != joint dim {self.joint.dim}"
             )
 
-    def marginal_a(self) -> DensityMatrix:
-        return DensityMatrix(
-            linalg.partial_trace(self.joint.mat, self.dim_a, self.dim_b, keep="A")
-        )
-
     def marginal_b(self) -> DensityMatrix:
         return DensityMatrix(
             linalg.partial_trace(self.joint.mat, self.dim_a, self.dim_b, keep="B")
@@ -179,10 +181,6 @@ class CorrelationBasis:
                         )
         object.__setattr__(self, "system_basis", sys_b)
         object.__setattr__(self, "apparatus_basis", app_b)
-
-    @property
-    def size(self) -> int:
-        return len(self.system_basis)
 
 
 def build_measurement_operator(basis: CorrelationBasis) -> np.ndarray:
@@ -232,13 +230,13 @@ def cq_embed(cq: ClassicalQuantumState) -> BipartiteState:
     generalized conditional entropy of the embedding (conditioning on the
     second factor) equals the branch-averaged entropy.  The joint is
     block-diagonal across register sectors; tracing out the register
-    returns the mixture sum_i p_i Psi_i.
+    returns the mixture sum_i p_i Psi_i.  Each term goes through
+    :func:`linalg.tensor`, so a joint dimension above the CHRONON_MAX_DIM
+    cap raises SizeOverflow before the joint is allocated.
     """
     n = len(cq.branches)
-    d = cq.dim
-    joint = np.zeros((d * n, d * n), dtype=np.complex128)
-    for i, (p, state) in enumerate(cq.branches):
-        reg = np.zeros((n, n), dtype=np.complex128)
-        reg[i, i] = 1.0
-        joint += p * np.kron(state.mat, reg)
-    return BipartiteState(joint=DensityMatrix(joint), dim_a=d, dim_b=n)
+    joint = sum(
+        p * linalg.tensor(state.mat, np.diag(e_i))
+        for (p, state), e_i in zip(cq.branches, np.eye(n, dtype=np.complex128))
+    )
+    return BipartiteState(joint=DensityMatrix(joint), dim_a=cq.dim, dim_b=n)

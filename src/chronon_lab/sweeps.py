@@ -32,12 +32,6 @@ def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    k = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = k @ linalg.dag(k)
-    return rho / linalg.trace_real(rho)
-
-
 @dataclass(frozen=True)
 class MlTrial:
     dim: int

@@ -1,12 +1,18 @@
 """Command-line surface tests: each subcommand, exit codes, determinism,
 and the operation-coverage audit."""
 
+import functools
+import importlib
+import inspect
 import json
 import math
+import pkgutil
+import sys
 
 import numpy as np
 import pytest
 
+import chronon_lab
 from chronon_lab import cli, entropy
 from chronon_lab.entropy import EntropyValue, generalized_conditional
 from chronon_lab.errors import ConvergenceFailure
@@ -14,6 +20,7 @@ from chronon_lab.serialization import save_state
 from chronon_lab.states import ClassicalQuantumState, DensityMatrix, StateVector
 
 from conftest import bell_state
+from test_golden import CASES, FORMATS, INPUTS, render_case
 
 LN2 = math.log(2.0)
 
@@ -158,6 +165,15 @@ class TestConditionalCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: conditional-entropy paths disagree")
 
+    def test_dimension_cap_applies_to_cq_embedding(self, monkeypatch, capsys):
+        # the cq golden input embeds to a joint of dimension 4
+        monkeypatch.setenv("CHRONON_MAX_DIM", "3")
+        code = cli.run(["conditional", "--state", str(INPUTS / "cq.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "CHRONON_MAX_DIM cap 3" in err
+
 
 class TestMalformedStateFiles:
     @pytest.mark.parametrize(
@@ -282,6 +298,25 @@ class TestFlowCommand:
         code, _ = run_capture(["flow", "--config", str(path)], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "entropy_nats, horizon, invariant",
+        [
+            (1e7, 1e3, "ticks, above the cap of 1000000"),  # 4e10 ticks
+            (1.0, "inf", "horizon must be positive and finite"),
+            (1.0, "nan", "horizon must be positive and finite"),
+        ],
+    )
+    def test_unbounded_flow_exit_one(self, entropy_nats, horizon, invariant, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"systems": [{"id": "x", "entropyNats": entropy_nats}], "horizon": horizon}
+        ))
+        code = cli.run(["flow", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert invariant in err
+
 
 class TestSimultaneityCommand:
     def test_direct_thetas(self, capsys):
@@ -312,6 +347,35 @@ class TestSimultaneityCommand:
     def test_missing_velocity_exit_one(self, capsys):
         code, _ = run_capture(["simultaneity", "--theta1", "0", "--theta2", "1"], capsys)
         assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["mlcheck", "--trials", "-3"], "--trials must be >= 1"),
+        (["mlcheck", "--trials", "0"], "--trials must be >= 1"),
+        (["gaussian", "--grid", "0"], "--grid must be >= 1"),
+        (["conditional", "--state", "s.json", "--trotter-n", "0"], "--trotter-n must be >= 1"),
+        (["conditional", "--state", "s.json", "--eps", "nan"], "--eps must be finite"),
+        (["lorentz", "--v", "0.6", "--temp-exponent", "nan"], "--temp-exponent must be finite"),
+        (["lorentz", "--v", "0.6", "--length-exponent", "nan"],
+         "--length-exponent must be finite"),
+        (["simultaneity", "--theta1", "nan", "--theta2", "1", "--vmax", "1"],
+         "--theta1 must be finite"),
+        (["simultaneity", "--theta1", "0", "--theta2", "inf", "--vmax", "1"],
+         "--theta2 must be finite"),
+        (["simultaneity", "--s1", "1", "--t1", "nan", "--s2", "1", "--t2", "1", "--vmax", "1"],
+         "--t1 must be finite"),
+        (["simultaneity", "--s1", "1", "--t1", "1", "--s2", "1", "--t2", "inf", "--vmax", "1"],
+         "--t2 must be finite"),
+    ],
+)
+def test_numeric_flag_out_of_range_exit_one(argv, flag, capsys):
+    code = cli.run(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
 
 
 @pytest.mark.parametrize(
@@ -353,80 +417,68 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
-OPERATION_COVERAGE = {
-    # module operation           -> subcommand whose call graph reaches it
-    "linalg.eig_hermitian": "entropy",
-    "linalg.matrix_func": "conditional (trotter)",
-    "linalg.support_spectrum": "conditional",
-    "linalg.support_log": "conditional",
-    "linalg.tensor": "conditional (cq embed)",
-    "linalg.partial_trace": "entropy (reduce), conditional",
-    "states.build_measurement_operator": "entropy (measure)",
-    "states.measurement_probability": "entropy (measure)",
-    "states.reduce_over_apparatus": "entropy (reduce)",
-    "states.cq_embed": "conditional",
-    "entropy.von_neumann": "entropy",
-    "entropy.cq_conditional": "entropy (conditional)",
-    "entropy.conditional_state": "conditional",
-    "entropy.trotter_conditional_density": "conditional (trotter)",
-    "entropy.generalized_conditional": "entropy (conditional)",
-    "speed_limits.time_quantum": "flow",
-    "speed_limits.ml_bound_shifted": "mlcheck",
-    "speed_limits.orthogonalization_time": "mlcheck",
-    "speed_limits.process_velocity": "simultaneity (entropy)",
-    "speed_limits.state_count": "simultaneity (s/t inputs)",
-    "speed_limits.antiqubit_process_velocity": "conditional",
-    "gaussian.erf": "gaussian",
-    "gaussian.partition_entropy_G": "gaussian",
-    "gaussian.max_G": "gaussian",
-    "gaussian.scaled_function_H": "gaussian",
-    "gaussian.max_H": "gaussian",
-    "gaussian.bound_process_velocity": "gaussian",
-    "gaussian.bound_classical_velocity": "gaussian",
-    "gaussian.bound_resolution_velocity": "gaussian",
-    "relativity.gamma": "lorentz",
-    "relativity.transform_temperature": "lorentz",
-    "relativity.transform_entropy": "lorentz",
-    "relativity.transform_time_quantum": "lorentz",
-    "relativity.check_bound_invariance": "lorentz",
-    "flow.simulate_flow": "flow",
-    "flow.clock_ratio": "flow (ratio)",
-    "flow.dilation_from_conditioning": "flow (dilation)",
-    "flow.simultaneity_offset": "simultaneity",
-}
+# The writer half of the state-file codec: no subcommand writes state files;
+# the tests build their fixtures with it and use it as decode's round-trip
+# reference.
+AUDIT_EXEMPT = frozenset(
+    {"serialization.encode_matrix", "serialization.encode_state", "serialization.save_state"}
+)
 
 
-def test_every_operation_reachable_from_a_subcommand():
-    """Coverage audit: the public operation surface maps onto subcommands."""
-    import chronon_lab.entropy
-    import chronon_lab.flow
-    import chronon_lab.gaussian
-    import chronon_lab.linalg
-    import chronon_lab.relativity
-    import chronon_lab.speed_limits
-    import chronon_lab.states
+def _member_function(member):
+    """The function behind a class attribute, or None if it holds none."""
+    if isinstance(member, (classmethod, staticmethod)):
+        return member.__func__
+    if isinstance(member, property):
+        return member.fget
+    if isinstance(member, functools.cached_property):
+        return member.func
+    return member if inspect.isfunction(member) else None
 
-    public_ops = {
-        "linalg": ["eig_hermitian", "matrix_func", "support_spectrum", "support_log",
-                   "tensor", "partial_trace"],
-        "states": ["build_measurement_operator", "measurement_probability",
-                   "reduce_over_apparatus", "cq_embed"],
-        "entropy": ["von_neumann", "cq_conditional", "conditional_state",
-                    "trotter_conditional_density", "generalized_conditional"],
-        "speed_limits": ["time_quantum", "ml_bound_shifted", "orthogonalization_time",
-                         "process_velocity", "state_count", "antiqubit_process_velocity"],
-        "gaussian": ["erf", "partition_entropy_G", "max_G", "scaled_function_H", "max_H",
-                     "bound_process_velocity", "bound_classical_velocity",
-                     "bound_resolution_velocity"],
-        "relativity": ["gamma", "transform_temperature", "transform_entropy",
-                       "transform_time_quantum", "check_bound_invariance"],
-        "flow": ["simulate_flow", "clock_ratio", "dilation_from_conditioning",
-                 "simultaneity_offset"],
-    }
-    for module, names in public_ops.items():
-        mod = getattr(__import__(f"chronon_lab.{module}"), module)
-        for name in names:
-            assert callable(getattr(mod, name)), f"{module}.{name} missing"
-            assert f"{module}.{name}" in OPERATION_COVERAGE, (
-                f"{module}.{name} not reachable from any subcommand"
-            )
+
+def _public_operations() -> dict:
+    """Code object -> name of every public function, method, property and
+    classmethod defined in a layer module (every module of the package but
+    the cli front end)."""
+    ops = {}
+    for info in pkgutil.iter_modules(chronon_lab.__path__):
+        if info.name == "cli":
+            continue
+        mod = importlib.import_module(f"chronon_lab.{info.name}")
+        for attr, obj in vars(mod).items():
+            if attr.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                ops[obj.__code__] = f"{info.name}.{attr}"
+            elif inspect.isclass(obj):
+                for name, member in vars(obj).items():
+                    fn = _member_function(member)
+                    if fn is not None and not name.startswith("_"):
+                        ops[fn.__code__] = f"{info.name}.{attr}.{name}"
+    return ops
+
+
+def test_every_operation_reachable_from_a_subcommand(tmp_path):
+    """Coverage audit: every golden case runs in both formats under a
+    profiler, and each public operation of the layer modules must be
+    called by at least one of them."""
+    ops = _public_operations()
+    assert AUDIT_EXEMPT <= set(ops.values())
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for case in sorted(CASES):
+            for fmt in FORMATS:
+                render_case(case, fmt, tmp_path / "out")
+    finally:
+        sys.setprofile(previous)
+    unreached = sorted(
+        name for code, name in ops.items() if code not in reached and name not in AUDIT_EXEMPT
+    )
+    assert not unreached, f"public operations no golden case reaches: {unreached}"

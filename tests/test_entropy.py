@@ -60,6 +60,15 @@ class TestVonNeumann:
             s1 = von_neumann(DensityMatrix(u @ rho @ u.conj().T)).nats
             assert abs(s0 - s1) <= 1e-10
 
+    def test_reads_the_validated_spectrum(self, rng):
+        # the spectrum kept by DensityMatrix validation is the matrix's own
+        for d in (2, 4, 8):
+            rho = random_density(d, rng)
+            assert np.allclose(rho.eigenvalues, np.linalg.eigvalsh(rho.mat), rtol=0, atol=1e-14)
+            assert von_neumann(rho).nats == pytest.approx(
+                entropy_oracle(np.linalg.eigvalsh(rho.mat)), abs=1e-12
+            )
+
 
 class TestCqConditional:
     def test_pure_branches_zero(self, rng):
@@ -104,6 +113,12 @@ class TestConditionalDensity:
         assert frobenius(cond - 2.0 * bi.joint.mat) <= 1e-10
         w = np.linalg.eigvalsh(cond)
         assert w[-1] == pytest.approx(2.0, abs=1e-10)
+
+    def test_spectrum_is_the_density_spectrum_computed_once(self, rng):
+        cs = conditional_state(BipartiteState(joint=random_density(4, rng), dim_a=2, dim_b=2))
+        assert "spectrum" not in vars(cs)  # nothing decomposed until asked
+        assert np.array_equal(cs.spectrum, np.linalg.eigvalsh(cs.density))
+        assert cs.spectrum is cs.spectrum
 
     def test_cq_embedding_block_diagonal(self, rng):
         cq = random_cq(rng, dim=2, branches=2)

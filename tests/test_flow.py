@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chronon_lab import flow as flow_mod
 from chronon_lab.entropy import EntropyValue
 from chronon_lab.errors import (
     NoActiveSystem,
     NonpositiveEntropy,
     NonpositiveVelocity,
+    SizeOverflow,
 )
 from chronon_lab.flow import (
     SystemSpec,
@@ -81,6 +83,20 @@ class TestSimulateFlow:
         )
         times = [t.time for t in flow.ticks]
         assert times == sorted(times)
+
+    def test_tick_budget_counts_every_system(self, monkeypatch):
+        # floor(1.1 / dt) = 3 ticks per system at S = ln 2: 6 in all
+        systems = [SystemSpec("a", EntropyValue(LN2)), SystemSpec("b", EntropyValue(LN2))]
+        monkeypatch.setattr(flow_mod, "MAX_TICKS", 6)
+        assert len(simulate_flow(systems, NATURAL, horizon=1.1).ticks) == 6
+        monkeypatch.setattr(flow_mod, "MAX_TICKS", 5)
+        with pytest.raises(SizeOverflow, match="needs 6 ticks"):
+            simulate_flow(systems, NATURAL, horizon=1.1)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            simulate_flow([SystemSpec("s", EntropyValue(LN2))], NATURAL, horizon=horizon)
 
 
 class TestClockRatio:

@@ -32,6 +32,7 @@ CASES = {
     "entropy_conditional": ["entropy", "--state", _in("rank2.json"), "--conditional"],
     "entropy_conditional_cq": ["entropy", "--state", _in("cq.json"), "--conditional"],
     "entropy_reduce": ["entropy", "--state", _in("xi.json"), "--reduce", "2", "2"],
+    "entropy_vector": ["entropy", "--state", _in("xi.json")],
     "entropy_measure": [
         "entropy", "--state", _in("xi.json"), "--measure", _in("basis.json"),
     ],
@@ -52,7 +53,7 @@ CASES = {
 FORMATS = ("csv", "json")
 
 
-def _render(case: str, fmt: str, out: Path) -> bytes:
+def render_case(case: str, fmt: str, out: Path) -> bytes:
     code = cli.run(CASES[case] + ["--format", fmt, "--out", str(out)])
     assert code == 0, f"{case} ({fmt}) exited {code}"
     return out.read_bytes()
@@ -62,10 +63,10 @@ def _render(case: str, fmt: str, out: Path) -> bytes:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_output_matches_golden(case, fmt, tmp_path):
     expected = (GOLDEN / f"{case}.{fmt}").read_bytes()
-    assert _render(case, fmt, tmp_path / "out") == expected
+    assert render_case(case, fmt, tmp_path / "out") == expected
 
 
 if __name__ == "__main__":
     for case in sorted(CASES):
         for fmt in FORMATS:
-            _render(case, fmt, GOLDEN / f"{case}.{fmt}")
+            render_case(case, fmt, GOLDEN / f"{case}.{fmt}")

@@ -4,20 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronon_lab.entropy import EntropyValue
 from chronon_lab.errors import NonpositiveTemperature, SuperluminalBoost
 from chronon_lab.gaussian import GaussianPacket
 from chronon_lab.relativity import (
     Boost,
     check_bound_invariance,
     gamma,
-    transform_entropy,
     transform_temperature,
-    transform_time_quantum,
 )
-from chronon_lab.speed_limits import ThermalContext, TimeQuantum, time_quantum
+from chronon_lab.speed_limits import ThermalContext, time_quantum
 
-LN2 = math.log(2.0)
 NATURAL = ThermalContext()
 
 
@@ -63,41 +59,46 @@ class TestTransforms:
             transform_temperature(0.0, Boost(0.5))
 
     def test_entropy_is_identity(self):
-        for s in (LN2, 0.0, -0.3):
-            assert transform_entropy(EntropyValue(s)).nats == s
+        # entropy is frame-invariant: both frames of the check carry one S
+        for v in (0.0, 0.6, 0.95):
+            rep = check_bound_invariance(GaussianPacket(1.0), NATURAL, Boost(v))
+            assert rep.boosted.S == rep.rest.S
 
     def test_time_quantum_at_rest(self):
-        dt = TimeQuantum(0.25)
-        assert transform_time_quantum(dt, Boost(0.0)).dt == pytest.approx(0.25)
+        rep = check_bound_invariance(GaussianPacket(1.0), NATURAL, Boost(0.0))
+        assert rep.boosted.dt_min.dt == pytest.approx(rep.rest.dt_min.dt, rel=1e-15)
 
     def test_time_quantum_dilation_factor(self):
-        dt = TimeQuantum(1.0)
-        out = transform_time_quantum(dt, Boost(0.6), temp_exponent=-1.0)
-        assert out.dt == pytest.approx(1.25, rel=1e-12)
+        # temperature exponent -1: our quantum is gamma times the other frame's
+        rep = check_bound_invariance(
+            GaussianPacket(1.0), NATURAL, Boost(0.6), temp_exponent=-1.0
+        )
+        assert rep.rest.dt_min.dt == pytest.approx(1.25 * rep.boosted.dt_min.dt, rel=1e-12)
 
     def test_time_quantum_substitution_oracle(self):
         # exponent -1/2 at gamma = 4: push T through the quantum formula by hand
         v = math.sqrt(1.0 - 1.0 / 16.0)
-        b = Boost(v)
-        s = EntropyValue(LN2)
-        t_bar = 1.0
-        dt_bar = time_quantum(s, ThermalContext(T=t_bar))
-        t_here = transform_temperature(t_bar, b, exponent=-0.5)  # T = gamma^-1/2 T_bar
-        expected = time_quantum(s, ThermalContext(T=t_here)).dt
-        got = transform_time_quantum(dt_bar, b, temp_exponent=-0.5).dt
-        assert got == pytest.approx(expected, rel=1e-12)
-        assert got == pytest.approx(2.0 * dt_bar.dt, rel=1e-12)
+        rep = check_bound_invariance(
+            GaussianPacket(1.0), ThermalContext(T=1.0), Boost(v), temp_exponent=-0.5
+        )
+        t_bar = 2.0  # T = gamma^-1/2 T_bar with T = 1 and gamma = 4
+        assert rep.boosted.T == pytest.approx(t_bar, rel=1e-12)
+        expected = time_quantum(rep.rest.S, ThermalContext(T=t_bar)).dt
+        assert rep.boosted.dt_min.dt == pytest.approx(expected, rel=1e-12)
+        assert rep.rest.dt_min.dt == pytest.approx(2.0 * rep.boosted.dt_min.dt, rel=1e-12)
 
     def test_path_independence(self):
-        # transforming the quantum equals recomputing it from transformed T
+        # the rest quantum is gamma^(-e) times the boosted one, which equals
+        # the quantum recomputed from the boosted temperature
         for v, exp in ((0.3, -1.0), (0.8, -0.5), (0.95, -2.0)):
             b = Boost(v)
-            s = EntropyValue(0.9)
-            dt_bar = time_quantum(s, ThermalContext(T=1.7))
-            direct = transform_time_quantum(dt_bar, b, temp_exponent=exp).dt
-            t_here = transform_temperature(1.7, b, exponent=exp)
-            recomputed = time_quantum(s, ThermalContext(T=t_here)).dt
-            assert direct == pytest.approx(recomputed, rel=1e-12)
+            rep = check_bound_invariance(
+                GaussianPacket(1.0), ThermalContext(T=1.7), b, temp_exponent=exp
+            )
+            dt_bar = rep.boosted.dt_min.dt
+            assert rep.rest.dt_min.dt == pytest.approx(gamma(b) ** -exp * dt_bar, rel=1e-12)
+            recomputed = time_quantum(rep.boosted.S, ThermalContext(T=rep.boosted.T)).dt
+            assert dt_bar == pytest.approx(recomputed, rel=1e-12)
 
 
 class TestBoundInvariance:

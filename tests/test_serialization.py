@@ -99,7 +99,7 @@ class TestStateFiles:
         obj = {"kind": "correlation_basis", "system": [col, col2], "apparatus": [col, col2]}
         basis = decode_state(obj)
         assert isinstance(basis, CorrelationBasis)
-        assert basis.size == 2
+        assert len(basis.system_basis) == len(basis.apparatus_basis) == 2
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidState):
