@@ -16,8 +16,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import gaussian as gaussian_mod
 from . import relativity
 from .entropy import (
@@ -130,6 +128,7 @@ def _cmd_entropy(args) -> int:
 def _cmd_conditional(args) -> int:
     _require(args, ">= 1", _at_least_one, "trotter_n")
     _require(args, "finite", math.isfinite, "eps")
+    _require(args, "in [0, 1)", lambda eps: 0.0 <= eps < 1.0, "eps")
     state = load_state(args.state)
     if isinstance(state, ClassicalQuantumState):
         bi = cq_embed(state)
@@ -201,7 +200,7 @@ def _cmd_mlcheck(args) -> int:
 
 def _cmd_gaussian(args) -> int:
     _require(args, ">= 1", _at_least_one, "grid")
-    xs = np.linspace(0.0, gaussian_mod.SEARCH_UPPER, args.grid)
+    rows = gaussian_mod.tabulate(args.grid)
     xg, vg = gaussian_mod.max_G()
     xh, vh = gaussian_mod.max_H()
     ctx = ThermalContext()
@@ -214,14 +213,7 @@ def _cmd_gaussian(args) -> int:
     if args.format == "json":
         _emit_json(
             {
-                "grid": [
-                    {
-                        "x": float(x),
-                        "G": gaussian_mod.partition_entropy_G(float(x)).entropy.nats,
-                        "H": gaussian_mod.scaled_function_H(float(x)),
-                    }
-                    for x in xs
-                ],
+                "grid": [{"x": x, "G": g, "H": h} for x, g, h in rows],
                 "maxG": {"x": xg, "value": vg},
                 "maxH": {"x": xh, "value": vh},
                 "bounds": bounds,
@@ -232,10 +224,7 @@ def _cmd_gaussian(args) -> int:
         )
         return 0
     lines = ["x,G,H"]
-    for x in xs:
-        g = gaussian_mod.partition_entropy_G(float(x)).entropy.nats
-        h = gaussian_mod.scaled_function_H(float(x))
-        lines.append(f"{_fmt(x)},{_fmt(g)},{_fmt(h)}")
+    lines += [f"{_fmt(x)},{_fmt(g)},{_fmt(h)}" for x, g, h in rows]
     lines.append(f"max_G,{_fmt(xg)},{_fmt(vg)}")
     lines.append(f"max_H,{_fmt(xh)},{_fmt(vh)}")
     lines.append(f"bound_process,,{_fmt(bounds['process'])}")

@@ -38,7 +38,7 @@ class NegativeEigenvalue(ChrononError):
 
 
 class SizeOverflow(ChrononError):
-    """Tensor-product dimension or flow tick count above its cap."""
+    """A matrix dimension or a work budget (ticks, grid points, trials) above its cap."""
 
 
 class DimensionMismatch(ChrononError):

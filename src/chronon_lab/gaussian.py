@@ -10,16 +10,20 @@ the classical-velocity bound constant 4 * 0.4579 = 1.832.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .entropy import EntropyValue
-from .errors import NegativeArgument, NonpositiveResolution
+from .errors import NegativeArgument, NonpositiveResolution, SizeOverflow
 from .speed_limits import ThermalContext, _golden_min
 
 SEARCH_UPPER = 6.0  # erf saturates to 1 within 1e-12 well before x = 6
 SEARCH_GRID = 1024
 BRACKET_TOL = 1e-10
+MAX_GRID = 100_000  # most grid points a gaussian report may tabulate
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,23 @@ def scaled_function_H(x: float) -> float:
     return _binary_entropy(math.erf(x)) * x
 
 
-def _grid_seeded_max(f) -> tuple[float, float]:
+def tabulate(points: int) -> list[tuple[float, float, float]]:
+    """(x, G(x), H(x)) at `points` evenly spaced x over [0, SEARCH_UPPER].
+
+    G is evaluated once per point and H formed as G * x, the product
+    scaled_function_H computes.  More than MAX_GRID points raises
+    SizeOverflow before the grid is built.
+    """
+    if points > MAX_GRID:
+        raise SizeOverflow(f"grid of {points} points is above the cap of {MAX_GRID}")
+    rows = []
+    for x in np.linspace(0.0, SEARCH_UPPER, points).tolist():
+        g = partition_entropy_G(x).entropy.nats
+        rows.append((x, g, g * x))
+    return rows
+
+
+def _grid_seeded_argmax(f) -> float:
     """Coarse grid over [0, SEARCH_UPPER], then golden-section refinement."""
     step = SEARCH_UPPER / (SEARCH_GRID - 1)
     best_i, best_v = 0, f(0.0)
@@ -78,18 +98,30 @@ def _grid_seeded_max(f) -> tuple[float, float]:
             best_i, best_v = i, v
     lo = max(0.0, (best_i - 1) * step)
     hi = min(SEARCH_UPPER, (best_i + 1) * step)
-    x_star = _golden_min(lambda x: -f(x), lo, hi, BRACKET_TOL)
-    return x_star, f(x_star)
+    return _golden_min(lambda x: -f(x), lo, hi, BRACKET_TOL)
+
+
+# The maxima are constants: search for each location once per process.
+@functools.cache
+def _argmax_G() -> float:
+    return _grid_seeded_argmax(lambda x: partition_entropy_G(x).entropy.nats)
+
+
+@functools.cache
+def _argmax_H() -> float:
+    return _grid_seeded_argmax(scaled_function_H)
 
 
 def max_G() -> tuple[float, float]:
     """Location and value of the partition-entropy maximum (ln 2)."""
-    return _grid_seeded_max(lambda x: partition_entropy_G(x).entropy.nats)
+    x = _argmax_G()
+    return x, partition_entropy_G(x).entropy.nats
 
 
 def max_H() -> tuple[float, float]:
     """Location and value of the maximum of G(x) * x (about 0.4579)."""
-    return _grid_seeded_max(scaled_function_H)
+    x = _argmax_H()
+    return x, scaled_function_H(x)
 
 
 def bound_process_velocity(ctx: ThermalContext) -> float:

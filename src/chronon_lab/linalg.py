@@ -46,6 +46,13 @@ def max_tensor_dim() -> int:
     return cap
 
 
+def require_within_cap(dim: int, what: str) -> None:
+    """SizeOverflow naming `what` if dim exceeds :func:`max_tensor_dim`."""
+    cap = max_tensor_dim()
+    if dim > cap:
+        raise SizeOverflow(f"{what} {dim} exceeds the {_MAX_DIM_ENV} cap {cap}")
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-D complex128 array."""
     m = np.asarray(a, dtype=np.complex128)
@@ -166,14 +173,9 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with a configurable dimension cap."""
     a = as_matrix(a)
     b = as_matrix(b)
-    cap = max_tensor_dim()
     out_rows = a.shape[0] * b.shape[0]
     out_cols = a.shape[1] * b.shape[1]
-    if max(out_rows, out_cols) > cap:
-        raise SizeOverflow(
-            f"tensor product dimension {max(out_rows, out_cols)} exceeds the "
-            f"{_MAX_DIM_ENV} cap {cap}"
-        )
+    require_within_cap(max(out_rows, out_cols), "tensor product dimension")
     return np.kron(a, b)
 
 

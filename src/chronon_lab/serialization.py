@@ -22,6 +22,7 @@ import json
 
 import numpy as np
 
+from . import linalg
 from .errors import InvalidState
 from .states import (
     BipartiteState,
@@ -39,17 +40,23 @@ def encode_matrix(m: np.ndarray) -> dict:
 
 
 def decode_matrix(obj: dict) -> np.ndarray:
+    """Matrix from its encoding.  rows and cols are checked against the
+    CHRONON_MAX_DIM cap before any entry is converted."""
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), list(obj["data"])
-        flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidState(f"malformed matrix object: {exc}") from exc
     if rows < 1 or cols < 1:
         raise InvalidState(f"matrix dimensions must be positive, got {rows}x{cols}")
+    linalg.require_within_cap(max(rows, cols), "matrix dimension")
     if len(data) != rows * cols:
         raise InvalidState(
             f"matrix data length {len(data)} != rows*cols = {rows * cols}"
         )
+    try:
+        flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise InvalidState(f"malformed matrix object: {exc}") from exc
     return flat.reshape(rows, cols)
 
 

@@ -33,6 +33,7 @@ from .states import StateVector
 ORTHOGONALITY_TOL = 1e-9
 SCAN_GRID_POINTS = 4096
 REFINE_TIME_RESOLUTION = 1e-12
+_EPS = float(np.finfo(np.float64).eps)
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -148,11 +149,20 @@ def orthogonalization_time(
     """Earliest time at which exp(-iHt)|psi0> becomes orthogonal to |psi0>.
 
     Samples |<psi0|exp(-iHt)|psi0>| on a grid of SCAN_GRID_POINTS points
-    over [0, t_max], refines every local minimum by golden section down to
-    1e-12 time resolution, and reports the first refined minimum whose
-    overlap modulus is <= tol (None if no such time exists).  The bound
-    field carries 2*pi/(4 (E_mean - E0)) with E_mean = <psi0|H|psi0> and E0
-    the smallest eigenvalue (hbar = 1 convention; inf when E_mean = E0).
+    over [0, t_max], refines local minima by golden section down to 1e-12
+    time resolution, and reports the first refined minimum whose overlap
+    modulus is <= tol (None if no such time exists).  The bound field
+    carries 2*pi/(4 (E_mean - E0)) with E_mean = <psi0|H|psi0> and E0 the
+    smallest eigenvalue (hbar = 1 convention; inf when E_mean = E0).
+
+    The overlap A(t) = |sum_k w_k exp(-i E_k t)| is Lipschitz with constant
+    L = sum_k w_k |E_k - E_mean|.  Every point t of the refinement bracket
+    [ts[i-1], ts[i+1]] lies within half a grid step dt of one of its three
+    grid points, none of which samples below the minimum trace[i]; so
+    A(t) >= trace[i] - L*dt/2.  A minimum with trace[i] > tol + L*dt/2
+    (plus a rounding margin) is skipped unrefined: no refinement of its
+    bracket could pass.  The brackets refined up to the first passing one,
+    and hence t_orth, are the same as when every minimum is refined.
     """
     h_op = linalg.require_hermitian(h_op)
     if h_op.shape[0] != psi0.dim:
@@ -182,13 +192,22 @@ def orthogonalization_time(
     def overlap(t: float) -> float:
         return abs(np.sum(weights * np.exp(-1j * energies * t)))
 
+    lipschitz = float(weights @ np.abs(energies - e_mean))
+    half_step = 0.5 * t_max / (SCAN_GRID_POINTS - 1)
+    # Both overlap evaluations round phases of size up to max|E| * t_max.
+    rounding = 1e-12 + 64 * _EPS * (float(np.abs(energies).max()) * t_max + len(energies))
+    # A(t) >= trace[i] - L*dt/2 on the bracket of a grid minimum, so one above
+    # tol + L*dt/2 (plus rounding) cannot refine to a passing point: skip it.
+    skip_above = tol + lipschitz * half_step * (1.0 + 1e-9) + rounding
+    mid = trace[1:-1]
+    candidates = (mid <= trace[:-2]) & (mid <= trace[2:]) & (mid <= skip_above)
+
     t_orth = None
-    for i in range(1, len(ts) - 1):
-        if trace[i] <= trace[i - 1] and trace[i] <= trace[i + 1]:
-            t_star = _golden_min(overlap, ts[i - 1], ts[i + 1], REFINE_TIME_RESOLUTION)
-            if overlap(t_star) <= tol:
-                t_orth = t_star
-                break
+    for i in np.flatnonzero(candidates) + 1:
+        t_star = _golden_min(overlap, ts[i - 1], ts[i + 1], REFINE_TIME_RESOLUTION)
+        if overlap(t_star) <= tol:
+            t_orth = t_star
+            break
     if t_orth is None and trace[-1] <= tol:
         t_orth = float(ts[-1])
 

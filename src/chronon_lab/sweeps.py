@@ -13,8 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .errors import SizeOverflow
 from .speed_limits import OrthogonalizationResult, orthogonalization_time
 from .states import StateVector
+
+MAX_SWEEP_TRIALS = 5_000  # most trials (trials per dim x dims) one sweep runs
+MAX_SWEEP_DIM = 64  # largest Hamiltonian dimension a sweep draws
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -84,8 +88,17 @@ def ml_bound_sweep(
     dimensions), odd trials an equal superposition of two random
     eigenvectors, which always orthogonalizes and attains the bound whenever
     the pair contains the ground state.  A violation is a found time below
-    bound - slack_tol.
+    bound - slack_tol.  A dimension above MAX_SWEEP_DIM, or more than
+    MAX_SWEEP_TRIALS trials in all, raises SizeOverflow before any draw.
     """
+    if max(dims, default=0) > MAX_SWEEP_DIM:
+        raise SizeOverflow(
+            f"sweep dimension {max(dims)} is above the cap of {MAX_SWEEP_DIM}"
+        )
+    if trials_per_dim * len(dims) > MAX_SWEEP_TRIALS:
+        raise SizeOverflow(
+            f"sweep needs {trials_per_dim * len(dims)} trials, above the cap of {MAX_SWEEP_TRIALS}"
+        )
     rng = rng_for(seed)
     records = []
     violations = 0

@@ -368,6 +368,13 @@ class TestSimultaneityCommand:
          "--t1 must be finite"),
         (["simultaneity", "--s1", "1", "--t1", "1", "--s2", "1", "--t2", "inf", "--vmax", "1"],
          "--t2 must be finite"),
+        (["conditional", "--state", "s.json", "--eps", "-0.1"], "--eps must be in [0, 1)"),
+        (["conditional", "--state", "s.json", "--eps", "3"], "--eps must be in [0, 1)"),
+        (["gaussian", "--grid", "100000000"],
+         "grid of 100000000 points is above the cap of 100000"),
+        (["mlcheck", "--dim", "100000"], "sweep dimension 100000 is above the cap of 64"),
+        (["mlcheck", "--trials", "100000000"],
+         "sweep needs 300000000 trials, above the cap of 5000"),
     ],
 )
 def test_numeric_flag_out_of_range_exit_one(argv, flag, capsys):

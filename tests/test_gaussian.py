@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from chronon_lab import gaussian
 from chronon_lab.entropy import EntropyValue
-from chronon_lab.errors import NegativeArgument, NonpositiveResolution
+from chronon_lab.errors import NegativeArgument, NonpositiveResolution, SizeOverflow
 from chronon_lab.gaussian import (
     GaussianPacket,
     bound_classical_velocity,
@@ -15,6 +16,7 @@ from chronon_lab.gaussian import (
     max_H,
     partition_entropy_G,
     scaled_function_H,
+    tabulate,
 )
 from chronon_lab.speed_limits import ThermalContext, process_velocity
 
@@ -137,6 +139,24 @@ class TestMaxima:
         grid = np.linspace(0.0, 6.0, 1000)
         assert all(scaled_function_H(float(x)) <= value + 1e-12 for x in grid)
 
+    def test_maxima_searched_once_per_process(self, monkeypatch):
+        searches = 0
+        search = gaussian._grid_seeded_argmax
+
+        def counting(f):
+            nonlocal searches
+            searches += 1
+            return search(f)
+
+        monkeypatch.setattr(gaussian, "_grid_seeded_argmax", counting)
+        gaussian._argmax_G.cache_clear()
+        gaussian._argmax_H.cache_clear()
+        first = (max_G(), max_H())
+        assert (max_G(), max_H()) == first
+        assert searches == 2
+        x_h = search(scaled_function_H)
+        assert first[1] == (x_h, scaled_function_H(x_h))
+
     def test_argmax_scale_invariance(self):
         # the R-parameterized objective S(Psi_R) * R peaks at sigma * x_star
         x_star, _ = max_H()
@@ -148,6 +168,22 @@ class TestMaxima:
             ]
             r_best = radii[int(np.argmax(vals))]
             assert r_best == pytest.approx(sigma * x_star, rel=2e-3)
+
+
+class TestTabulate:
+    def test_rows_match_the_pointwise_functions(self):
+        rows = tabulate(257)
+        assert len(rows) == 257
+        assert rows[0][0] == 0.0 and rows[-1][0] == 6.0
+        for x, g, h in rows:
+            assert g == partition_entropy_G(x).entropy.nats
+            assert h == scaled_function_H(x)
+
+    def test_grid_cap(self, monkeypatch):
+        monkeypatch.setattr(gaussian, "MAX_GRID", 16)
+        assert len(tabulate(16)) == 16
+        with pytest.raises(SizeOverflow, match="grid of 17 points is above the cap of 16"):
+            tabulate(17)
 
 
 class TestVelocityBounds:

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from chronon_lab.errors import InvalidState
+from chronon_lab import cli
+from chronon_lab.errors import InvalidState, SizeOverflow
 from chronon_lab.linalg import frobenius
 from chronon_lab.serialization import (
     decode_matrix,
@@ -23,6 +24,7 @@ from chronon_lab.states import (
 )
 
 from conftest import bell_state, random_density
+from test_golden import INPUTS
 
 
 class TestMatrixEncoding:
@@ -47,6 +49,23 @@ class TestMatrixEncoding:
     def test_malformed_rejected(self):
         with pytest.raises(InvalidState):
             decode_matrix({"rows": 2, "data": []})
+
+    def test_dimension_cap_checked_before_entries(self, monkeypatch):
+        # the entries are neither complete nor numbers: the cap must fire first
+        monkeypatch.setenv("CHRONON_MAX_DIM", "3")
+        with pytest.raises(SizeOverflow, match="matrix dimension 4 exceeds the CHRONON_MAX_DIM cap 3"):
+            decode_matrix({"rows": 4, "cols": 1, "data": [["x", "y"]]})
+
+    def test_dimension_cap_on_a_golden_density(self, monkeypatch, capsys):
+        # rank2.json holds a 4x4 joint density matrix
+        monkeypatch.setenv("CHRONON_MAX_DIM", "3")
+        code = cli.run(["entropy", "--state", str(INPUTS / "rank2.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "CHRONON_MAX_DIM cap 3" in err
+        monkeypatch.setenv("CHRONON_MAX_DIM", "4")
+        assert cli.run(["entropy", "--state", str(INPUTS / "rank2.json")]) == 0
 
 
 class TestStateFiles:

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chronon_lab import speed_limits, sweeps
 from chronon_lab.entropy import EntropyValue, conditional_state
 from chronon_lab.errors import (
     DegenerateSpectrum,
@@ -10,8 +13,11 @@ from chronon_lab.errors import (
     NegativeTime,
     NonpositiveEntropy,
     NonpositiveTemperature,
+    SizeOverflow,
 )
 from chronon_lab.speed_limits import (
+    REFINE_TIME_RESOLUTION,
+    SCAN_GRID_POINTS,
     ThermalContext,
     antiqubit_process_velocity,
     ml_bound_shifted,
@@ -21,6 +27,7 @@ from chronon_lab.speed_limits import (
     time_quantum,
 )
 from chronon_lab.states import BipartiteState, DensityMatrix, StateVector
+from chronon_lab.sweeps import _eigenpair_state, random_state_vector, rng_for
 
 from conftest import bell_state, entropy_oracle, random_density_mat, random_hermitian
 
@@ -161,6 +168,104 @@ class TestOrthogonalizationTime:
             )
 
 
+_golden_min = speed_limits._golden_min  # the unpatched refiner
+
+
+def reference_orthogonalization(h_op, psi0, t_max, tol=1e-9):
+    """The scan before bracket pruning: refine every grid-local minimum.
+
+    Returns (t_orth, bound, refinements).  Kept as the oracle that the
+    pruned scan must match bit for bit.
+    """
+    w, v = np.linalg.eigh(h_op)
+    weights = np.abs(v.conj().T @ psi0.amplitudes) ** 2
+    e_mean = float(weights @ w)
+    e0 = float(w[0])
+    gap = e_mean - e0
+    bound = math.inf
+    if gap > 1e-15 * max(1.0, abs(e0), abs(e_mean)):
+        bound = ml_bound_shifted(e_mean, e0, HBAR_ONE).dt
+    ts = np.linspace(0.0, t_max, SCAN_GRID_POINTS)
+    trace = np.abs((weights[None, :] * np.exp(-1j * np.outer(ts, w))).sum(axis=1))
+
+    def overlap(t):
+        return abs(np.sum(weights * np.exp(-1j * w * t)))
+
+    t_orth, refinements = None, 0
+    for i in range(1, len(ts) - 1):
+        if trace[i] <= trace[i - 1] and trace[i] <= trace[i + 1]:
+            refinements += 1
+            t_star = _golden_min(overlap, ts[i - 1], ts[i + 1], REFINE_TIME_RESOLUTION)
+            if overlap(t_star) <= tol:
+                t_orth = t_star
+                break
+    if t_orth is None and trace[-1] <= tol:
+        t_orth = float(ts[-1])
+    return t_orth, bound, refinements
+
+
+def sweep_trial(dim, seed, eigenpair):
+    """Hamiltonian and initial state drawn as one ml_bound_sweep trial."""
+    rng = rng_for(seed)
+    h_op = sweeps.random_hermitian(dim, rng)
+    psi = _eigenpair_state(h_op, rng) if eigenpair else None
+    if psi is None:
+        psi = random_state_vector(dim, rng)
+    return h_op, StateVector(psi)
+
+
+class TestScanPruning:
+    @given(
+        st.integers(min_value=2, max_value=16),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+        st.sampled_from([5.0, 60.0, 200.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pruned_scan_equals_unpruned_reference(self, dim, seed, eigenpair, t_max):
+        h_op, psi0 = sweep_trial(dim, seed, eigenpair)
+        res = orthogonalization_time(h_op, psi0, t_max=t_max)
+        t_ref, bound_ref, _ = reference_orthogonalization(h_op, psi0, t_max)
+        assert res.t_orth == t_ref
+        assert res.bound == bound_ref
+
+    @pytest.mark.parametrize("dim", [2, 5, 16])
+    def test_overlap_is_lipschitz_in_the_energy_spread(self, dim, rng):
+        # |A(t) - A(s)| <= L |t - s| with L = sum_k w_k |E_k - E_mean|
+        h_op = random_hermitian(dim, rng)
+        psi0 = StateVector(random_state_vector(dim, rng))
+        w, v = np.linalg.eigh(h_op)
+        weights = np.abs(v.conj().T @ psi0.amplitudes) ** 2
+        lipschitz = float(weights @ np.abs(w - weights @ w))
+        t = rng.uniform(0.0, 60.0, size=500)
+        # far pairs, then near pairs where the bound is locally tight
+        s = np.concatenate(
+            [rng.uniform(0.0, 60.0, size=250), t[250:] + rng.normal(0.0, 1e-3, size=250)]
+        )
+
+        def overlap(x):
+            return np.abs(np.exp(-1j * np.outer(x, w)) @ weights)
+
+        assert np.all(np.abs(overlap(t) - overlap(s)) <= lipschitz * np.abs(t - s) + 1e-12)
+
+    def test_pruning_refines_far_fewer_brackets(self, monkeypatch):
+        # a fixed d = 16 random-state trial with many shallow grid minima
+        h_op, psi0 = sweep_trial(16, 0, eigenpair=False)
+        t_ref, bound_ref, reference_refinements = reference_orthogonalization(h_op, psi0, 60.0)
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return _golden_min(*args)
+
+        monkeypatch.setattr(speed_limits, "_golden_min", counting)
+        res = orthogonalization_time(h_op, psi0, t_max=60.0)
+        assert (res.t_orth, res.bound) == (t_ref, bound_ref)
+        assert reference_refinements >= 90
+        assert 10 * calls <= reference_refinements
+
+
 class TestAntiqubitVelocity:
     def test_bell_state_zero(self):
         assert antiqubit_process_velocity(conditional_state(bell_state()), NATURAL) == pytest.approx(0.0, abs=1e-9)
@@ -189,3 +294,17 @@ class TestAntiqubitVelocity:
         bi = bell_state()
         v1 = antiqubit_process_velocity(conditional_state(bi), ThermalContext(T=2.0))
         assert v1 == pytest.approx(0.0, abs=1e-9)
+
+
+class TestSweepBudgets:
+    def test_total_trial_cap(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "MAX_SWEEP_TRIALS", 6)
+        assert len(sweeps.ml_bound_sweep([2, 3], 3, 0).trials) == 6
+        with pytest.raises(SizeOverflow, match="sweep needs 8 trials, above the cap of 6"):
+            sweeps.ml_bound_sweep([2, 3], 4, 0)
+
+    def test_dimension_cap(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "MAX_SWEEP_DIM", 3)
+        assert len(sweeps.ml_bound_sweep([3, 2], 1, 0).trials) == 2
+        with pytest.raises(SizeOverflow, match="sweep dimension 4 is above the cap of 3"):
+            sweeps.ml_bound_sweep([2, 4], 1, 0)
