@@ -5,6 +5,16 @@ simultaneity.  Output is deterministic for fixed inputs and format (and
 mlcheck's --seed): CSV uses '.' decimals, 9 significant digits and LF
 endings; the randomized mlcheck sweep draws from numpy's counter-based
 Philox generator.
+
+Each subcommand returns one report, ``(payload, rows)``, and writes
+nothing.  ``payload`` is the JSON object; ``rows`` lists the CSV lines,
+each a tuple of raw values.  ``render`` turns a report into either format,
+and ``run`` alone writes the text, to stdout or --out.  The CSV cell rule
+is ``_cell``: a float has 9 significant digits, None is empty, a boolean
+is lowercase and anything else is its ``str``.  A ``_Table`` holds named
+columns over the rows a library call returned; it renders as a CSV header
+line plus one line per row, and as a JSON list of records.
+
 Exit codes: 0 success, 1 invalid input (message names the violated
 invariant), 2 numerical failure.
 """
@@ -12,9 +22,13 @@ invariant), 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import itertools
 import json
 import math
 import sys
+from dataclasses import dataclass
 
 from . import gaussian as gaussian_mod
 from . import relativity
@@ -29,7 +43,7 @@ from .entropy import (
 from .errors import ChrononError, InvalidState, NumericalError
 from .flow import SystemSpec, clock_ratio, dilation_from_conditioning, simulate_flow, simultaneity_offset
 from .linalg import frobenius
-from .serialization import load_state
+from .serialization import load_state, read_json
 from .speed_limits import (
     ThermalContext,
     antiqubit_process_velocity,
@@ -49,26 +63,51 @@ from .states import (
 )
 from .sweeps import ml_bound_sweep
 
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.9g}"
+_FLOAT = "{:.9g}"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _cell(value) -> str:
+    """One CSV cell under the module's cell rule."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return _FLOAT.format(value) if isinstance(value, float) else str(value)
 
 
-def _emit_json(obj, out_path: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", out_path)
+@dataclass(frozen=True)
+class _Table:
+    """Rows of raw values under named columns, a top-level payload value.
+    Every column holds floats or strings only, so the first row fixes one
+    format template for all."""
+
+    columns: tuple
+    rows: tuple | list
+
+    def records(self) -> list:
+        return [dict(zip(self.columns, row)) for row in self.rows]
+
+    def csv_lines(self) -> list:
+        lines = [",".join(self.columns)]
+        if self.rows:
+            template = ",".join(_FLOAT if isinstance(v, float) else "{}" for v in self.rows[0])
+            lines += itertools.starmap(template.format, self.rows)
+        return lines
 
 
-def _emit_kv_csv(pairs: list[tuple[str, str]], out_path: str | None) -> None:
-    lines = [f"{k},{v}" for k, v in pairs]
-    _emit("\n".join(lines) + "\n", out_path)
+def render(report: tuple, fmt: str) -> str:
+    """The text of a subcommand's (payload, rows) report in fmt."""
+    payload, rows = report
+    if fmt == "json":
+        payload = {k: v.records() if isinstance(v, _Table) else v for k, v in payload.items()}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    lines = []
+    for row in rows:
+        if isinstance(row, _Table):
+            lines += row.csv_lines()
+        else:
+            lines.append(",".join(map(_cell, row)))
+    return "\n".join(lines) + "\n"
 
 
 def _require(args, rule: str, holds, *names: str) -> None:
@@ -83,10 +122,10 @@ def _at_least_one(n: int) -> bool:
     return n >= 1
 
 
-# --- subcommands ---
+# --- subcommands: each returns its (payload, rows) report ---
 
 
-def _cmd_entropy(args) -> int:
+def _cmd_entropy(args):
     state = load_state(args.state)
 
     if args.measure is not None:
@@ -117,15 +156,10 @@ def _cmd_entropy(args) -> int:
         elif isinstance(state, BipartiteState):
             state = state.joint
         value = von_neumann(state).nats
-
-    if args.format == "json":
-        _emit_json({"value": value}, args.out)
-    else:
-        _emit(_fmt(value) + "\n", args.out)
-    return 0
+    return {"value": value}, [(value,)]
 
 
-def _cmd_conditional(args) -> int:
+def _cmd_conditional(args):
     _require(args, ">= 1", _at_least_one, "trotter_n")
     _require(args, "finite", math.isfinite, "eps")
     _require(args, "in [0, 1)", lambda eps: 0.0 <= eps < 1.0, "eps")
@@ -140,45 +174,36 @@ def _cmd_conditional(args) -> int:
         raise InvalidState("conditional needs a cq or bipartite input")
 
     cs = conditional_state(bi)
-    value = cs.entropy.nats
     spectrum = [float(w) for w in cs.spectrum]
-    report = {
-        "conditionalEntropy": value,
+    payload = {
+        "conditionalEntropy": cs.entropy.nats,
         "conditionalSpectrum": spectrum,
         "antiqubitVelocity": antiqubit_process_velocity(cs, ThermalContext()),
     }
+    rows = [("conditionalEntropy", cs.entropy.nats)]
     if branch_value is not None:
-        report["branchConditional"] = branch_value
+        payload["branchConditional"] = branch_value
+        rows.append(("branchConditional", branch_value))
+    rows.append(("antiqubitVelocity", payload["antiqubitVelocity"]))
+    rows += [(f"conditionalEigenvalue{i}", w) for i, w in enumerate(spectrum)]
     if args.trotter_n is not None:
         approx = trotter_conditional_density(bi, args.trotter_n, eps=args.eps)
-        report["trotter"] = {
-            "n": args.trotter_n,
-            "eps": args.eps,
-            "distance": frobenius(approx - cs.density),
-        }
-
-    if args.format == "csv":
-        pairs = [("conditionalEntropy", _fmt(value))]
-        if branch_value is not None:
-            pairs.append(("branchConditional", _fmt(branch_value)))
-        pairs.append(("antiqubitVelocity", _fmt(report["antiqubitVelocity"])))
-        for i, w in enumerate(spectrum):
-            pairs.append((f"conditionalEigenvalue{i}", _fmt(w)))
-        if args.trotter_n is not None:
-            pairs.append(("trotterDistance", _fmt(report["trotter"]["distance"])))
-        _emit_kv_csv(pairs, args.out)
-    else:
-        _emit_json(report, args.out)
-    return 0
+        distance = frobenius(approx - cs.density)
+        payload["trotter"] = {"n": args.trotter_n, "eps": args.eps, "distance": distance}
+        rows.append(("trotterDistance", distance))
+    return payload, rows
 
 
-def _cmd_mlcheck(args) -> int:
-    dims = [int(d) for d in args.dims.split(",") if d]
+def _cmd_mlcheck(args):
+    try:
+        dims = [int(d) for d in args.dims.split(",") if d]
+    except ValueError:
+        dims = []  # rejected, naming the flag, just below
     if not dims or any(d < 2 for d in dims):
         raise InvalidState(f"--dims must list integers >= 2, got {args.dims!r}")
     _require(args, ">= 1", _at_least_one, "trials")
     result = ml_bound_sweep(dims, args.trials, args.seed)
-    report = {
+    payload = {
         "dims": dims,
         "trialsPerDim": args.trials,
         "seed": args.seed,
@@ -186,21 +211,12 @@ def _cmd_mlcheck(args) -> int:
         "violations": result.violations,
         "minSlack": result.min_slack,
     }
-    if args.format == "csv":
-        pairs = [
-            ("found", str(result.found)),
-            ("violations", str(result.violations)),
-            ("minSlack", _fmt(result.min_slack) if result.min_slack is not None else ""),
-        ]
-        _emit_kv_csv(pairs, args.out)
-    else:
-        _emit_json(report, args.out)
-    return 0
+    return payload, [(key, payload[key]) for key in ("found", "violations", "minSlack")]
 
 
-def _cmd_gaussian(args) -> int:
+def _cmd_gaussian(args):
     _require(args, ">= 1", _at_least_one, "grid")
-    rows = gaussian_mod.tabulate(args.grid)
+    grid = _Table(("x", "G", "H"), gaussian_mod.tabulate(args.grid))
     xg, vg = gaussian_mod.max_G()
     xh, vh = gaussian_mod.max_H()
     ctx = ThermalContext()
@@ -210,31 +226,36 @@ def _cmd_gaussian(args) -> int:
         "classical": gaussian_mod.bound_classical_velocity(packet, ctx),
         "resolution": gaussian_mod.bound_resolution_velocity(args.sigma_x0, ctx),
     }
-    if args.format == "json":
-        _emit_json(
-            {
-                "grid": [{"x": x, "G": g, "H": h} for x, g, h in rows],
-                "maxG": {"x": xg, "value": vg},
-                "maxH": {"x": xh, "value": vh},
-                "bounds": bounds,
-                "sigmaK0": args.sigma_k0,
-                "sigmaX0": args.sigma_x0,
-            },
-            args.out,
-        )
-        return 0
-    lines = ["x,G,H"]
-    lines += [f"{_fmt(x)},{_fmt(g)},{_fmt(h)}" for x, g, h in rows]
-    lines.append(f"max_G,{_fmt(xg)},{_fmt(vg)}")
-    lines.append(f"max_H,{_fmt(xh)},{_fmt(vh)}")
-    lines.append(f"bound_process,,{_fmt(bounds['process'])}")
-    lines.append(f"bound_classical,{_fmt(args.sigma_k0)},{_fmt(bounds['classical'])}")
-    lines.append(f"bound_resolution,{_fmt(args.sigma_x0)},{_fmt(bounds['resolution'])}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    payload = {
+        "grid": grid,
+        "maxG": {"x": xg, "value": vg},
+        "maxH": {"x": xh, "value": vh},
+        "bounds": bounds,
+        "sigmaK0": args.sigma_k0,
+        "sigmaX0": args.sigma_x0,
+    }
+    rows = [
+        grid,
+        ("max_G", xg, vg),
+        ("max_H", xh, vh),
+        ("bound_process", None, bounds["process"]),
+        ("bound_classical", args.sigma_k0, bounds["classical"]),
+        ("bound_resolution", args.sigma_x0, bounds["resolution"]),
+    ]
+    return payload, rows
 
 
-def _cmd_lorentz(args) -> int:
+def _frame(quantities, velocity: float) -> dict:
+    return {
+        "T": quantities.T,
+        "S": quantities.S.nats,
+        "r": quantities.r,
+        "dtMin": quantities.dt_min.dt,
+        "velocity": velocity,
+    }
+
+
+def _cmd_lorentz(args):
     _require(args, "finite", math.isfinite, "temp_exponent", "length_exponent")
     boost = relativity.Boost(v=args.v, c=args.c)
     packet = gaussian_mod.GaussianPacket(sigma_k0=args.sigma_k0)
@@ -248,44 +269,24 @@ def _cmd_lorentz(args) -> int:
     payload = {
         "gamma": report.gamma,
         "gammaPower": report.gamma_power,
-        "restFrame": {
-            "T": report.rest.T,
-            "S": report.rest.S.nats,
-            "r": report.rest.r,
-            "dtMin": report.rest.dt_min.dt,
-            "velocity": report.rest_velocity,
-        },
-        "boostedFrame": {
-            "T": report.boosted.T,
-            "S": report.boosted.S.nats,
-            "r": report.boosted.r,
-            "dtMin": report.boosted.dt_min.dt,
-            "velocity": report.boosted_velocity,
-        },
+        "restFrame": _frame(report.rest, report.rest_velocity),
+        "boostedFrame": _frame(report.boosted, report.boosted_velocity),
         "relDiff": report.rel_diff,
         "pass": report.passed,
     }
-    if args.format == "csv":
-        pairs = [
-            ("gamma", _fmt(report.gamma)),
-            ("gammaPower", _fmt(report.gamma_power)),
-            ("restVelocity", _fmt(report.rest_velocity)),
-            ("boostedVelocity", _fmt(report.boosted_velocity)),
-            ("relDiff", _fmt(report.rel_diff)),
-            ("pass", str(report.passed).lower()),
-        ]
-        _emit_kv_csv(pairs, args.out)
-    else:
-        _emit_json(payload, args.out)
-    return 0
+    rows = [
+        ("gamma", report.gamma),
+        ("gammaPower", report.gamma_power),
+        ("restVelocity", report.rest_velocity),
+        ("boostedVelocity", report.boosted_velocity),
+        ("relDiff", report.rel_diff),
+        ("pass", report.passed),
+    ]
+    return payload, rows
 
 
 def _load_flow_config(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidState(f"{path}: invalid JSON: {exc}") from exc
+    cfg = read_json(path)
     try:
         systems = [
             SystemSpec(id=str(s["id"]), entropy=EntropyValue(float(s["entropyNats"])))
@@ -293,12 +294,12 @@ def _load_flow_config(path: str):
         ]
         temperature = float(cfg.get("T", 1.0))
         horizon = float(cfg["horizon"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidState(f"{path}: malformed flow config: {exc}") from exc
     return systems, ThermalContext(T=temperature), horizon
 
 
-def _cmd_flow(args) -> int:
+def _cmd_flow(args):
     systems, ctx, horizon = _load_flow_config(args.config)
 
     if args.ratio is not None:
@@ -307,49 +308,21 @@ def _cmd_flow(args) -> int:
         if id1 not in by_id or id2 not in by_id:
             raise InvalidState("--ratio ids must name configured systems")
         value = clock_ratio(by_id[id1], by_id[id2])
-        if args.format == "json":
-            _emit_json({"ratio": value, "ids": [id1, id2]}, args.out)
-        else:
-            _emit(_fmt(value) + "\n", args.out)
-        return 0
+        return {"ratio": value, "ids": [id1, id2]}, [(value,)]
 
     if args.dilation is not None:
         cq = load_state(args.dilation)
         if not isinstance(cq, ClassicalQuantumState):
             raise InvalidState("--dilation needs a cq state file")
         dt_cond, dt_marg = dilation_from_conditioning(cq, ctx)
-        if args.format == "json":
-            _emit_json(
-                {"dtConditional": dt_cond.dt, "dtMarginal": dt_marg.dt}, args.out
-            )
-        else:
-            _emit_kv_csv(
-                [("conditional", _fmt(dt_cond.dt)), ("marginal", _fmt(dt_marg.dt))],
-                args.out,
-            )
-        return 0
+        payload = {"dtConditional": dt_cond.dt, "dtMarginal": dt_marg.dt}
+        return payload, [("conditional", dt_cond.dt), ("marginal", dt_marg.dt)]
 
-    result = simulate_flow(systems, ctx, horizon)
-    if args.format == "json":
-        _emit_json(
-            {
-                "ticks": [
-                    {"time": t.time, "quantum": t.quantum, "systemId": t.system_id}
-                    for t in result.ticks
-                ]
-            },
-            args.out,
-        )
-    else:
-        lines = ["time,quantum,systemId"]
-        lines += [
-            f"{_fmt(t.time)},{_fmt(t.quantum)},{t.system_id}" for t in result.ticks
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    ticks = _Table(("time", "quantum", "systemId"), simulate_flow(systems, ctx, horizon).ticks)
+    return {"ticks": ticks}, [ticks]
 
 
-def _cmd_simultaneity(args) -> int:
+def _cmd_simultaneity(args):
     _require(args, "finite", math.isfinite, "theta1", "theta2", "t1", "t2")
     ctx = ThermalContext()
     if args.theta1 is not None and args.theta2 is not None:
@@ -368,19 +341,16 @@ def _cmd_simultaneity(args) -> int:
     else:
         raise InvalidState("give --vmax or --entropy to fix the maximal velocity")
     offset = simultaneity_offset(theta1, theta2, v_max)
-    if args.format == "json":
-        _emit_json(
-            {"offset": offset, "theta1": theta1, "theta2": theta2, "vMax": v_max},
-            args.out,
-        )
-    else:
-        _emit(_fmt(offset) + "\n", args.out)
-    return 0
+    payload = {"offset": offset, "theta1": theta1, "theta2": theta2, "vMax": v_max}
+    return payload, [(offset,)]
 
 
 # --- parser / dispatch ---
 
 
+# Built once per process; reusing it is safe because no argument has a
+# mutable default and parse_args leaves the parser unchanged.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chronon-lab",
@@ -454,17 +424,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse arguments and execute one subcommand; returns the exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse arguments, execute one subcommand and write its report;
+    returns the exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text = render(args.func(args), args.format)
+        with (
+            open(args.out, "w", encoding="utf-8", newline="\n")
+            if args.out
+            else contextlib.nullcontext(sys.stdout)
+        ) as fh:
+            fh.write(text)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ChrononError, FileNotFoundError, ValueError) as exc:
+    except (ChrononError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

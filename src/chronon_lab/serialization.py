@@ -44,7 +44,7 @@ def decode_matrix(obj: dict) -> np.ndarray:
     CHRONON_MAX_DIM cap before any entry is converted."""
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), list(obj["data"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidState(f"malformed matrix object: {exc}") from exc
     if rows < 1 or cols < 1:
         raise InvalidState(f"matrix dimensions must be positive, got {rows}x{cols}")
@@ -55,7 +55,7 @@ def decode_matrix(obj: dict) -> np.ndarray:
         )
     try:
         flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidState(f"malformed matrix object: {exc}") from exc
     return flat.reshape(rows, cols)
 
@@ -103,7 +103,7 @@ def _field(obj: dict, name: str, convert):
         raise InvalidState(f"missing field {name!r}")
     try:
         return convert(obj[name])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidState(f"field {name!r} is malformed: {exc}") from exc
 
 
@@ -135,13 +135,18 @@ def decode_state(obj: dict):
     raise InvalidState(f"unknown state kind {kind!r}")
 
 
-def load_state(path: str):
+def read_json(path: str):
+    """The parsed JSON file at path.  Text that is not JSON, or that nests
+    too deeply to parse, raises InvalidState naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
             raise InvalidState(f"{path}: invalid JSON: {exc}") from exc
-    return decode_state(obj)
+
+
+def load_state(path: str):
+    return decode_state(read_json(path))
 
 
 def save_state(path: str, state) -> None:

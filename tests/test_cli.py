@@ -185,11 +185,19 @@ class TestMalformedStateFiles:
               "matrix": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}, "'dimA'"),
             ({"kind": "correlation_basis"}, "'system'"),
             ({"kind": "density", "matrix": {"rows": 1, "cols": 1, "data": 5}}, "'matrix'"),
+            pytest.param('{"kind": "density", "matrix": {"rows": 1e400, "cols": 1, "data": []}}',
+                         "'matrix'", id="rows-overflow"),
+            pytest.param('{"kind": "bipartite", "dimA": 1e400, "dimB": 2, "matrix": '
+                         '{"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}',
+                         "'dimA'", id="dimA-overflow"),
+            pytest.param('{"kind": "density", "matrix": {"rows": 1, "cols": 1, "data": [[1%s, 0]]}}'
+                         % ("0" * 400), "'matrix'", id="entry-overflow"),
+            pytest.param("[" * 100_000, "invalid JSON", id="deep-nesting"),
         ],
     )
     def test_exit_one_naming_the_field(self, payload, field, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         code = cli.run(["entropy", "--state", str(path)])
         err = capsys.readouterr().err
         assert code == 1
@@ -317,6 +325,24 @@ class TestFlowCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert invariant in err
 
+    @pytest.mark.parametrize(
+        "text, invariant",
+        [
+            ("[" * 100_000, "invalid JSON"),
+            ('{"systems": [{"id": "x", "entropyNats": 1%s}], "horizon": 1}' % ("0" * 400),
+             "malformed flow config"),
+        ],
+        ids=["deep-nesting", "entropy-overflow"],
+    )
+    def test_malformed_config_exit_one(self, text, invariant, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code = cli.run(["flow", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{path}: {invariant}" in err
+
 
 class TestSimultaneityCommand:
     def test_direct_thetas(self, capsys):
@@ -375,6 +401,7 @@ class TestSimultaneityCommand:
         (["mlcheck", "--dim", "100000"], "sweep dimension 100000 is above the cap of 64"),
         (["mlcheck", "--trials", "100000000"],
          "sweep needs 300000000 trials, above the cap of 5000"),
+        (["mlcheck", "--dims", "2,x"], "--dims must list integers >= 2, got '2,x'"),
     ],
 )
 def test_numeric_flag_out_of_range_exit_one(argv, flag, capsys):
@@ -383,6 +410,27 @@ def test_numeric_flag_out_of_range_exit_one(argv, flag, capsys):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert flag in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--state", "{dir}"],
+        ["flow", "--config", "{dir}"],
+        ["lorentz", "--v", "0.6", "--out", "{dir}"],
+        ["flow", "--config", str(INPUTS / "flow.json"), "--out", "{dir}"],
+    ],
+)
+def test_directory_path_exit_one(argv, tmp_path, capsys):
+    code = cli.run([a.format(dir=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err
+
+
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ regenerate the goldens after an intended output change, run
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import inspect
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,25 @@ def render_case(case: str, fmt: str, out: Path) -> bytes:
 def test_output_matches_golden(case, fmt, tmp_path):
     expected = (GOLDEN / f"{case}.{fmt}").read_bytes()
     assert render_case(case, fmt, tmp_path / "out") == expected
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_one_report_renders_both_formats(case):
+    """A subcommand computes one report; both formats are rendered from it."""
+    args = cli.build_parser().parse_args(CASES[case])
+    report = args.func(args)
+    for fmt in FORMATS:
+        expected = (GOLDEN / f"{case}.{fmt}").read_bytes()
+        assert cli.render(report, fmt).encode("utf-8") == expected, fmt
+
+
+def test_subcommands_leave_format_and_output_to_run():
+    commands = [f for name, f in vars(cli).items() if name.startswith("_cmd_")]
+    assert len(commands) == 7
+    for command in commands:
+        source = inspect.getsource(command)
+        for word in ("args.format", "args.out", "write(", "print("):
+            assert word not in source, f"{command.__name__} mentions {word}"
 
 
 if __name__ == "__main__":
