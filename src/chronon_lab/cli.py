@@ -16,7 +16,9 @@ columns over the rows a library call returned; it renders as a CSV header
 line plus one line per row, and as a JSON list of records.
 
 Exit codes: 0 success, 1 invalid input (message names the violated
-invariant), 2 numerical failure.
+invariant), 2 numerical failure.  A usage error (unknown flag, bad flag
+value, missing argument, or flags that exclude each other) is invalid
+input too: exit 1 with one ``error:`` line.  --help exits 0.
 """
 
 from __future__ import annotations
@@ -163,6 +165,8 @@ def _cmd_conditional(args):
     _require(args, ">= 1", _at_least_one, "trotter_n")
     _require(args, "finite", math.isfinite, "eps")
     _require(args, "in [0, 1)", lambda eps: 0.0 <= eps < 1.0, "eps")
+    if args.eps and args.trotter_n is None:
+        raise InvalidState("--eps applies only with --trotter-n")
     state = load_state(args.state)
     if isinstance(state, ClassicalQuantumState):
         bi = cq_embed(state)
@@ -325,9 +329,11 @@ def _cmd_flow(args):
 def _cmd_simultaneity(args):
     _require(args, "finite", math.isfinite, "theta1", "theta2", "t1", "t2")
     ctx = ThermalContext()
-    if args.theta1 is not None and args.theta2 is not None:
-        theta1, theta2 = args.theta1, args.theta2
-    elif None not in (args.s1, args.t1, args.s2, args.t2):
+    thetas = (args.theta1, args.theta2)
+    counts = (args.s1, args.t1, args.s2, args.t2)
+    if None not in thetas and set(counts) == {None}:
+        theta1, theta2 = thetas
+    elif set(thetas) == {None} and None not in counts:
         theta1 = state_count(EntropyValue(args.s1), args.t1, ctx)
         theta2 = state_count(EntropyValue(args.s2), args.t2, ctx)
     else:
@@ -348,11 +354,18 @@ def _cmd_simultaneity(args):
 # --- parser / dispatch ---
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise InvalidState (exit 1)."""
+
+    def error(self, message):
+        raise InvalidState(message)
+
+
 # Built once per process; reusing it is safe because no argument has a
 # mutable default and parse_args leaves the parser unchanged.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chronon-lab",
         description="Thermal time quanta, speed limits and conditional entropy, batch style.",
     )
@@ -365,9 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy", help="von Neumann / conditional entropy of a state file")
     common(p, "csv")
     p.add_argument("--state", required=True)
-    p.add_argument("--conditional", action="store_true")
-    p.add_argument("--reduce", nargs=2, type=int, metavar=("DIM_S", "DIM_A"))
-    p.add_argument("--measure", metavar="BASIS_FILE")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--conditional", action="store_true")
+    mode.add_argument("--reduce", nargs=2, type=int, metavar=("DIM_S", "DIM_A"))
+    mode.add_argument("--measure", metavar="BASIS_FILE")
     p.set_defaults(func=_cmd_entropy)
 
     p = sub.add_parser("conditional", help="conditional density-matrix report")
@@ -404,8 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="simulate a thermal tick flow")
     common(p, "csv")
     p.add_argument("--config", required=True)
-    p.add_argument("--ratio", nargs=2, metavar=("ID1", "ID2"))
-    p.add_argument("--dilation", metavar="CQ_FILE")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--ratio", nargs=2, metavar=("ID1", "ID2"))
+    mode.add_argument("--dilation", metavar="CQ_FILE")
     p.set_defaults(func=_cmd_flow)
 
     p = sub.add_parser("simultaneity", help="start-offset for two processes")
@@ -416,8 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", type=float)
     p.add_argument("--s2", type=float)
     p.add_argument("--t2", type=float)
-    p.add_argument("--vmax", type=float)
-    p.add_argument("--entropy", type=float)
+    velocity = p.add_mutually_exclusive_group()
+    velocity.add_argument("--vmax", type=float)
+    velocity.add_argument("--entropy", type=float)
     p.set_defaults(func=_cmd_simultaneity)
 
     return parser
@@ -426,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments, execute one subcommand and write its report;
     returns the exit code."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         text = render(args.func(args), args.format)
         with (
             open(args.out, "w", encoding="utf-8", newline="\n")

@@ -99,7 +99,7 @@ def trotter_conditional_density(
     rho_b = linalg.partial_trace(rho, bi.dim_a, bi.dim_b, keep="B")
     w_joint = np.linalg.eigvalsh(rho)
     w_b = np.linalg.eigvalsh(rho_b)
-    thr = linalg.DEFAULT_SUPPORT_CUTOFF
+    thr = linalg.SUPPORT_CUTOFF
     if w_joint[0] <= thr * w_joint[-1] or w_b[0] <= thr * w_b[-1]:
         raise SingularState(
             "rank-deficient state; pass eps > 0 to regularize before the product"
@@ -111,9 +111,7 @@ def trotter_conditional_density(
     return np.linalg.matrix_power(root @ inv_root_b, n)
 
 
-def conditional_state(
-    bi: BipartiteState, cutoff: float = linalg.DEFAULT_SUPPORT_CUTOFF
-) -> ConditionalState:
+def conditional_state(bi: BipartiteState) -> ConditionalState:
     """Conditional entropy and density matrix of a joint, conditioning on
     the second factor.
 
@@ -126,8 +124,8 @@ def conditional_state(
     """
     rho = bi.joint.mat
     marginal = bi.marginal_b()
-    w, basis = linalg.support_spectrum(rho, cutoff)
-    log_b, proj_b = linalg.support_log(marginal.mat, cutoff)
+    w, basis = linalg.support_spectrum(rho)
+    log_b, proj_b = linalg.support_log(marginal.mat)
     proj_joint = basis @ linalg.dag(basis)
     embed_proj = np.kron(np.eye(bi.dim_a), proj_b)
     leak = linalg.frobenius(proj_joint - embed_proj @ proj_joint @ embed_proj)
@@ -152,9 +150,7 @@ def conditional_state(
     return ConditionalState(entropy=EntropyValue(primary), density=density)
 
 
-def generalized_conditional(
-    bi: BipartiteState, cutoff: float = linalg.DEFAULT_SUPPORT_CUTOFF
-) -> EntropyValue:
+def generalized_conditional(bi: BipartiteState) -> EntropyValue:
     """S(A|B) alone: the entropy of :func:`conditional_state`, negative
     exactly for the entangled ("anti-qubit") joints."""
-    return conditional_state(bi, cutoff).entropy
+    return conditional_state(bi).entropy

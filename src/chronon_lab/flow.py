@@ -2,16 +2,20 @@
 dilation, and the single-observable simultaneity rule.
 
 Each measured system ticks periodically with its own time quantum; the flow
-is the merged, deterministic series of those quanta.  Tick times are exact
-integer multiples n * dt rather than a running sum, so repeated quanta
-march in step bit-for-bit over any horizon.
+is the merged, deterministic series of those quanta.  A tick is a plain
+row ``(time, quantum, system_id)``.  Tick times are exact integer
+multiples n * dt rather than a running sum, so repeated quanta march in
+step bit-for-bit over any horizon.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import repeat
+from operator import itemgetter
+
+import numpy as np
 
 from .entropy import EntropyValue, cq_conditional, von_neumann
 from .errors import NoActiveSystem, NonpositiveEntropy, NonpositiveVelocity, SizeOverflow
@@ -35,15 +39,10 @@ class SystemSpec:
             )
 
 
-class Tick(NamedTuple):
-    time: float
-    quantum: float
-    system_id: str
-
-
 @dataclass(frozen=True)
 class ThermalFlow:
-    """Merged tick series, ordered by time with id tie-break.
+    """Merged tick series of (time, quantum, system_id) rows, ordered by
+    time with id tie-break.
 
     Times are non-decreasing overall (identical systems tick together) and
     strictly increasing per system.
@@ -54,7 +53,7 @@ class ThermalFlow:
     def __post_init__(self):
         ticks = tuple(self.ticks)
         for a, b in zip(ticks, ticks[1:]):
-            if b.time < a.time:
+            if b[0] < a[0]:
                 raise ValueError("tick times must be non-decreasing")
         object.__setattr__(self, "ticks", ticks)
 
@@ -83,11 +82,10 @@ def simulate_flow(
         raise SizeOverflow(f"flow needs {n_ticks} ticks, above the cap of {MAX_TICKS}")
     ticks = []
     for (spec, dt), q in zip(quanta, counts):
-        for n in range(1, math.floor(q) + 1):
-            t = n * dt  # exact multiple, no accumulated drift
-            if t <= horizon:
-                ticks.append(Tick(time=t, quantum=dt, system_id=spec.id))
-    ticks.sort(key=lambda t: (t.time, t.system_id))
+        # exact multiples n * dt (every n < 2**53 is an exact float), no drift
+        times = np.arange(1, math.floor(q) + 1) * dt
+        ticks.extend(zip(times[times <= horizon].tolist(), repeat(dt), repeat(spec.id)))
+    ticks.sort(key=itemgetter(0, 2))
     return ThermalFlow(ticks=tuple(ticks))
 
 

@@ -40,14 +40,6 @@ class GaussianPacket:
             )
 
 
-@dataclass(frozen=True)
-class PartitionEntropy:
-    """Partition entropy at dimensionless radius x; bounded by ln 2."""
-
-    x: float
-    entropy: EntropyValue
-
-
 def _binary_entropy(p: float) -> float:
     q = 1.0 - p
     s = 0.0
@@ -58,11 +50,11 @@ def _binary_entropy(p: float) -> float:
     return s
 
 
-def partition_entropy_G(x: float) -> PartitionEntropy:
-    """Binary entropy (nats) of the in-interval weight erf(x)."""
+def partition_entropy_G(x: float) -> EntropyValue:
+    """Binary entropy (nats) of the in-interval weight erf(x); at most ln 2."""
     if x < 0.0:
         raise NegativeArgument(f"x must be >= 0, got {x}")
-    return PartitionEntropy(x=x, entropy=EntropyValue(_binary_entropy(math.erf(x))))
+    return EntropyValue(_binary_entropy(math.erf(x)))
 
 
 def scaled_function_H(x: float) -> float:
@@ -83,7 +75,7 @@ def tabulate(points: int) -> list[tuple[float, float, float]]:
         raise SizeOverflow(f"grid of {points} points is above the cap of {MAX_GRID}")
     rows = []
     for x in np.linspace(0.0, SEARCH_UPPER, points).tolist():
-        g = partition_entropy_G(x).entropy.nats
+        g = partition_entropy_G(x).nats
         rows.append((x, g, g * x))
     return rows
 
@@ -104,7 +96,7 @@ def _grid_seeded_argmax(f) -> float:
 # The maxima are constants: search for each location once per process.
 @functools.cache
 def _argmax_G() -> float:
-    return _grid_seeded_argmax(lambda x: partition_entropy_G(x).entropy.nats)
+    return _grid_seeded_argmax(lambda x: partition_entropy_G(x).nats)
 
 
 @functools.cache
@@ -115,7 +107,7 @@ def _argmax_H() -> float:
 def max_G() -> tuple[float, float]:
     """Location and value of the partition-entropy maximum (ln 2)."""
     x = _argmax_G()
-    return x, partition_entropy_G(x).entropy.nats
+    return x, partition_entropy_G(x).nats
 
 
 def max_H() -> tuple[float, float]:

@@ -26,7 +26,7 @@ from .errors import (
 )
 
 DEFAULT_MAX_DIM = 4096
-DEFAULT_SUPPORT_CUTOFF = 1e-12
+SUPPORT_CUTOFF = 1e-12  # support threshold, relative to the largest eigenvalue
 HERMITICITY_RTOL = 1e-9
 
 _MAX_DIM_ENV = "CHRONON_MAX_DIM"
@@ -74,10 +74,10 @@ def require_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def require_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def require_hermitian(a: np.ndarray) -> np.ndarray:
     a = require_square(a)
     dev = frobenius(a - a.conj().T)
-    if dev > rtol * max(1.0, frobenius(a)):
+    if dev > HERMITICITY_RTOL * max(1.0, frobenius(a)):
         raise NotHermitian(f"||A - A^dag||_F = {dev:.3e} exceeds tolerance")
     return a
 
@@ -136,34 +136,30 @@ def matrix_func(a: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
     return (v * fw) @ dag(v)
 
 
-def support_spectrum(
-    rho: np.ndarray, cutoff: float = DEFAULT_SUPPORT_CUTOFF
-) -> tuple[np.ndarray, np.ndarray]:
+def support_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors spanning the support of a PSD Hermitian
     matrix.
 
-    Eigenvalues above ``cutoff`` (relative to the largest eigenvalue) form
-    the support.  Returns ``(values, columns)``, ascending, from a single
-    eigendecomposition.  Eigenvalues below ``-cutoff`` raise
+    Eigenvalues above SUPPORT_CUTOFF times the largest eigenvalue form the
+    support.  Returns ``(values, columns)``, ascending, from a single
+    eigendecomposition.  Eigenvalues below ``-SUPPORT_CUTOFF`` raise
     NegativeEigenvalue.
     """
     spec = eig_hermitian(rho)
     w, v = spec.eigenvalues, spec.eigenvectors
-    if w[0] < -cutoff:
+    if w[0] < -SUPPORT_CUTOFF:
         raise NegativeEigenvalue(f"eigenvalue {w[0]:.3e} below -cutoff")
-    keep = w > cutoff * max(float(w[-1]), 0.0)
+    keep = w > SUPPORT_CUTOFF * max(float(w[-1]), 0.0)
     return w[keep], v[:, keep]
 
 
-def support_log(
-    rho: np.ndarray, cutoff: float = DEFAULT_SUPPORT_CUTOFF
-) -> tuple[np.ndarray, np.ndarray]:
+def support_log(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Matrix log restricted to the support of a PSD Hermitian matrix.
 
     The support is that of :func:`support_spectrum`; the log vanishes off
     it.  Returns ``(logm, projector)``, both zero for an empty support.
     """
-    w, vk = support_spectrum(rho, cutoff)
+    w, vk = support_spectrum(rho)
     logm = (vk * np.log(w)) @ dag(vk)
     proj = vk @ dag(vk)
     return logm, proj

@@ -113,7 +113,7 @@ def check_bound_invariance(
     """
     g = gamma(b)
     x_star, _ = max_H()
-    s_star = partition_entropy_G(x_star).entropy  # frame-invariant
+    s_star = partition_entropy_G(x_star)  # frame-invariant
     r_rest = x_star * packet.sigma_k0
     dt_rest = time_quantum(s_star, ctx)
     rest = FrameQuantities(T=ctx.T, S=s_star, r=r_rest, dt_min=dt_rest)

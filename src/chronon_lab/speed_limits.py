@@ -57,9 +57,9 @@ class ThermalContext:
                 raise NonpositiveTemperature(f"{name} must be positive and finite, got {val}")
 
     @classmethod
-    def hbar_one(cls, T: float = 1.0, k: float = 1.0, c: float = 1.0) -> "ThermalContext":
+    def hbar_one(cls) -> "ThermalContext":
         """Context matching Hamiltonians evolved as exp(-iHt): h = 2*pi."""
-        return cls(T=T, h=2.0 * math.pi, k=k, c=c)
+        return cls(h=2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -141,19 +141,17 @@ def _golden_min(f, lo: float, hi: float, xtol: float) -> float:
 
 
 def orthogonalization_time(
-    h_op: np.ndarray,
-    psi0: StateVector,
-    t_max: float,
-    tol: float = ORTHOGONALITY_TOL,
+    h_op: np.ndarray, psi0: StateVector, t_max: float
 ) -> OrthogonalizationResult:
     """Earliest time at which exp(-iHt)|psi0> becomes orthogonal to |psi0>.
 
     Samples |<psi0|exp(-iHt)|psi0>| on a grid of SCAN_GRID_POINTS points
-    over [0, t_max], refines local minima by golden section down to 1e-12
-    time resolution, and reports the first refined minimum whose overlap
-    modulus is <= tol (None if no such time exists).  The bound field
-    carries 2*pi/(4 (E_mean - E0)) with E_mean = <psi0|H|psi0> and E0 the
-    smallest eigenvalue (hbar = 1 convention; inf when E_mean = E0).
+    over [0, t_max], refines local minima by golden section down to
+    REFINE_TIME_RESOLUTION, and reports the first refined minimum whose
+    overlap modulus is <= tol = ORTHOGONALITY_TOL (None if no such time
+    exists).  The bound field carries 2*pi/(4 (E_mean - E0)) with
+    E_mean = <psi0|H|psi0> and E0 the smallest eigenvalue (hbar = 1
+    convention; inf when E_mean = E0).
 
     The overlap A(t) = |sum_k w_k exp(-i E_k t)| is Lipschitz with constant
     L = sum_k w_k |E_k - E_mean|.  Every point t of the refinement bracket
@@ -198,17 +196,17 @@ def orthogonalization_time(
     rounding = 1e-12 + 64 * _EPS * (float(np.abs(energies).max()) * t_max + len(energies))
     # A(t) >= trace[i] - L*dt/2 on the bracket of a grid minimum, so one above
     # tol + L*dt/2 (plus rounding) cannot refine to a passing point: skip it.
-    skip_above = tol + lipschitz * half_step * (1.0 + 1e-9) + rounding
+    skip_above = ORTHOGONALITY_TOL + lipschitz * half_step * (1.0 + 1e-9) + rounding
     mid = trace[1:-1]
     candidates = (mid <= trace[:-2]) & (mid <= trace[2:]) & (mid <= skip_above)
 
     t_orth = None
     for i in np.flatnonzero(candidates) + 1:
         t_star = _golden_min(overlap, ts[i - 1], ts[i + 1], REFINE_TIME_RESOLUTION)
-        if overlap(t_star) <= tol:
+        if overlap(t_star) <= ORTHOGONALITY_TOL:
             t_orth = t_star
             break
-    if t_orth is None and trace[-1] <= tol:
+    if t_orth is None and trace[-1] <= ORTHOGONALITY_TOL:
         t_orth = float(ts[-1])
 
     return OrthogonalizationResult(t_orth=t_orth, overlap_trace=trace, bound=bound)

@@ -19,6 +19,7 @@ from .states import StateVector
 
 MAX_SWEEP_TRIALS = 5_000  # most trials (trials per dim x dims) one sweep runs
 MAX_SWEEP_DIM = 64  # largest Hamiltonian dimension a sweep draws
+SLACK_TOL = 1e-9  # a found time below bound - SLACK_TOL is a violation
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -78,9 +79,7 @@ def _eigenpair_state(h_op: np.ndarray, rng: np.random.Generator) -> np.ndarray |
     return v / np.linalg.norm(v)
 
 
-def ml_bound_sweep(
-    dims: list[int], trials_per_dim: int, seed: int, slack_tol: float = 1e-9
-) -> MlSweepResult:
+def ml_bound_sweep(dims: list[int], trials_per_dim: int, seed: int) -> MlSweepResult:
     """Check found orthogonalization times against the shifted bound.
 
     Each trial draws a random Hermitian Hamiltonian; even trials use a fully
@@ -88,7 +87,7 @@ def ml_bound_sweep(
     dimensions), odd trials an equal superposition of two random
     eigenvectors, which always orthogonalizes and attains the bound whenever
     the pair contains the ground state.  A violation is a found time below
-    bound - slack_tol.  A dimension above MAX_SWEEP_DIM, or more than
+    bound - SLACK_TOL.  A dimension above MAX_SWEEP_DIM, or more than
     MAX_SWEEP_TRIALS trials in all, raises SizeOverflow before any draw.
     """
     if max(dims, default=0) > MAX_SWEEP_DIM:
@@ -123,7 +122,7 @@ def ml_bound_sweep(
                 slack = result.t_orth - result.bound
                 if min_slack is None or slack < min_slack:
                     min_slack = slack
-                if slack < -slack_tol:
+                if slack < -SLACK_TOL:
                     violations += 1
             records.append(
                 MlTrial(

@@ -17,7 +17,7 @@ from chronon_lab import cli, entropy
 from chronon_lab.entropy import EntropyValue, generalized_conditional
 from chronon_lab.errors import ConvergenceFailure
 from chronon_lab.serialization import save_state
-from chronon_lab.states import ClassicalQuantumState, DensityMatrix, StateVector
+from chronon_lab.states import BipartiteState, ClassicalQuantumState, DensityMatrix, StateVector
 
 from conftest import bell_state
 from test_golden import CASES, FORMATS, INPUTS, render_case
@@ -164,6 +164,22 @@ class TestConditionalCommand:
         code = cli.run(["conditional", "--state", bell_file])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: conditional-entropy paths disagree")
+
+    @pytest.mark.parametrize("argv", [["conditional"], ["entropy", "--conditional"]])
+    def test_support_leak_exit_two(self, argv, tmp_path, capsys):
+        # eps sits above the relative support cutoff of the joint (largest
+        # eigenvalue 1/8) but below that of rho_B = diag(1 - eps, eps), so
+        # the joint's |0>|1> direction leaks out of id (x) supp(rho_B)
+        eps = 5e-13
+        e0, e1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        first = np.diag([1.0] + [0.0] * 7)
+        joint = (1 - eps) * np.kron(np.eye(8) / 8, e0) + eps * np.kron(first, e1)
+        path = tmp_path / "leak.json"
+        save_state(str(path), BipartiteState(DensityMatrix(joint), dim_a=8, dim_b=2))
+        code = cli.run(argv + ["--state", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: joint support leaks out of id (x) supp(rho_B) by 1.000e+00\n"
 
     def test_dimension_cap_applies_to_cq_embedding(self, monkeypatch, capsys):
         # the cq golden input embeds to a joint of dimension 4
@@ -444,10 +460,75 @@ def test_parser_built_once():
         ["simultaneity"],
     ],
 )
-def test_seed_accepted_only_by_mlcheck(argv):
+def test_seed_accepted_only_by_mlcheck(argv, capsys):
     assert cli.build_parser().parse_args(["mlcheck", "--seed", "1"]).seed == 1
-    with pytest.raises(SystemExit):
-        cli.build_parser().parse_args(argv + ["--seed", "1"])
+    code = cli.run(argv + ["--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "unrecognized arguments: --seed" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mlcheck", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
+        (["entropy"], "the following arguments are required: --state"),
+        (["lorentz", "--v", "0.5", "--bogus"], "unrecognized arguments: --bogus"),
+        (["gaussian", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        ([], "the following arguments are required: subcommand"),
+    ],
+)
+def test_usage_error_exit_one(argv, message, capsys):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["flow", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: chronon-lab flow")
+
+
+_THETAS = ["--theta1", "0", "--theta2", "1"]
+_COUNTS = ["--s1", "1", "--t1", "1", "--s2", "1", "--t2", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["entropy", "--state", "s.json", "--reduce", "2", "2", "--conditional"],
+         "not allowed with"),
+        (["entropy", "--state", "s.json", "--measure", "b.json", "--conditional"],
+         "not allowed with"),
+        (["entropy", "--state", "s.json", "--measure", "b.json", "--reduce", "2", "2"],
+         "not allowed with"),
+        (["flow", "--config", "c.json", "--ratio", "a", "b", "--dilation", "cq.json"],
+         "not allowed with"),
+        (["simultaneity", *_THETAS, "--vmax", "1", "--entropy", "5"], "not allowed with"),
+        (["simultaneity", *_THETAS, *_COUNTS, "--vmax", "1"], "give either"),
+        (["simultaneity", *_THETAS, "--s1", "1", "--vmax", "1"], "give either"),
+        (["simultaneity", *_THETAS, "--t1", "1", "--vmax", "1"], "give either"),
+        (["simultaneity", *_THETAS, "--s2", "1", "--vmax", "1"], "give either"),
+        (["simultaneity", *_THETAS, "--t2", "1", "--vmax", "1"], "give either"),
+        (["simultaneity", "--theta1", "0", *_COUNTS, "--vmax", "1"], "give either"),
+        (["conditional", "--state", "s.json", "--eps", "0.5"],
+         "--eps applies only with --trotter-n"),
+    ],
+)
+def test_dropped_flag_combination_exit_one(argv, message, capsys):
+    """Every flag given is used: a combination that would drop one is
+    rejected before any file is read."""
+    code = cli.run(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 class TestDeterminism:
@@ -511,6 +592,17 @@ def _public_operations() -> dict:
                     if fn is not None and not name.startswith("_"):
                         ops[fn.__code__] = f"{info.name}.{attr}.{name}"
     return ops
+
+
+def test_package_root_binds_only_version_and_submodules():
+    """The modules are the API: the package root re-exports nothing."""
+    assert chronon_lab.__version__
+    stray = sorted(
+        name for name, obj in vars(chronon_lab).items()
+        if not name.startswith("_")
+        and not (inspect.ismodule(obj) and obj.__name__ == f"chronon_lab.{name}")
+    )
+    assert not stray, f"package root binds non-module names: {stray}"
 
 
 def test_every_operation_reachable_from_a_subcommand(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronon_lab.entropy import (
     EntropyValue,
@@ -31,6 +33,8 @@ from conftest import (
 )
 
 LN2 = math.log(2.0)
+# (dim_a, dim_b) with both factors >= 2 and joint dimension <= 16
+FACTOR_DIMS = [(a, b) for a in range(2, 9) for b in range(2, 9) if a * b <= 16]
 
 
 class TestVonNeumann:
@@ -200,6 +204,23 @@ class TestGeneralizedConditional:
         for _ in range(100):
             bi = random_separable(rng, terms=int(rng.integers(1, 5)))
             assert generalized_conditional(bi).nats >= -1e-9
+
+    @given(
+        st.sampled_from(FACTOR_DIMS),
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bounded_by_ln_dim_a(self, dims, rank, seed):
+        # -ln d_A <= S(A|B) <= ln d_A on random joints of any rank
+        dim_a, dim_b = dims
+        d = dim_a * dim_b
+        rng = np.random.default_rng(seed)
+        k = rng.normal(size=(d, min(rank, d))) + 1j * rng.normal(size=(d, min(rank, d)))
+        joint = k @ k.conj().T
+        bi = BipartiteState(DensityMatrix(joint / np.trace(joint).real), dim_a, dim_b)
+        bound = math.log(dim_a) + 1e-9
+        assert -bound <= generalized_conditional(bi).nats <= bound
 
     def test_marginal_entropy_subtraction(self, rng):
         # S(A|B) = S(joint) - S(B) with the marginal taken by brute force

@@ -27,16 +27,57 @@ from conftest import entropy_oracle
 
 LN2 = math.log(2.0)
 NATURAL = ThermalContext()
+FLOW_ENTROPIES = (0.31, LN2, 2 * LN2, 1.3)
+
+
+def reference_ticks(systems, ctx, horizon):
+    """Per-tick loop: one (time, quantum, id) row per n with n * dt <= horizon,
+    sorted by (time, id)."""
+    ticks = []
+    for spec in systems:
+        if spec.entropy.nats <= 0.0:
+            continue
+        dt = time_quantum(spec.entropy, ctx).dt
+        for n in range(1, math.floor(horizon / dt) + 1):
+            t = n * dt
+            if t <= horizon:
+                ticks.append((t, dt, spec.id))
+    ticks.sort(key=lambda tick: (tick[0], tick[2]))
+    return tuple(ticks)
+
+
+@st.composite
+def flow_cases(draw):
+    """1-5 systems with repeating ids and equal quanta, and a horizon from
+    below one tick to about 2000 ticks of one system's quantum, either on
+    a tick time or between two."""
+    alphabet = draw(st.sampled_from(("ab", "abc")))
+    systems = draw(st.lists(
+        st.builds(
+            SystemSpec,
+            st.sampled_from(alphabet),
+            st.sampled_from(FLOW_ENTROPIES).map(EntropyValue),
+        ),
+        min_size=1,
+        max_size=5,
+    ))
+    dt = time_quantum(draw(st.sampled_from(systems)).entropy, NATURAL).dt
+    n = draw(st.integers(min_value=0, max_value=2000))
+    if n > 0 and draw(st.booleans()):
+        horizon = n * dt
+    else:
+        horizon = (n + draw(st.floats(min_value=0.01, max_value=0.99))) * dt
+    return systems, horizon
 
 
 class TestSimulateFlow:
     def test_single_system_arithmetic_oracle(self):
         flow = simulate_flow([SystemSpec("s", EntropyValue(LN2))], NATURAL, horizon=1.1)
         dt = 1.0 / (4.0 * LN2)
-        times = [t.time for t in flow.ticks]
+        times = [t for t, _, _ in flow.ticks]
         assert times == pytest.approx([dt, 2 * dt, 3 * dt], rel=1e-12)
         assert times == pytest.approx([0.360674, 0.721348, 1.082022], abs=1e-6)
-        assert all(t.quantum == dt for t in flow.ticks)
+        assert all(q == dt for _, q, _ in flow.ticks)
 
     def test_inactive_system_contributes_nothing(self):
         flow = simulate_flow(
@@ -44,7 +85,7 @@ class TestSimulateFlow:
             NATURAL,
             horizon=1.0,
         )
-        assert all(t.system_id == "on" for t in flow.ticks)
+        assert all(sid == "on" for _, _, sid in flow.ticks)
 
     def test_all_inactive_rejected(self):
         with pytest.raises(NoActiveSystem):
@@ -56,9 +97,9 @@ class TestSimulateFlow:
             NATURAL,
             horizon=0.8,
         )
-        ids = [t.system_id for t in flow.ticks]
+        ids = [sid for _, _, sid in flow.ticks]
         assert ids == ["a", "b", "a", "b"]
-        assert flow.ticks[0].time == flow.ticks[1].time
+        assert flow.ticks[0][0] == flow.ticks[1][0]
 
     def test_tick_times_exact_multiples(self):
         # bitwise equality: n * dt, no accumulated drift
@@ -66,12 +107,12 @@ class TestSimulateFlow:
         flow = simulate_flow([spec], NATURAL, horizon=50.0)
         dt = time_quantum(spec.entropy, NATURAL).dt
         for n, tick in enumerate(flow.ticks, start=1):
-            assert tick.time == n * dt
+            assert tick[0] == n * dt
 
     def test_consecutive_gaps_equal_quantum(self):
         spec = SystemSpec("s", EntropyValue(1.3))
         flow = simulate_flow([spec], NATURAL, horizon=20.0)
-        times = np.array([t.time for t in flow.ticks])
+        times = np.array([t for t, _, _ in flow.ticks])
         dt = time_quantum(spec.entropy, NATURAL).dt
         assert np.allclose(np.diff(times), dt, rtol=1e-12)
 
@@ -81,7 +122,7 @@ class TestSimulateFlow:
             NATURAL,
             horizon=2.0,
         )
-        times = [t.time for t in flow.ticks]
+        times = [t for t, _, _ in flow.ticks]
         assert times == sorted(times)
 
     def test_tick_budget_counts_every_system(self, monkeypatch):
@@ -92,6 +133,14 @@ class TestSimulateFlow:
         monkeypatch.setattr(flow_mod, "MAX_TICKS", 5)
         with pytest.raises(SizeOverflow, match="needs 6 ticks"):
             simulate_flow(systems, NATURAL, horizon=1.1)
+
+    @given(flow_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_tick_loop(self, case):
+        systems, horizon = case
+        assert simulate_flow(systems, NATURAL, horizon).ticks == reference_ticks(
+            systems, NATURAL, horizon
+        )
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
     def test_horizon_must_be_positive_and_finite(self, horizon):
@@ -165,6 +214,30 @@ class TestDilation:
         expected_marg = 1.0 / (4.0 * entropy_oracle([0.75, 0.25]))
         assert dt_marg.dt == pytest.approx(expected_marg, rel=1e-12)
         assert dt_cond.dt >= dt_marg.dt
+
+    @given(
+        st.integers(min_value=2, max_value=4),
+        st.lists(st.booleans(), min_size=1, max_size=5),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_conditioning_never_shortens_the_quantum(self, dim, pure, seed):
+        # cq_conditional <= S(mixture), so dt_conditional >= dt_marginal;
+        # pure[i] makes branch i pure
+        from chronon_lab.entropy import cq_conditional, von_neumann
+        from conftest import random_density
+
+        rng = np.random.default_rng(seed)
+        weights = rng.random(len(pure)) + 0.05
+        cq = ClassicalQuantumState(tuple(
+            (float(w), random_density(dim, rng, pure=p))
+            for w, p in zip(weights / weights.sum(), pure)
+        ))
+        s_cond = cq_conditional(cq).nats
+        assert s_cond <= von_neumann(cq.mixture()).nats + 1e-12
+        if not all(pure):  # all-pure branches stop the conditional flow
+            dt_cond, dt_marg = dilation_from_conditioning(cq, NATURAL)
+            assert dt_cond.dt >= dt_marg.dt * (1 - 1e-12)
 
     def test_conditioning_never_speeds_the_clock(self, rng):
         from conftest import random_cq

@@ -70,18 +70,18 @@ class TestErf:
 
 class TestPartitionEntropy:
     def test_zero_radius(self):
-        assert partition_entropy_G(0.0).entropy.nats == 0.0
+        assert partition_entropy_G(0.0).nats == 0.0
 
     def test_half_weight_gives_ln2(self):
         x_half = erf_half_root_bisection()
-        assert partition_entropy_G(x_half).entropy.nats == pytest.approx(LN2, abs=1e-10)
+        assert partition_entropy_G(x_half).nats == pytest.approx(LN2, abs=1e-10)
 
     def test_tail_vanishes(self):
-        assert partition_entropy_G(6.0).entropy.nats <= 1e-12
+        assert partition_entropy_G(6.0).nats <= 1e-12
 
     def test_bounded_by_ln2(self):
         for x in np.linspace(0.0, 6.0, 301):
-            s = partition_entropy_G(float(x)).entropy.nats
+            s = partition_entropy_G(float(x)).nats
             assert 0.0 <= s <= LN2 + 1e-12
 
     def test_negative_rejected(self):
@@ -92,7 +92,7 @@ class TestPartitionEntropy:
         # finite-difference slope changes sign exactly once over a dense grid
         # (differences inside round-off of zero are not sign-relevant)
         xs = np.linspace(0.0, 6.0, 10_000)
-        vals = np.array([partition_entropy_G(float(x)).entropy.nats for x in xs])
+        vals = np.array([partition_entropy_G(float(x)).nats for x in xs])
         diffs = np.diff(vals)
         signs = np.sign(diffs[np.abs(diffs) > 1e-14])
         changes = np.count_nonzero(np.diff(signs) != 0)
@@ -126,8 +126,8 @@ class TestMaxima:
 
     def test_max_g_local_certificate(self):
         x_star, value = max_G()
-        assert partition_entropy_G(x_star - 0.1).entropy.nats < value
-        assert partition_entropy_G(x_star + 0.1).entropy.nats < value
+        assert partition_entropy_G(x_star - 0.1).nats < value
+        assert partition_entropy_G(x_star + 0.1).nats < value
 
     def test_max_h_value(self):
         x_star, value = max_H()
@@ -163,7 +163,7 @@ class TestMaxima:
         for sigma in (0.5, 1.0, 2.7):
             radii = np.linspace(1e-4, 6.0 * sigma, 4001)
             vals = [
-                partition_entropy_G(float(r) / sigma).entropy.nats * float(r)
+                partition_entropy_G(float(r) / sigma).nats * float(r)
                 for r in radii
             ]
             r_best = radii[int(np.argmax(vals))]
@@ -176,7 +176,7 @@ class TestTabulate:
         assert len(rows) == 257
         assert rows[0][0] == 0.0 and rows[-1][0] == 6.0
         for x, g, h in rows:
-            assert g == partition_entropy_G(x).entropy.nats
+            assert g == partition_entropy_G(x).nats
             assert h == scaled_function_H(x)
 
     def test_grid_cap(self, monkeypatch):
