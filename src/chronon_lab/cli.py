@@ -157,6 +157,8 @@ def _cmd_entropy(args):
             state = state.mixture()
         elif isinstance(state, BipartiteState):
             state = state.joint
+        elif not isinstance(state, DensityMatrix):
+            raise InvalidState("entropy needs a state_vector, density, cq or bipartite input")
         value = von_neumann(state).nats
     return {"value": value}, [(value,)]
 
@@ -393,8 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mlcheck", help="orthogonalization-time bound sweep")
     common(p, "json")
-    p.add_argument("--dims", default="2,3,4")
-    p.add_argument("--dim", dest="dims", help="single dimension (alias for --dims)")
+    dims = p.add_mutually_exclusive_group()
+    dims.add_argument("--dims", default="2,3,4")
+    dims.add_argument("--dim", dest="dims", help="single dimension (alias for --dims)")
     p.add_argument("--trials", type=int, default=40)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_mlcheck)

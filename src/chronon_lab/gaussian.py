@@ -18,6 +18,7 @@ import numpy as np
 
 from .entropy import EntropyValue
 from .errors import NegativeArgument, NonpositiveResolution, SizeOverflow
+from .linalg import xlnx
 from .speed_limits import ThermalContext, _golden_min
 
 SEARCH_UPPER = 6.0  # erf saturates to 1 within 1e-12 well before x = 6
@@ -41,13 +42,8 @@ class GaussianPacket:
 
 
 def _binary_entropy(p: float) -> float:
-    q = 1.0 - p
-    s = 0.0
-    if p > 0.0:
-        s -= p * math.log(p)
-    if q > 0.0:
-        s -= q * math.log(q)
-    return s
+    # The leading 0.0 keeps h2(1) at +0.0 rather than -0.0.
+    return 0.0 - xlnx(p) - xlnx(1.0 - p)
 
 
 def partition_entropy_G(x: float) -> EntropyValue:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -86,26 +85,17 @@ def dag(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
-
-    eigenvalues are real and ascending; eigenvectors holds the matching
-    orthonormal eigenvectors as columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eig_hermitian(a: np.ndarray) -> Spectrum:
-    """Hermitian eigendecomposition with ascending eigenvalues."""
+def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian eigendecomposition ``(w, v)``, as ``np.linalg.eigh`` returns
+    it: real eigenvalues w ascending, and the matching orthonormal
+    eigenvectors as the columns of v.  Raises NotSquare or NotHermitian
+    first."""
     a = require_hermitian(a)
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-    return Spectrum(eigenvalues=w, eigenvectors=v)
+    return w, v
 
 
 def matrix_func(a: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
@@ -119,20 +109,19 @@ def matrix_func(a: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
     unchanged; a non-real result such as ``(-1e-17) ** 0.5`` ends as the
     TypeError numpy raises when converting it to float.
     """
-    spec = eig_hermitian(a)
+    w, v = eig_hermitian(a)
     values = []
-    for w in spec.eigenvalues.tolist():
+    for x in w.tolist():
         try:
-            values.append(f(w))
+            values.append(f(x))
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise DomainError(
-                f"scalar function undefined at eigenvalue {w!r}: {exc}"
+                f"scalar function undefined at eigenvalue {x!r}: {exc}"
             ) from exc
     fw = np.array(values, dtype=float)
     if not np.all(np.isfinite(fw)):
-        bad = spec.eigenvalues[~np.isfinite(fw)]
+        bad = w[~np.isfinite(fw)]
         raise DomainError(f"scalar function undefined at eigenvalue(s) {bad}")
-    v = spec.eigenvectors
     return (v * fw) @ dag(v)
 
 
@@ -145,8 +134,7 @@ def support_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigendecomposition.  Eigenvalues below ``-SUPPORT_CUTOFF`` raise
     NegativeEigenvalue.
     """
-    spec = eig_hermitian(rho)
-    w, v = spec.eigenvalues, spec.eigenvectors
+    w, v = eig_hermitian(rho)
     if w[0] < -SUPPORT_CUTOFF:
         raise NegativeEigenvalue(f"eigenvalue {w[0]:.3e} below -cutoff")
     keep = w > SUPPORT_CUTOFF * max(float(w[-1]), 0.0)

@@ -141,9 +141,14 @@ def _golden_min(f, lo: float, hi: float, xtol: float) -> float:
 
 
 def orthogonalization_time(
-    h_op: np.ndarray, psi0: StateVector, t_max: float
+    spectrum: tuple[np.ndarray, np.ndarray], psi0: StateVector, t_max: float
 ) -> OrthogonalizationResult:
     """Earliest time at which exp(-iHt)|psi0> becomes orthogonal to |psi0>.
+
+    spectrum is H's ``(energies, vectors)`` from
+    :func:`chronon_lab.linalg.eig_hermitian`, which has already checked
+    that H is Hermitian; a caller that needs the pair for anything else
+    decomposes H once and passes the same pair here.
 
     Samples |<psi0|exp(-iHt)|psi0>| on a grid of SCAN_GRID_POINTS points
     over [0, t_max], refines local minima by golden section down to
@@ -162,18 +167,15 @@ def orthogonalization_time(
     bracket could pass.  The brackets refined up to the first passing one,
     and hence t_orth, are the same as when every minimum is refined.
     """
-    h_op = linalg.require_hermitian(h_op)
-    if h_op.shape[0] != psi0.dim:
+    energies, vectors = spectrum
+    if vectors.shape[0] != psi0.dim:
         raise DimensionMismatch(
-            f"Hamiltonian dim {h_op.shape[0]} != state dim {psi0.dim}"
+            f"Hamiltonian dim {vectors.shape[0]} != state dim {psi0.dim}"
         )
     if t_max <= 0.0:
         raise NegativeTime(f"t_max must be positive, got {t_max}")
 
-    spec = linalg.eig_hermitian(h_op)
-    coeffs = linalg.dag(spec.eigenvectors) @ psi0.amplitudes
-    weights = np.abs(coeffs) ** 2
-    energies = spec.eigenvalues
+    weights = np.abs(linalg.dag(vectors) @ psi0.amplitudes) ** 2
 
     e_mean = float(weights @ energies)
     e0 = float(energies[0])

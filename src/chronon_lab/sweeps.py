@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import SizeOverflow
-from .speed_limits import OrthogonalizationResult, orthogonalization_time
+from .speed_limits import orthogonalization_time
 from .states import StateVector
 
 MAX_SWEEP_TRIALS = 5_000  # most trials (trials per dim x dims) one sweep runs
@@ -48,13 +48,25 @@ class MlTrial:
 
 @dataclass(frozen=True)
 class MlSweepResult:
+    """The trials of one sweep in draw order; every count is read from them.
+
+    A violation is a trial whose slack is below -SLACK_TOL; min_slack is
+    the smallest slack, None when no trial has one.
+    """
+
     trials: tuple
-    violations: int
-    min_slack: float | None
 
     @property
     def found(self) -> int:
         return sum(1 for t in self.trials if t.t_orth is not None)
+
+    @property
+    def violations(self) -> int:
+        return sum(1 for t in self.trials if t.slack is not None and t.slack < -SLACK_TOL)
+
+    @property
+    def min_slack(self) -> float | None:
+        return min((t.slack for t in self.trials if t.slack is not None), default=None)
 
 
 # Minimum eigenvalue gap accepted when building an equal eigenpair
@@ -63,26 +75,29 @@ _MIN_PAIR_GAP = 0.15
 _SCAN_WINDOW = 60.0
 
 
-def _eigenpair_state(h_op: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
-    spec = linalg.eig_hermitian(h_op)
-    d = h_op.shape[0]
+def _eigenpair_state(
+    spectrum: tuple[np.ndarray, np.ndarray], rng: np.random.Generator
+) -> np.ndarray | None:
+    w, v = spectrum
+    d = len(w)
     pairs = [
         (i, j)
         for i in range(d)
         for j in range(i + 1, d)
-        if spec.eigenvalues[j] - spec.eigenvalues[i] >= _MIN_PAIR_GAP
+        if w[j] - w[i] >= _MIN_PAIR_GAP
     ]
     if not pairs:
         return None
     i, j = pairs[int(rng.integers(len(pairs)))]
-    v = spec.eigenvectors[:, i] + spec.eigenvectors[:, j]
-    return v / np.linalg.norm(v)
+    psi = v[:, i] + v[:, j]
+    return psi / np.linalg.norm(psi)
 
 
 def ml_bound_sweep(dims: list[int], trials_per_dim: int, seed: int) -> MlSweepResult:
     """Check found orthogonalization times against the shifted bound.
 
-    Each trial draws a random Hermitian Hamiltonian; even trials use a fully
+    Each trial draws a random Hermitian Hamiltonian and decomposes it once,
+    for both the initial state and the scan; even trials use a fully
     random initial state (which rarely reaches orthogonality at these
     dimensions), odd trials an equal superposition of two random
     eigenvectors, which always orthogonalizes and attains the bound whenever
@@ -100,30 +115,17 @@ def ml_bound_sweep(dims: list[int], trials_per_dim: int, seed: int) -> MlSweepRe
         )
     rng = rng_for(seed)
     records = []
-    violations = 0
-    min_slack: float | None = None
     for dim in dims:
         for trial in range(trials_per_dim):
-            h_op = random_hermitian(dim, rng)
-            if trial % 2 == 0:
+            spectrum = linalg.eig_hermitian(random_hermitian(dim, rng))
+            psi = _eigenpair_state(spectrum, rng) if trial % 2 else None
+            kind = "random" if psi is None else "eigenpair"
+            if psi is None:
                 psi = random_state_vector(dim, rng)
-                kind = "random"
-            else:
-                psi = _eigenpair_state(h_op, rng)
-                kind = "eigenpair"
-                if psi is None:
-                    psi = random_state_vector(dim, rng)
-                    kind = "random"
-            result: OrthogonalizationResult = orthogonalization_time(
-                h_op, StateVector(psi), t_max=_SCAN_WINDOW
-            )
+            result = orthogonalization_time(spectrum, StateVector(psi), t_max=_SCAN_WINDOW)
             slack = None
             if result.t_orth is not None and math.isfinite(result.bound):
                 slack = result.t_orth - result.bound
-                if min_slack is None or slack < min_slack:
-                    min_slack = slack
-                if slack < -SLACK_TOL:
-                    violations += 1
             records.append(
                 MlTrial(
                     dim=dim,
@@ -133,6 +135,4 @@ def ml_bound_sweep(dims: list[int], trials_per_dim: int, seed: int) -> MlSweepRe
                     slack=slack,
                 )
             )
-    return MlSweepResult(
-        trials=tuple(records), violations=violations, min_slack=min_slack
-    )
+    return MlSweepResult(trials=tuple(records))

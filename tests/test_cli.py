@@ -1,16 +1,22 @@
 """Command-line surface tests: each subcommand, exit codes, determinism,
 and the operation-coverage audit."""
 
+import contextlib
 import functools
 import importlib
 import inspect
+import io
 import json
 import math
+import os
 import pkgutil
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chronon_lab
 from chronon_lab import cli, entropy
@@ -20,7 +26,7 @@ from chronon_lab.serialization import save_state
 from chronon_lab.states import BipartiteState, ClassicalQuantumState, DensityMatrix, StateVector
 
 from conftest import bell_state
-from test_golden import CASES, FORMATS, INPUTS, render_case
+from test_golden import CASES, FORMATS, INPUTS, _in, render_case
 
 LN2 = math.log(2.0)
 
@@ -519,6 +525,8 @@ _COUNTS = ["--s1", "1", "--t1", "1", "--s2", "1", "--t2", "2"]
         (["simultaneity", "--theta1", "0", *_COUNTS, "--vmax", "1"], "give either"),
         (["conditional", "--state", "s.json", "--eps", "0.5"],
          "--eps applies only with --trotter-n"),
+        (["mlcheck", "--dims", "2,3", "--dim", "4"],
+         "argument --dim: not allowed with argument --dims"),
     ],
 )
 def test_dropped_flag_combination_exit_one(argv, message, capsys):
@@ -529,6 +537,103 @@ def test_dropped_flag_combination_exit_one(argv, message, capsys):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+# Every mode that reads a state file, with the file's path as {f}.
+_STATE_MODES = {
+    "entropy": ["entropy", "--state", "{f}"],
+    "entropy-conditional": ["entropy", "--state", "{f}", "--conditional"],
+    "entropy-reduce": ["entropy", "--state", "{f}", "--reduce", "2", "2"],
+    "entropy-measure-state": ["entropy", "--state", "{f}", "--measure", _in("basis.json")],
+    "entropy-measure-basis": ["entropy", "--state", _in("xi.json"), "--measure", "{f}"],
+    "conditional": ["conditional", "--state", "{f}"],
+    "flow-dilation": ["flow", "--config", _in("flow.json"), "--dilation", "{f}"],
+}
+_FLOW_MODES = {
+    "flow": ["flow", "--config", "{f}"],
+    "flow-ratio": ["flow", "--config", "{f}", "--ratio", "a", "b"],
+    "flow-dilation": ["flow", "--config", "{f}", "--dilation", _in("cq.json")],
+}
+
+
+def _run_quietly(argv) -> tuple[int, str]:
+    """cli.run's exit code and stderr, stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("mode", sorted(_STATE_MODES))
+@pytest.mark.parametrize("name", ["bell", "rank2", "cq", "xi", "basis"])
+def test_every_state_mode_on_every_input_exits_cleanly(mode, name):
+    """A state file of the wrong kind for a mode is invalid input, not a
+    crash."""
+    path = str(INPUTS / f"{name}.json")
+    code, err = _run_quietly([a.format(f=path) for a in _STATE_MODES[mode]])
+    assert code in (0, 1)
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _json_paths(node, prefix=()):
+    """The path (tuple of keys and indices) of every value in a JSON tree."""
+    yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    node[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return node
+
+
+_STATE_KINDS = ("state_vector", "density", "cq", "bipartite", "correlation_basis", "bogus")
+_FUZZ_VALUES = (None, True, 0, -1, 2.5, math.inf, 10**30, "x", [], {})
+
+
+@st.composite
+def _mutated_input(draw):
+    """(file name, JSON text) of a committed input changed in one place:
+    a key deleted, its kind changed, or one value replaced."""
+    name = draw(st.sampled_from(["bell", "rank2", "cq", "xi", "basis", "flow"]))
+    obj = json.loads((INPUTS / f"{name}.json").read_text())
+    paths = list(_json_paths(obj))
+    ops = ["delete", "replace"] + (["kind"] if "kind" in obj else [])
+    op = draw(st.sampled_from(ops))
+    if op == "delete":
+        *parent, key = draw(st.sampled_from([p for p in paths if p and isinstance(p[-1], str)]))
+        del functools.reduce(lambda node, k: node[k], parent, obj)[key]
+    elif op == "kind":
+        obj["kind"] = draw(st.sampled_from([k for k in _STATE_KINDS if k != obj["kind"]]))
+    else:
+        obj = _replaced(obj, draw(st.sampled_from(paths)), draw(st.sampled_from(_FUZZ_VALUES)))
+    # json writes inf as Infinity; 1e400 is the same value as a plain number
+    return name, json.dumps(obj).replace("Infinity", "1e400")
+
+
+@given(_mutated_input())
+@settings(max_examples=150, deadline=None)
+def test_mutated_input_never_raises(mutation):
+    name, text = mutation
+    modes = _FLOW_MODES if name == "flow" else _STATE_MODES
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for argv in modes.values():
+            code, err = _run_quietly([a.format(f=path) for a in argv])
+            assert code in (0, 1, 2), argv
+            if code:
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 class TestDeterminism:

@@ -15,6 +15,7 @@ from chronon_lab.errors import (
     NonpositiveTemperature,
     SizeOverflow,
 )
+from chronon_lab.linalg import eig_hermitian
 from chronon_lab.speed_limits import (
     REFINE_TIME_RESOLUTION,
     SCAN_GRID_POINTS,
@@ -127,7 +128,7 @@ class TestOrthogonalizationTime:
         # overlap (1 + exp(-it))/2 vanishes first at t = pi; bound attained
         h_op = np.diag([0.0, 1.0]).astype(complex)
         psi0 = StateVector(np.array([1.0, 1.0]) / math.sqrt(2))
-        res = orthogonalization_time(h_op, psi0, t_max=8.0)
+        res = orthogonalization_time(eig_hermitian(h_op), psi0, t_max=8.0)
         assert res.t_orth == pytest.approx(math.pi, rel=1e-6)
         assert res.bound == pytest.approx(math.pi, rel=1e-12)
         # sampled trace follows |cos(t/2)| on the grid
@@ -137,7 +138,9 @@ class TestOrthogonalizationTime:
 
     def test_eigenvector_never_orthogonalizes(self):
         h_op = np.diag([0.0, 1.0]).astype(complex)
-        res = orthogonalization_time(h_op, StateVector(np.array([1.0, 0.0])), t_max=50.0)
+        res = orthogonalization_time(
+            eig_hermitian(h_op), StateVector(np.array([1.0, 0.0])), t_max=50.0
+        )
         assert res.t_orth is None
         assert res.bound == math.inf
         assert np.allclose(res.overlap_trace, 1.0)
@@ -152,7 +155,7 @@ class TestOrthogonalizationTime:
             if w[j] - w[i] < 0.2:
                 continue
             psi = (v[:, i] + v[:, j]) / math.sqrt(2)
-            res = orthogonalization_time(h_op, StateVector(psi), t_max=40.0)
+            res = orthogonalization_time(eig_hermitian(h_op), StateVector(psi), t_max=40.0)
             if res.t_orth is None:
                 continue
             checked += 1
@@ -164,7 +167,7 @@ class TestOrthogonalizationTime:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             orthogonalization_time(
-                np.eye(3, dtype=complex), StateVector(np.array([1.0, 0.0])), 1.0
+                eig_hermitian(np.eye(3, dtype=complex)), StateVector(np.array([1.0, 0.0])), 1.0
             )
 
 
@@ -208,7 +211,7 @@ def sweep_trial(dim, seed, eigenpair):
     """Hamiltonian and initial state drawn as one ml_bound_sweep trial."""
     rng = rng_for(seed)
     h_op = sweeps.random_hermitian(dim, rng)
-    psi = _eigenpair_state(h_op, rng) if eigenpair else None
+    psi = _eigenpair_state(eig_hermitian(h_op), rng) if eigenpair else None
     if psi is None:
         psi = random_state_vector(dim, rng)
     return h_op, StateVector(psi)
@@ -224,7 +227,7 @@ class TestScanPruning:
     @settings(max_examples=60, deadline=None)
     def test_pruned_scan_equals_unpruned_reference(self, dim, seed, eigenpair, t_max):
         h_op, psi0 = sweep_trial(dim, seed, eigenpair)
-        res = orthogonalization_time(h_op, psi0, t_max=t_max)
+        res = orthogonalization_time(eig_hermitian(h_op), psi0, t_max=t_max)
         t_ref, bound_ref, _ = reference_orthogonalization(h_op, psi0, t_max)
         assert res.t_orth == t_ref
         assert res.bound == bound_ref
@@ -260,7 +263,7 @@ class TestScanPruning:
             return _golden_min(*args)
 
         monkeypatch.setattr(speed_limits, "_golden_min", counting)
-        res = orthogonalization_time(h_op, psi0, t_max=60.0)
+        res = orthogonalization_time(eig_hermitian(h_op), psi0, t_max=60.0)
         assert (res.t_orth, res.bound) == (t_ref, bound_ref)
         assert reference_refinements >= 90
         assert 10 * calls <= reference_refinements
@@ -308,3 +311,27 @@ class TestSweepBudgets:
         assert len(sweeps.ml_bound_sweep([3, 2], 1, 0).trials) == 2
         with pytest.raises(SizeOverflow, match="sweep dimension 4 is above the cap of 3"):
             sweeps.ml_bound_sweep([2, 4], 1, 0)
+
+
+class TestMlBoundSweep:
+    @given(
+        st.lists(st.integers(min_value=2, max_value=8), min_size=1, max_size=4),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_no_found_time_beats_the_bound(self, dims, trials, seed):
+        result = sweeps.ml_bound_sweep(dims, trials, seed)
+        assert result.violations == 0
+        assert all(t.slack >= -sweeps.SLACK_TOL for t in result.trials if t.slack is not None)
+
+    def test_counts_read_from_trials(self):
+        def trial(slack):
+            t_orth = None if slack is None else 1.0 + slack
+            return sweeps.MlTrial(dim=2, kind="eigenpair", t_orth=t_orth, bound=1.0, slack=slack)
+
+        result = sweeps.MlSweepResult(
+            trials=(trial(None), trial(0.25), trial(-2e-9), trial(-0.5e-9), trial(-3e-9))
+        )
+        assert (result.found, result.violations, result.min_slack) == (4, 2, -3e-9)
+        assert sweeps.MlSweepResult(trials=(trial(None),)).min_slack is None
