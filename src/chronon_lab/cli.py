@@ -29,6 +29,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -42,8 +43,15 @@ from .entropy import (
     trotter_conditional_density,
     von_neumann,
 )
-from .errors import ChrononError, InvalidState, NumericalError
-from .flow import SystemSpec, clock_ratio, dilation_from_conditioning, simulate_flow, simultaneity_offset
+from .errors import InvalidState, NumericalError
+from .flow import (
+    SystemSpec,
+    clock_ratio,
+    dilation_from_conditioning,
+    require_horizon,
+    simulate_flow,
+    simultaneity_offset,
+)
 from .linalg import frobenius
 from .serialization import load_state, read_json
 from .speed_limits import (
@@ -292,17 +300,19 @@ def _cmd_lorentz(args):
 
 
 def _load_flow_config(path: str):
+    """Systems, context and horizon of a flow config, checked whatever
+    the mode reads of them."""
     cfg = read_json(path)
     try:
         systems = [
-            SystemSpec(id=str(s["id"]), entropy=EntropyValue(float(s["entropyNats"])))
+            SystemSpec(id=s["id"], entropy=EntropyValue(float(s["entropyNats"])))
             for s in cfg["systems"]
         ]
         temperature = float(cfg.get("T", 1.0))
         horizon = float(cfg["horizon"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidState(f"{path}: malformed flow config: {exc}") from exc
-    return systems, ThermalContext(T=temperature), horizon
+    return systems, ThermalContext(T=temperature), require_horizon(horizon)
 
 
 def _cmd_flow(args):
@@ -442,22 +452,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _output(path: str | None):
+    """stdout, or a new file beside path that replaces path only once the
+    report is written in full.  The file is opened before any work, so an
+    unusable path fails at once; a failed run leaves path as it was and
+    removes the new file."""
+    if not path:
+        yield sys.stdout
+        return
+    if os.path.isdir(path):
+        raise InvalidState(f"--out {path} is a directory")
+    partial = f"{path}.{os.getpid()}.tmp"
+    try:
+        fh = open(partial, "x", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise InvalidState(f"--out {path}: {exc.strerror}") from exc
+    try:
+        with fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        os.unlink(partial)
+        raise
+
+
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments, execute one subcommand and write its report;
     returns the exit code."""
     try:
         args = build_parser().parse_args(argv)
-        text = render(args.func(args), args.format)
-        with (
-            open(args.out, "w", encoding="utf-8", newline="\n")
-            if args.out
-            else contextlib.nullcontext(sys.stdout)
-        ) as fh:
-            fh.write(text)
+        with _output(args.out) as fh:
+            fh.write(render(args.func(args), args.format))
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ChrononError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import ConvergenceFailure, SingularState, SupportMismatch
+from .errors import InvalidState, NumericalError
 from .states import BipartiteState, ClassicalQuantumState, DensityMatrix
 
 DUAL_PATH_TOL = 1e-8
@@ -48,7 +48,7 @@ class EntropyValue:
 
     def __post_init__(self):
         if not math.isfinite(self.nats):
-            raise ValueError(f"entropy must be finite, got {self.nats}")
+            raise InvalidState(f"entropy must be finite, got {self.nats}")
 
 
 def von_neumann(rho: DensityMatrix) -> EntropyValue:
@@ -91,7 +91,7 @@ def trotter_conditional_density(
     ``conditional_state(bi).density`` as n grows.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InvalidState(f"n must be >= 1, got {n}")
     rho = bi.joint.mat
     d = rho.shape[0]
     if eps > 0.0:
@@ -101,7 +101,7 @@ def trotter_conditional_density(
     w_b = np.linalg.eigvalsh(rho_b)
     thr = linalg.SUPPORT_CUTOFF
     if w_joint[0] <= thr * w_joint[-1] or w_b[0] <= thr * w_b[-1]:
-        raise SingularState(
+        raise NumericalError(
             "rank-deficient state; pass eps > 0 to regularize before the product"
         )
     root = linalg.matrix_func(rho, lambda x: x ** (1.0 / n))
@@ -117,10 +117,10 @@ def conditional_state(bi: BipartiteState) -> ConditionalState:
 
     Computes rho_{A|B} = exp(P A P) within the support of the joint, where
     A = log rho - id (x) log rho_B and P projects onto supp(rho).  A joint
-    whose support leaks out of id (x) supp(rho_B) raises SupportMismatch.
+    whose support leaks out of id (x) supp(rho_B) raises NumericalError.
     The entropy S(joint) - S(B) is cross-checked against the trace form
     -tr(rho log rho_{A|B}); a disagreement beyond 1e-8 raises
-    ConvergenceFailure.
+    NumericalError too.
     """
     rho = bi.joint.mat
     marginal = bi.marginal_b()
@@ -130,7 +130,7 @@ def conditional_state(bi: BipartiteState) -> ConditionalState:
     embed_proj = np.kron(np.eye(bi.dim_a), proj_b)
     leak = linalg.frobenius(proj_joint - embed_proj @ proj_joint @ embed_proj)
     if leak > SUPPORT_CONTAINMENT_TOL:
-        raise SupportMismatch(
+        raise NumericalError(
             f"joint support leaks out of id (x) supp(rho_B) by {leak:.3e}"
         )
     log_joint = (basis * np.log(w)) @ linalg.dag(basis)
@@ -144,7 +144,7 @@ def conditional_state(bi: BipartiteState) -> ConditionalState:
     primary = von_neumann(bi.joint).nats - von_neumann(marginal).nats
     dual = -float(np.trace(rho @ ((vecs * mu) @ linalg.dag(vecs))).real)
     if abs(primary - dual) > DUAL_PATH_TOL:
-        raise ConvergenceFailure(
+        raise NumericalError(
             f"conditional-entropy paths disagree: {primary} vs {dual}"
         )
     return ConditionalState(entropy=EntropyValue(primary), density=density)

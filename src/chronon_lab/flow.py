@@ -18,7 +18,7 @@ from operator import itemgetter
 import numpy as np
 
 from .entropy import EntropyValue, cq_conditional, von_neumann
-from .errors import NoActiveSystem, NonpositiveEntropy, NonpositiveVelocity, SizeOverflow
+from .errors import InvalidState
 from .speed_limits import ThermalContext, TimeQuantum, time_quantum
 from .states import ClassicalQuantumState
 
@@ -33,8 +33,10 @@ class SystemSpec:
     entropy: EntropyValue
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise InvalidState(f"system id must be a string, got {self.id!r}")
         if self.entropy.nats < 0.0:
-            raise NonpositiveEntropy(
+            raise InvalidState(
                 f"system {self.id!r}: per-measurement entropy must be >= 0"
             )
 
@@ -54,8 +56,15 @@ class ThermalFlow:
         ticks = tuple(self.ticks)
         for a, b in zip(ticks, ticks[1:]):
             if b[0] < a[0]:
-                raise ValueError("tick times must be non-decreasing")
+                raise InvalidState("tick times must be non-decreasing")
         object.__setattr__(self, "ticks", ticks)
+
+
+def require_horizon(horizon: float) -> float:
+    """The horizon itself; InvalidState unless it is positive and finite."""
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise InvalidState(f"horizon must be positive and finite, got {horizon}")
+    return horizon
 
 
 def simulate_flow(
@@ -63,23 +72,22 @@ def simulate_flow(
 ) -> ThermalFlow:
     """Merge the periodic ticks of every active system up to the horizon.
 
-    The horizon must be positive and finite.  Systems with zero entropy
-    contribute no ticks; if none is active the flow is undefined and
-    NoActiveSystem is raised.  A flow of more than MAX_TICKS ticks raises
-    SizeOverflow before any tick is built.  Equal tick times are ordered
+    The horizon must pass :func:`require_horizon`.  Systems with zero
+    entropy contribute no ticks; if none is active the flow is undefined
+    and InvalidState is raised, as it is for a flow of more than MAX_TICKS
+    ticks, before any tick is built.  Equal tick times are ordered
     lexicographically by system id.
     """
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    require_horizon(horizon)
     active = [s for s in systems if s.entropy.nats > 0.0]
     if not active:
-        raise NoActiveSystem("no system has positive entropy: nothing happens")
+        raise InvalidState("no system has positive entropy: nothing happens")
     quanta = [(spec, time_quantum(spec.entropy, ctx).dt) for spec in active]
     # horizon / dt may overflow to inf for a vanishing quantum
     counts = [horizon / dt for _, dt in quanta]
     n_ticks = sum(math.floor(q) if math.isfinite(q) else q for q in counts)
     if n_ticks > MAX_TICKS:
-        raise SizeOverflow(f"flow needs {n_ticks} ticks, above the cap of {MAX_TICKS}")
+        raise InvalidState(f"flow needs {n_ticks} ticks, above the cap of {MAX_TICKS}")
     ticks = []
     for (spec, dt), q in zip(quanta, counts):
         # exact multiples n * dt (every n < 2**53 is an exact float), no drift
@@ -92,7 +100,7 @@ def simulate_flow(
 def clock_ratio(s1: SystemSpec, s2: SystemSpec) -> float:
     """Quantum ratio dt1/dt2 = S2/S1; the context constants cancel."""
     if s1.entropy.nats <= 0.0 or s2.entropy.nats <= 0.0:
-        raise NonpositiveEntropy("clock ratio requires both entropies > 0")
+        raise InvalidState("clock ratio requires both entropies > 0")
     return s2.entropy.nats / s1.entropy.nats
 
 
@@ -103,8 +111,8 @@ def dilation_from_conditioning(
 
     Conditioning can only slow the flow: the branch-averaged entropy never
     exceeds the mixture entropy, so dt_conditional >= dt_marginal.  A zero
-    conditional entropy (all branches pure) raises NonpositiveEntropy: that
-    flow has stopped.
+    conditional entropy (all branches pure) raises InvalidState: that flow
+    has stopped.
     """
     dt_conditional = time_quantum(cq_conditional(cq), ctx)
     dt_marginal = time_quantum(von_neumann(cq.mixture()), ctx)
@@ -115,5 +123,5 @@ def simultaneity_offset(theta1: float, theta2: float, v_max: float) -> float:
     """Start-time offset (theta2 - theta1)/v_max declaring two processes
     simultaneous; antisymmetric in the two state counts."""
     if not (math.isfinite(v_max) and v_max > 0.0):
-        raise NonpositiveVelocity(f"v_max must be positive, got {v_max}")
+        raise InvalidState(f"v_max must be positive, got {v_max}")
     return (theta2 - theta1) / v_max

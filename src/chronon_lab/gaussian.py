@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import EntropyValue
-from .errors import NegativeArgument, NonpositiveResolution, SizeOverflow
+from .errors import InvalidState
 from .linalg import xlnx
 from .speed_limits import ThermalContext, _golden_min
 
@@ -29,14 +29,13 @@ MAX_GRID = 100_000  # most grid points a gaussian report may tabulate
 
 @dataclass(frozen=True)
 class GaussianPacket:
-    """Free Gaussian packet: width parameter sigma_k0 > 0, mean wave number k0."""
+    """Free Gaussian packet of width parameter sigma_k0 > 0."""
 
     sigma_k0: float
-    k0: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma_k0) and self.sigma_k0 > 0.0):
-            raise NonpositiveResolution(
+            raise InvalidState(
                 f"sigma_k0 must be positive and finite, got {self.sigma_k0}"
             )
 
@@ -49,14 +48,14 @@ def _binary_entropy(p: float) -> float:
 def partition_entropy_G(x: float) -> EntropyValue:
     """Binary entropy (nats) of the in-interval weight erf(x); at most ln 2."""
     if x < 0.0:
-        raise NegativeArgument(f"x must be >= 0, got {x}")
+        raise InvalidState(f"x must be >= 0, got {x}")
     return EntropyValue(_binary_entropy(math.erf(x)))
 
 
 def scaled_function_H(x: float) -> float:
     """Product G(x) * x driving the classical-velocity bound."""
     if x < 0.0:
-        raise NegativeArgument(f"x must be >= 0, got {x}")
+        raise InvalidState(f"x must be >= 0, got {x}")
     return _binary_entropy(math.erf(x)) * x
 
 
@@ -65,10 +64,10 @@ def tabulate(points: int) -> list[tuple[float, float, float]]:
 
     G is evaluated once per point and H formed as G * x, the product
     scaled_function_H computes.  More than MAX_GRID points raises
-    SizeOverflow before the grid is built.
+    InvalidState before the grid is built.
     """
     if points > MAX_GRID:
-        raise SizeOverflow(f"grid of {points} points is above the cap of {MAX_GRID}")
+        raise InvalidState(f"grid of {points} points is above the cap of {MAX_GRID}")
     rows = []
     for x in np.linspace(0.0, SEARCH_UPPER, points).tolist():
         g = partition_entropy_G(x).nats
@@ -118,10 +117,7 @@ def bound_process_velocity(ctx: ThermalContext) -> float:
 
 
 def bound_classical_velocity(packet: GaussianPacket, ctx: ThermalContext) -> float:
-    """Classical average-velocity cap 4 max(H) kT sigma_k0 / h (~1.832 kT sigma/h).
-
-    Independent of the packet's mean wave number k0.
-    """
+    """Classical average-velocity cap 4 max(H) kT sigma_k0 / h (~1.832 kT sigma/h)."""
     _, h_max = max_H()
     return 4.0 * h_max * ctx.k * ctx.T * packet.sigma_k0 / ctx.h
 
@@ -134,5 +130,5 @@ def bound_resolution_velocity(sigma_x0: float, ctx: ThermalContext) -> float:
     two bounds therefore differ by that factor.
     """
     if not (math.isfinite(sigma_x0) and sigma_x0 > 0.0):
-        raise NonpositiveResolution(f"sigma_x0 must be positive, got {sigma_x0}")
+        raise InvalidState(f"sigma_x0 must be positive, got {sigma_x0}")
     return ctx.k * ctx.T / (ctx.h * sigma_x0)

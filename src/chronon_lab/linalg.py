@@ -9,56 +9,30 @@ Jacobi sweep and ascending-sorted by contract.
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
-    DomainError,
-    NegativeEigenvalue,
-    NotHermitian,
-    NotSquare,
-    SizeOverflow,
-)
+from .errors import InvalidState, NumericalError
 
-DEFAULT_MAX_DIM = 4096
+MAX_DIM = 4096  # largest matrix or tensor-product dimension accepted
 SUPPORT_CUTOFF = 1e-12  # support threshold, relative to the largest eigenvalue
 HERMITICITY_RTOL = 1e-9
 
-_MAX_DIM_ENV = "CHRONON_MAX_DIM"
-
-
-def max_tensor_dim() -> int:
-    """Dimension cap for tensor products; override with CHRONON_MAX_DIM."""
-    raw = os.environ.get(_MAX_DIM_ENV)
-    if raw is None:
-        return DEFAULT_MAX_DIM
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise SizeOverflow(f"{_MAX_DIM_ENV}={raw!r} is not an integer") from exc
-    if cap < 1:
-        raise SizeOverflow(f"{_MAX_DIM_ENV} must be positive, got {cap}")
-    return cap
-
 
 def require_within_cap(dim: int, what: str) -> None:
-    """SizeOverflow naming `what` if dim exceeds :func:`max_tensor_dim`."""
-    cap = max_tensor_dim()
-    if dim > cap:
-        raise SizeOverflow(f"{what} {dim} exceeds the {_MAX_DIM_ENV} cap {cap}")
+    """InvalidState naming `what` if dim is above MAX_DIM."""
+    if dim > MAX_DIM:
+        raise InvalidState(f"{what} {dim} is above the cap of {MAX_DIM}")
 
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-D complex128 array."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
-        raise NotSquare(f"expected a matrix, got ndim={m.ndim}")
+        raise InvalidState(f"expected a matrix, got ndim={m.ndim}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise DomainError("matrix contains NaN or Inf entries")
+        raise InvalidState("matrix contains NaN or Inf entries")
     return m
 
 
@@ -69,7 +43,7 @@ def frobenius(a: np.ndarray) -> float:
 def require_square(a: np.ndarray) -> np.ndarray:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
-        raise NotSquare(f"matrix is {a.shape[0]}x{a.shape[1]}")
+        raise InvalidState(f"matrix is {a.shape[0]}x{a.shape[1]}")
     return a
 
 
@@ -77,7 +51,7 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
     a = require_square(a)
     dev = frobenius(a - a.conj().T)
     if dev > HERMITICITY_RTOL * max(1.0, frobenius(a)):
-        raise NotHermitian(f"||A - A^dag||_F = {dev:.3e} exceeds tolerance")
+        raise InvalidState(f"||A - A^dag||_F = {dev:.3e} exceeds tolerance")
     return a
 
 
@@ -88,20 +62,21 @@ def dag(a: np.ndarray) -> np.ndarray:
 def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition ``(w, v)``, as ``np.linalg.eigh`` returns
     it: real eigenvalues w ascending, and the matching orthonormal
-    eigenvectors as the columns of v.  Raises NotSquare or NotHermitian
-    first."""
+    eigenvectors as the columns of v.  A non-square or non-Hermitian
+    input raises InvalidState first, and an eigensolver that fails to
+    converge raises NumericalError."""
     a = require_hermitian(a)
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+        raise NumericalError(f"eigensolver failed: {exc}") from exc
     return w, v
 
 
 def matrix_func(a: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
     """Spectral application of a real scalar function: V diag(f(w)) V^dag.
 
-    Raises DomainError if f is undefined at any eigenvalue: either f returns
+    Raises InvalidState if f is undefined at any eigenvalue: either f returns
     a non-finite value there, or the call raises ValueError, OverflowError
     or ZeroDivisionError, as ``math.log(0.0)``, ``math.exp(1000.0)`` and
     ``0.0 ** -1.0`` do.  The message names the eigenvalue, and a raised
@@ -115,13 +90,13 @@ def matrix_func(a: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
         try:
             values.append(f(x))
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise DomainError(
+            raise InvalidState(
                 f"scalar function undefined at eigenvalue {x!r}: {exc}"
             ) from exc
     fw = np.array(values, dtype=float)
     if not np.all(np.isfinite(fw)):
         bad = w[~np.isfinite(fw)]
-        raise DomainError(f"scalar function undefined at eigenvalue(s) {bad}")
+        raise InvalidState(f"scalar function undefined at eigenvalue(s) {bad}")
     return (v * fw) @ dag(v)
 
 
@@ -132,11 +107,11 @@ def support_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Eigenvalues above SUPPORT_CUTOFF times the largest eigenvalue form the
     support.  Returns ``(values, columns)``, ascending, from a single
     eigendecomposition.  Eigenvalues below ``-SUPPORT_CUTOFF`` raise
-    NegativeEigenvalue.
+    InvalidState.
     """
     w, v = eig_hermitian(rho)
     if w[0] < -SUPPORT_CUTOFF:
-        raise NegativeEigenvalue(f"eigenvalue {w[0]:.3e} below -cutoff")
+        raise InvalidState(f"eigenvalue {w[0]:.3e} below -cutoff")
     keep = w > SUPPORT_CUTOFF * max(float(w[-1]), 0.0)
     return w[keep], v[:, keep]
 
@@ -154,7 +129,7 @@ def support_log(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with a configurable dimension cap."""
+    """Kronecker product; a dimension above MAX_DIM raises InvalidState."""
     a = as_matrix(a)
     b = as_matrix(b)
     out_rows = a.shape[0] * b.shape[0]
@@ -171,9 +146,9 @@ def partial_trace(joint: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.nd
     """
     joint = require_hermitian(joint)
     if dim_a < 1 or dim_b < 1:
-        raise DimensionMismatch("factor dimensions must be positive")
+        raise InvalidState("factor dimensions must be positive")
     if joint.shape[0] != dim_a * dim_b:
-        raise DimensionMismatch(
+        raise InvalidState(
             f"joint dim {joint.shape[0]} != dim_a*dim_b = {dim_a * dim_b}"
         )
     r = joint.reshape(dim_a, dim_b, dim_a, dim_b)
@@ -181,7 +156,7 @@ def partial_trace(joint: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.nd
         return np.einsum("ijkj->ik", r)
     if keep == "B":
         return np.einsum("ijil->jl", r)
-    raise DimensionMismatch(f"keep must be 'A' or 'B', got {keep!r}")
+    raise InvalidState(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def trace_real(a: np.ndarray) -> float:

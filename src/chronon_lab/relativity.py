@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .entropy import EntropyValue
-from .errors import NonpositiveTemperature, SuperluminalBoost
+from .errors import InvalidState
 from .gaussian import GaussianPacket, max_H, partition_entropy_G
 from .speed_limits import ThermalContext, TimeQuantum, time_quantum
 
@@ -37,9 +37,9 @@ class Boost:
 
     def __post_init__(self):
         if not (math.isfinite(self.v) and math.isfinite(self.c) and self.c > 0.0):
-            raise SuperluminalBoost(f"invalid boost parameters v={self.v}, c={self.c}")
+            raise InvalidState(f"invalid boost parameters v={self.v}, c={self.c}")
         if abs(self.v) >= self.c:
-            raise SuperluminalBoost(f"|v| = {abs(self.v)} must be < c = {self.c}")
+            raise InvalidState(f"|v| = {abs(self.v)} must be < c = {self.c}")
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,9 @@ class FrameQuantities:
 
     def __post_init__(self):
         if self.T <= 0.0:
-            raise NonpositiveTemperature(f"T must be positive, got {self.T}")
+            raise InvalidState(f"T must be positive, got {self.T}")
         if self.r < 0.0:
-            raise ValueError(f"length must be >= 0, got {self.r}")
+            raise InvalidState(f"length must be >= 0, got {self.r}")
 
     def velocity(self) -> float:
         return self.r / self.dt_min.dt
@@ -76,7 +76,7 @@ def transform_temperature(
     frame's temperature from the rest frame's.
     """
     if t_bar <= 0.0:
-        raise NonpositiveTemperature(f"temperature must be positive, got {t_bar}")
+        raise InvalidState(f"temperature must be positive, got {t_bar}")
     return t_bar / gamma(b) ** (-exponent)
 
 

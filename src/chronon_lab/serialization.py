@@ -40,12 +40,11 @@ def encode_matrix(m: np.ndarray) -> dict:
 
 
 def decode_matrix(obj: dict) -> np.ndarray:
-    """Matrix from its encoding.  rows and cols are checked against the
-    CHRONON_MAX_DIM cap before any entry is converted."""
-    try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), list(obj["data"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidState(f"malformed matrix object: {exc}") from exc
+    """Matrix from its encoding.  rows and cols are checked against
+    ``linalg.MAX_DIM`` before any entry is converted."""
+    rows = _field(obj, "rows", _integer)
+    cols = _field(obj, "cols", _integer)
+    data = _field(obj, "data", list)
     if rows < 1 or cols < 1:
         raise InvalidState(f"matrix dimensions must be positive, got {rows}x{cols}")
     linalg.require_within_cap(max(rows, cols), "matrix dimension")
@@ -107,6 +106,16 @@ def _field(obj: dict, name: str, convert):
         raise InvalidState(f"field {name!r} is malformed: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """A size read from JSON: an integral number as an int.  A bool, a
+    string or a fraction such as 2.5 raises InvalidState, not a truncation."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InvalidState(f"expected an integer, got {value!r}")
+
+
 def decode_state(obj: dict):
     kind = _field(obj, "kind", str)
     if kind == "state_vector":
@@ -122,8 +131,8 @@ def decode_state(obj: dict):
     if kind == "bipartite":
         return BipartiteState(
             joint=DensityMatrix(_field(obj, "matrix", decode_matrix)),
-            dim_a=_field(obj, "dimA", int),
-            dim_b=_field(obj, "dimB", int),
+            dim_a=_field(obj, "dimA", _integer),
+            dim_b=_field(obj, "dimB", _integer),
         )
     if kind == "correlation_basis":
         system = _field(obj, "system", list)

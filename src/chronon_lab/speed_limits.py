@@ -21,13 +21,7 @@ import numpy as np
 
 from . import linalg
 from .entropy import ConditionalState, EntropyValue
-from .errors import (
-    DegenerateSpectrum,
-    DimensionMismatch,
-    NegativeTime,
-    NonpositiveEntropy,
-    NonpositiveTemperature,
-)
+from .errors import InvalidState
 from .states import StateVector
 
 ORTHOGONALITY_TOL = 1e-9
@@ -54,7 +48,7 @@ class ThermalContext:
         for name in ("T", "h", "k", "c"):
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0.0):
-                raise NonpositiveTemperature(f"{name} must be positive and finite, got {val}")
+                raise InvalidState(f"{name} must be positive and finite, got {val}")
 
     @classmethod
     def hbar_one(cls) -> "ThermalContext":
@@ -70,7 +64,7 @@ class TimeQuantum:
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"time quantum must be positive and finite, got {self.dt}")
+            raise InvalidState(f"time quantum must be positive and finite, got {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -78,20 +72,19 @@ class OrthogonalizationResult:
     """Outcome of a first-orthogonalization search.
 
     t_orth is the earliest time with |<psi0|psi(t)>| <= tolerance, or None
-    if the overlap never drops that low before t_max.  overlap_trace holds
-    the sampled |overlap| grid; bound is the applicable shifted
-    Margolus-Levitin lower bound (may be inf for an eigenstate).
+    if the overlap never drops that low before t_max; bound is the
+    applicable shifted Margolus-Levitin lower bound (may be inf for an
+    eigenstate).
     """
 
     t_orth: Optional[float]
-    overlap_trace: np.ndarray
     bound: float
 
 
 def time_quantum(s: EntropyValue, ctx: ThermalContext) -> TimeQuantum:
     """Minimal tick h/(4 k T S) generated by entropy dissipation S."""
     if s.nats <= 0.0:
-        raise NonpositiveEntropy(
+        raise InvalidState(
             f"time quantum undefined for entropy {s.nats}: no time flow"
         )
     return TimeQuantum(ctx.h / (4.0 * ctx.k * ctx.T * s.nats))
@@ -105,7 +98,7 @@ def ml_bound_shifted(e_mean: float, e0: float, ctx: ThermalContext) -> TimeQuant
     """
     gap = e_mean - e0
     if gap <= 0.0:
-        raise DegenerateSpectrum(
+        raise InvalidState(
             f"mean energy {e_mean} does not exceed ground energy {e0}"
         )
     return TimeQuantum(ctx.h / (4.0 * gap))
@@ -119,7 +112,7 @@ def process_velocity(s0: EntropyValue, ctx: ThermalContext) -> float:
 def state_count(s0: EntropyValue, t: float, ctx: ThermalContext) -> float:
     """Number of orthogonal states passed over [0, t]: velocity * t."""
     if t < 0.0:
-        raise NegativeTime(f"t must be >= 0, got {t}")
+        raise InvalidState(f"t must be >= 0, got {t}")
     return process_velocity(s0, ctx) * t
 
 
@@ -169,11 +162,11 @@ def orthogonalization_time(
     """
     energies, vectors = spectrum
     if vectors.shape[0] != psi0.dim:
-        raise DimensionMismatch(
+        raise InvalidState(
             f"Hamiltonian dim {vectors.shape[0]} != state dim {psi0.dim}"
         )
     if t_max <= 0.0:
-        raise NegativeTime(f"t_max must be positive, got {t_max}")
+        raise InvalidState(f"t_max must be positive, got {t_max}")
 
     weights = np.abs(linalg.dag(vectors) @ psi0.amplitudes) ** 2
 
@@ -211,7 +204,7 @@ def orthogonalization_time(
     if t_orth is None and trace[-1] <= ORTHOGONALITY_TOL:
         t_orth = float(ts[-1])
 
-    return OrthogonalizationResult(t_orth=t_orth, overlap_trace=trace, bound=bound)
+    return OrthogonalizationResult(t_orth=t_orth, bound=bound)
 
 
 def antiqubit_process_velocity(cs: ConditionalState, ctx: ThermalContext) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import BasisSizeMismatch, ChrononError, DimensionMismatch, InvalidState
+from .errors import InvalidState
 
 VALIDATION_ATOL = 1e-10
 
@@ -63,10 +63,7 @@ class DensityMatrix:
     eigenvalues: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        try:
-            m = linalg.require_square(self.mat)
-        except ChrononError as exc:
-            raise InvalidState(str(exc)) from exc
+        m = linalg.require_square(self.mat)
         dev = linalg.frobenius(m - linalg.dag(m))
         if dev > VALIDATION_ATOL * max(1.0, linalg.frobenius(m)):
             raise InvalidState(f"density matrix not Hermitian (dev {dev:.3e})")
@@ -163,11 +160,11 @@ class CorrelationBasis:
         sys_b = tuple(self.system_basis)
         app_b = tuple(self.apparatus_basis)
         if len(sys_b) != len(app_b):
-            raise BasisSizeMismatch(
+            raise InvalidState(
                 f"{len(sys_b)} system vectors vs {len(app_b)} apparatus vectors"
             )
         if not sys_b:
-            raise BasisSizeMismatch("empty correlation basis")
+            raise InvalidState("empty correlation basis")
         for name, vecs in (("system", sys_b), ("apparatus", app_b)):
             dim = vecs[0].dim
             for i, u in enumerate(vecs):
@@ -203,7 +200,7 @@ def measurement_probability(xi: StateVector, m: np.ndarray) -> float:
     """P = <Xi|M|Xi> for a projector M; lies in [0, 1]."""
     m = linalg.require_hermitian(m)
     if m.shape[0] != xi.dim:
-        raise DimensionMismatch(f"operator dim {m.shape[0]} != state dim {xi.dim}")
+        raise InvalidState(f"operator dim {m.shape[0]} != state dim {xi.dim}")
     if linalg.frobenius(m @ m - m) > VALIDATION_ATOL * max(1.0, linalg.frobenius(m)):
         raise InvalidState("operator is not a projector")
     p = float(np.real(np.vdot(xi.amplitudes, m @ xi.amplitudes)))
@@ -215,7 +212,7 @@ def measurement_probability(xi: StateVector, m: np.ndarray) -> float:
 def reduce_over_apparatus(xi: StateVector, dim_s: int, dim_a: int) -> DensityMatrix:
     """Density matrix assigned to the system by tracing out the apparatus."""
     if dim_s * dim_a != xi.dim:
-        raise DimensionMismatch(
+        raise InvalidState(
             f"dim_s*dim_a = {dim_s * dim_a} != state dim {xi.dim}"
         )
     joint = np.outer(xi.amplitudes, xi.amplitudes.conj())
@@ -231,8 +228,8 @@ def cq_embed(cq: ClassicalQuantumState) -> BipartiteState:
     second factor) equals the branch-averaged entropy.  The joint is
     block-diagonal across register sectors; tracing out the register
     returns the mixture sum_i p_i Psi_i.  Each term goes through
-    :func:`linalg.tensor`, so a joint dimension above the CHRONON_MAX_DIM
-    cap raises SizeOverflow before the joint is allocated.
+    :func:`linalg.tensor`, so a joint dimension above ``linalg.MAX_DIM``
+    raises InvalidState before the joint is allocated.
     """
     n = len(cq.branches)
     joint = sum(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import SizeOverflow
+from .errors import InvalidState
 from .speed_limits import orthogonalization_time
 from .states import StateVector
 
@@ -103,14 +103,14 @@ def ml_bound_sweep(dims: list[int], trials_per_dim: int, seed: int) -> MlSweepRe
     eigenvectors, which always orthogonalizes and attains the bound whenever
     the pair contains the ground state.  A violation is a found time below
     bound - SLACK_TOL.  A dimension above MAX_SWEEP_DIM, or more than
-    MAX_SWEEP_TRIALS trials in all, raises SizeOverflow before any draw.
+    MAX_SWEEP_TRIALS trials in all, raises InvalidState before any draw.
     """
     if max(dims, default=0) > MAX_SWEEP_DIM:
-        raise SizeOverflow(
+        raise InvalidState(
             f"sweep dimension {max(dims)} is above the cap of {MAX_SWEEP_DIM}"
         )
     if trials_per_dim * len(dims) > MAX_SWEEP_TRIALS:
-        raise SizeOverflow(
+        raise InvalidState(
             f"sweep needs {trials_per_dim * len(dims)} trials, above the cap of {MAX_SWEEP_TRIALS}"
         )
     rng = rng_for(seed)

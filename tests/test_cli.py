@@ -1,6 +1,7 @@
 """Command-line surface tests: each subcommand, exit codes, determinism,
 and the operation-coverage audit."""
 
+import ast
 import contextlib
 import functools
 import importlib
@@ -12,6 +13,7 @@ import os
 import pkgutil
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chronon_lab
-from chronon_lab import cli, entropy
+from chronon_lab import cli, entropy, errors, linalg
 from chronon_lab.entropy import EntropyValue, generalized_conditional
-from chronon_lab.errors import ConvergenceFailure
+from chronon_lab.errors import NumericalError
 from chronon_lab.serialization import save_state
 from chronon_lab.states import BipartiteState, ClassicalQuantumState, DensityMatrix, StateVector
 
@@ -165,7 +167,7 @@ class TestConditionalCommand:
             return EntropyValue(s.nats + 1e-6) if rho.dim == 4 else s
 
         monkeypatch.setattr(entropy, "von_neumann", skewed)
-        with pytest.raises(ConvergenceFailure):
+        with pytest.raises(NumericalError, match="conditional-entropy paths disagree"):
             generalized_conditional(bell_state())
         code = cli.run(["conditional", "--state", bell_file])
         assert code == 2
@@ -189,12 +191,12 @@ class TestConditionalCommand:
 
     def test_dimension_cap_applies_to_cq_embedding(self, monkeypatch, capsys):
         # the cq golden input embeds to a joint of dimension 4
-        monkeypatch.setenv("CHRONON_MAX_DIM", "3")
+        monkeypatch.setattr(linalg, "MAX_DIM", 3)
         code = cli.run(["conditional", "--state", str(INPUTS / "cq.json")])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "CHRONON_MAX_DIM cap 3" in err
+        assert "tensor product dimension 4 is above the cap of 3" in err
 
 
 class TestMalformedStateFiles:
@@ -215,6 +217,23 @@ class TestMalformedStateFiles:
             pytest.param('{"kind": "density", "matrix": {"rows": 1, "cols": 1, "data": [[1%s, 0]]}}'
                          % ("0" * 400), "'matrix'", id="entry-overflow"),
             pytest.param("[" * 100_000, "invalid JSON", id="deep-nesting"),
+            # sizes are integers: a bool or a fraction is not truncated
+            pytest.param({"kind": "bipartite", "dimA": 1.5, "dimB": 1,
+                          "matrix": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}},
+                         "field 'dimA' is malformed: expected an integer, got 1.5",
+                         id="dimA-fraction"),
+            pytest.param({"kind": "bipartite", "dimA": 1, "dimB": True,
+                          "matrix": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}},
+                         "field 'dimB' is malformed: expected an integer, got True",
+                         id="dimB-bool"),
+            pytest.param({"kind": "density", "matrix": {"rows": 1, "cols": True,
+                                                        "data": [[1.0, 0.0]]}},
+                         "field 'cols' is malformed: expected an integer, got True",
+                         id="cols-bool"),
+            pytest.param({"kind": "density", "matrix": {"rows": 1.5, "cols": 1,
+                                                        "data": [[1.0, 0.0]]}},
+                         "field 'rows' is malformed: expected an integer, got 1.5",
+                         id="rows-fraction"),
         ],
     )
     def test_exit_one_naming_the_field(self, payload, field, tmp_path, capsys):
@@ -353,8 +372,12 @@ class TestFlowCommand:
             ("[" * 100_000, "invalid JSON"),
             ('{"systems": [{"id": "x", "entropyNats": 1%s}], "horizon": 1}' % ("0" * 400),
              "malformed flow config"),
+            ('{"systems": [{"id": null, "entropyNats": 1}], "horizon": 1}',
+             "malformed flow config: system id must be a string, got None"),
+            ('{"systems": [{"id": 2.5, "entropyNats": 1}], "horizon": 1}',
+             "malformed flow config: system id must be a string, got 2.5"),
         ],
-        ids=["deep-nesting", "entropy-overflow"],
+        ids=["deep-nesting", "entropy-overflow", "id-null", "id-number"],
     )
     def test_malformed_config_exit_one(self, text, invariant, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -449,6 +472,52 @@ def test_directory_path_exit_one(argv, tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(tmp_path) in err
+
+
+@pytest.mark.parametrize(
+    "out, message",
+    [
+        ("{dir}", "error: --out {dir} is a directory\n"),
+        ("{dir}/missing/flow.csv", "error: --out {dir}/missing/flow.csv: No such file or directory\n"),
+    ],
+    ids=["directory", "missing-parent"],
+)
+def test_unusable_out_fails_before_the_work(out, message, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "simulate_flow", lambda *a: calls.append(a))
+    argv = ["flow", "--config", str(INPUTS / "flow.json"), "--out", out.format(dir=tmp_path)]
+    code = cli.run(argv)
+    assert code == 1
+    assert capsys.readouterr().err == message.format(dir=tmp_path)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["flow", "--config", "{dir}/missing.json"], 1),
+        (["conditional", "--state", _in("bell.json"), "--trotter-n", "8"], 2),
+    ],
+    ids=["invalid-input", "numerical-failure"],
+)
+def test_failed_run_leaves_out_untouched(argv, exit_code, tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    out.write_text("earlier report\n")
+    code = cli.run([a.format(dir=tmp_path) for a in argv] + ["--out", str(out)])
+    assert code == exit_code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_text() == "earlier report\n"
+    assert os.listdir(tmp_path) == ["report.txt"]
+
+
+def test_out_replaces_the_target_whole(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    out.write_text("a much longer earlier report that the new one must not keep\n" * 50)
+    assert cli.run(["gaussian", "--grid", "4"]) == 0
+    expected = capsys.readouterr().out
+    assert cli.run(["gaussian", "--grid", "4", "--out", str(out)]) == 0
+    assert out.read_text() == expected
+    assert os.listdir(tmp_path) == ["report.csv"]
 
 
 def test_parser_built_once():
@@ -562,6 +631,33 @@ def _run_quietly(argv) -> tuple[int, str]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.run(argv)
     return code, err.getvalue()
+
+
+@pytest.mark.parametrize("mode", sorted(_FLOW_MODES))
+@pytest.mark.parametrize(
+    "key, value, invariant",
+    [
+        ("horizon", -1, "horizon must be positive and finite, got -1.0"),
+        ("horizon", "1e400", "horizon must be positive and finite, got inf"),
+        ("id", None, "malformed flow config: system id must be a string, got None"),
+        ("id", [], "malformed flow config: system id must be a string, got []"),
+    ],
+    ids=["horizon-negative", "horizon-overflow", "id-null", "id-list"],
+)
+def test_flow_config_checked_in_every_mode(mode, key, value, invariant, tmp_path):
+    """Every mode rejects what plain flow rejects, whether or not it reads
+    the ticks: the config is checked as a whole when it is loaded."""
+    cfg = json.loads((INPUTS / "flow.json").read_text())
+    if key == "id":
+        cfg["systems"][0]["id"] = value
+    else:
+        cfg[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"1e400"', "1e400"))
+    code, err = _run_quietly([a.format(f=path) for a in _FLOW_MODES[mode]])
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert invariant in err
 
 
 @pytest.mark.parametrize("mode", sorted(_STATE_MODES))
@@ -708,6 +804,25 @@ def test_package_root_binds_only_version_and_submodules():
         and not (inspect.ismodule(obj) and obj.__name__ == f"chronon_lab.{name}")
     )
     assert not stray, f"package root binds non-module names: {stray}"
+
+
+def test_errors_are_one_type_per_exit_code():
+    """errors defines the base and one type per exit code, and no library
+    module raises any other class: a new failure picks its exit code, not
+    a new type."""
+    defined = sorted(
+        name for name, obj in vars(errors).items()
+        if inspect.isclass(obj) and obj.__module__ == errors.__name__
+    )
+    assert defined == ["ChrononError", "InvalidState", "NumericalError"]
+    stray = []
+    for path in sorted(Path(chronon_lab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if ast.unparse(exc) not in ("InvalidState", "NumericalError"):
+                    stray.append(f"{path.name}:{node.lineno}: raise {ast.unparse(exc)}")
+    assert not stray, f"raises of other classes: {stray}"
 
 
 def test_every_operation_reachable_from_a_subcommand(tmp_path):

@@ -13,7 +13,7 @@ from chronon_lab.entropy import (
     trotter_conditional_density,
     von_neumann,
 )
-from chronon_lab.errors import SingularState
+from chronon_lab.errors import InvalidState, NumericalError
 from chronon_lab.linalg import frobenius, partial_trace, support_log
 from chronon_lab.states import (
     BipartiteState,
@@ -158,7 +158,7 @@ class TestTrotterConditionalDensity:
 
     def test_rank_deficient_needs_regularization(self):
         bi = bell_state()
-        with pytest.raises(SingularState):
+        with pytest.raises(NumericalError, match="rank-deficient state"):
             trotter_conditional_density(bi, 8)
 
     def test_regularized_bell_limit(self):
@@ -167,7 +167,7 @@ class TestTrotterConditionalDensity:
         assert frobenius(approx - 2.0 * bi.joint.mat) <= 1e-3
 
     def test_rejects_nonpositive_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidState, match="n must be >= 1"):
             trotter_conditional_density(bell_state(), 0)
 
 
@@ -233,7 +233,7 @@ class TestGeneralizedConditional:
 
 class TestEntropyValue:
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidState, match="entropy must be finite"):
             EntropyValue(math.inf)
 
     def test_allows_negative(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from scipy.integrate import quad
 
 from chronon_lab import gaussian
 from chronon_lab.entropy import EntropyValue
-from chronon_lab.errors import NegativeArgument, NonpositiveResolution, SizeOverflow
+from chronon_lab.errors import InvalidState
 from chronon_lab.gaussian import (
     GaussianPacket,
     bound_classical_velocity,
@@ -85,7 +86,7 @@ class TestPartitionEntropy:
             assert 0.0 <= s <= LN2 + 1e-12
 
     def test_negative_rejected(self):
-        with pytest.raises(NegativeArgument):
+        with pytest.raises(InvalidState, match="x must be >= 0"):
             partition_entropy_G(-0.1)
 
     def test_unimodal_on_bracket(self):
@@ -113,7 +114,7 @@ class TestScaledFunction:
         assert scaled_function_H(6.0) <= 1e-10
 
     def test_negative_rejected(self):
-        with pytest.raises(NegativeArgument):
+        with pytest.raises(InvalidState, match="x must be >= 0"):
             scaled_function_H(-1.0)
 
 
@@ -182,7 +183,7 @@ class TestTabulate:
     def test_grid_cap(self, monkeypatch):
         monkeypatch.setattr(gaussian, "MAX_GRID", 16)
         assert len(tabulate(16)) == 16
-        with pytest.raises(SizeOverflow, match="grid of 17 points is above the cap of 16"):
+        with pytest.raises(InvalidState, match="grid of 17 points is above the cap of 16"):
             tabulate(17)
 
 
@@ -211,9 +212,8 @@ class TestVelocityBounds:
         assert v3 == pytest.approx(3 * v1, rel=1e-12)
 
     def test_classical_bound_ignores_k0(self):
-        v1 = bound_classical_velocity(GaussianPacket(sigma_k0=1.0, k0=0.0), NATURAL)
-        v2 = bound_classical_velocity(GaussianPacket(sigma_k0=1.0, k0=37.5), NATURAL)
-        assert v1 == v2
+        # the packet carries no mean wave number k0, so no bound can read one
+        assert [f.name for f in dataclasses.fields(GaussianPacket)] == ["sigma_k0"]
 
     def test_resolution_bound(self):
         assert bound_resolution_velocity(1.0, NATURAL) == pytest.approx(1.0)
@@ -224,9 +224,9 @@ class TestVelocityBounds:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_resolution_bound_rejects_nonpositive(self):
-        with pytest.raises(NonpositiveResolution):
+        with pytest.raises(InvalidState, match="sigma_x0 must be positive"):
             bound_resolution_velocity(0.0, NATURAL)
 
     def test_packet_validation(self):
-        with pytest.raises(NonpositiveResolution):
+        with pytest.raises(InvalidState, match="sigma_k0 must be positive and finite"):
             GaussianPacket(sigma_k0=-1.0)

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from chronon_lab import cli
-from chronon_lab.errors import InvalidState, SizeOverflow
+from chronon_lab import cli, linalg
+from chronon_lab.errors import InvalidState
 from chronon_lab.linalg import frobenius
 from chronon_lab.serialization import (
     decode_matrix,
@@ -52,19 +52,19 @@ class TestMatrixEncoding:
 
     def test_dimension_cap_checked_before_entries(self, monkeypatch):
         # the entries are neither complete nor numbers: the cap must fire first
-        monkeypatch.setenv("CHRONON_MAX_DIM", "3")
-        with pytest.raises(SizeOverflow, match="matrix dimension 4 exceeds the CHRONON_MAX_DIM cap 3"):
+        monkeypatch.setattr(linalg, "MAX_DIM", 3)
+        with pytest.raises(InvalidState, match="matrix dimension 4 is above the cap of 3"):
             decode_matrix({"rows": 4, "cols": 1, "data": [["x", "y"]]})
 
     def test_dimension_cap_on_a_golden_density(self, monkeypatch, capsys):
         # rank2.json holds a 4x4 joint density matrix
-        monkeypatch.setenv("CHRONON_MAX_DIM", "3")
+        monkeypatch.setattr(linalg, "MAX_DIM", 3)
         code = cli.run(["entropy", "--state", str(INPUTS / "rank2.json")])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "CHRONON_MAX_DIM cap 3" in err
-        monkeypatch.setenv("CHRONON_MAX_DIM", "4")
+        assert "matrix dimension 4 is above the cap of 3" in err
+        monkeypatch.setattr(linalg, "MAX_DIM", 4)
         assert cli.run(["entropy", "--state", str(INPUTS / "rank2.json")]) == 0
 
 

@@ -7,14 +7,7 @@ from hypothesis import strategies as st
 
 from chronon_lab import speed_limits, sweeps
 from chronon_lab.entropy import EntropyValue, conditional_state
-from chronon_lab.errors import (
-    DegenerateSpectrum,
-    DimensionMismatch,
-    NegativeTime,
-    NonpositiveEntropy,
-    NonpositiveTemperature,
-    SizeOverflow,
-)
+from chronon_lab.errors import InvalidState
 from chronon_lab.linalg import eig_hermitian
 from chronon_lab.speed_limits import (
     REFINE_TIME_RESOLUTION,
@@ -45,9 +38,9 @@ class TestThermalContext:
         assert HBAR_ONE.h == pytest.approx(2 * math.pi)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(NonpositiveTemperature):
+        with pytest.raises(InvalidState, match="T must be positive and finite"):
             ThermalContext(T=0.0)
-        with pytest.raises(NonpositiveTemperature):
+        with pytest.raises(InvalidState, match="h must be positive and finite"):
             ThermalContext(h=-1.0)
 
 
@@ -66,7 +59,7 @@ class TestTimeQuantum:
         assert dt.dt == pytest.approx(5.77e-14, rel=1e-3)
 
     def test_zero_entropy_signals_no_flow(self):
-        with pytest.raises(NonpositiveEntropy):
+        with pytest.raises(InvalidState, match="time quantum undefined for entropy 0.0"):
             time_quantum(EntropyValue(0.0), NATURAL)
 
     def test_inverse_of_velocity(self, rng):
@@ -84,7 +77,7 @@ class TestMlBoundShifted:
         assert dt.dt == pytest.approx(math.pi, rel=1e-12)
 
     def test_degenerate_spectrum(self):
-        with pytest.raises(DegenerateSpectrum):
+        with pytest.raises(InvalidState, match="does not exceed ground energy"):
             ml_bound_shifted(1.0, 1.0, NATURAL)
 
     def test_energy_shift_gauge_invariance(self):
@@ -119,7 +112,7 @@ class TestStateCount:
         assert th2 == pytest.approx(2 * th1, rel=1e-12)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(NegativeTime):
+        with pytest.raises(InvalidState, match="t must be >= 0"):
             state_count(EntropyValue(LN2), -0.1, NATURAL)
 
 
@@ -131,10 +124,6 @@ class TestOrthogonalizationTime:
         res = orthogonalization_time(eig_hermitian(h_op), psi0, t_max=8.0)
         assert res.t_orth == pytest.approx(math.pi, rel=1e-6)
         assert res.bound == pytest.approx(math.pi, rel=1e-12)
-        # sampled trace follows |cos(t/2)| on the grid
-        ts = np.linspace(0.0, 8.0, len(res.overlap_trace))
-        analytic = np.abs((1 + np.exp(-1j * ts)) / 2)
-        assert np.allclose(res.overlap_trace, analytic, atol=1e-10)
 
     def test_eigenvector_never_orthogonalizes(self):
         h_op = np.diag([0.0, 1.0]).astype(complex)
@@ -143,7 +132,6 @@ class TestOrthogonalizationTime:
         )
         assert res.t_orth is None
         assert res.bound == math.inf
-        assert np.allclose(res.overlap_trace, 1.0)
 
     def test_found_times_respect_bound(self, rng):
         # random 4-level Hamiltonians, eigenpair superpositions always orthogonalize
@@ -165,7 +153,7 @@ class TestOrthogonalizationTime:
         assert checked >= 60
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidState, match="Hamiltonian dim 3 != state dim 2"):
             orthogonalization_time(
                 eig_hermitian(np.eye(3, dtype=complex)), StateVector(np.array([1.0, 0.0])), 1.0
             )
@@ -303,13 +291,13 @@ class TestSweepBudgets:
     def test_total_trial_cap(self, monkeypatch):
         monkeypatch.setattr(sweeps, "MAX_SWEEP_TRIALS", 6)
         assert len(sweeps.ml_bound_sweep([2, 3], 3, 0).trials) == 6
-        with pytest.raises(SizeOverflow, match="sweep needs 8 trials, above the cap of 6"):
+        with pytest.raises(InvalidState, match="sweep needs 8 trials, above the cap of 6"):
             sweeps.ml_bound_sweep([2, 3], 4, 0)
 
     def test_dimension_cap(self, monkeypatch):
         monkeypatch.setattr(sweeps, "MAX_SWEEP_DIM", 3)
         assert len(sweeps.ml_bound_sweep([3, 2], 1, 0).trials) == 2
-        with pytest.raises(SizeOverflow, match="sweep dimension 4 is above the cap of 3"):
+        with pytest.raises(InvalidState, match="sweep dimension 4 is above the cap of 3"):
             sweeps.ml_bound_sweep([2, 4], 1, 0)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chronon_lab.errors import BasisSizeMismatch, DimensionMismatch, InvalidState
+from chronon_lab.errors import InvalidState
 from chronon_lab.linalg import frobenius, partial_trace
 from chronon_lab.states import (
     BipartiteState,
@@ -57,7 +57,7 @@ class TestStateTypes:
             BipartiteState(joint=DensityMatrix(np.eye(4, dtype=complex) / 4), dim_a=3, dim_b=2)
 
     def test_basis_size_mismatch(self):
-        with pytest.raises(BasisSizeMismatch):
+        with pytest.raises(InvalidState, match="system vectors vs"):
             CorrelationBasis(computational_basis(2), computational_basis(2, 1))
 
     def test_basis_orthogonality_enforced(self):
@@ -146,7 +146,7 @@ class TestMeasurementProbability:
             assert abs(p0 - p1) <= 1e-10
 
     def test_dim_mismatch(self, m_op):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidState, match="operator dim 4 != state dim 2"):
             measurement_probability(StateVector(np.array([1.0, 0.0])), m_op)
 
     def test_non_projector_rejected(self):
@@ -177,7 +177,7 @@ class TestReduceOverApparatus:
         assert frobenius(rho.mat - oracle) < 1e-12
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidState, match=r"dim_s\*dim_a = 6 != state dim 4"):
             reduce_over_apparatus(StateVector(np.array([1.0, 0, 0, 0])), 2, 3)
 
 
