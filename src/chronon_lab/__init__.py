@@ -1,10 +1,9 @@
 """chronon-lab: thermal time quanta, quantum speed limits, and
 conditional-entropy numerics.
 
-Everything works on dense complex matrices at desk scale.  Entropies are in
-nats; the natural-unit ThermalContext (h = k = c = T = 1) converts them into
-time quanta and process velocities, while Hamiltonian dynamics follow the
-hbar = 1 convention (ThermalContext.hbar_one).
+Everything works on dense complex matrices at desk scale, in natural units
+h = k = 1: entropies are in nats, a time quantum at temperature T is
+1/(4TS), and Hamiltonian dynamics take hbar = 1.
 
 The modules are the API; the package root re-exports nothing.  Import each
 operation from the module that defines it, as in

@@ -53,11 +53,11 @@ from .flow import (
     simultaneity_offset,
 )
 from .linalg import frobenius
-from .serialization import load_state, read_json
+from .serialization import _number, load_state, read_json
 from .speed_limits import (
-    ThermalContext,
     antiqubit_process_velocity,
     process_velocity,
+    require_temperature,
     state_count,
 )
 from .states import (
@@ -192,7 +192,7 @@ def _cmd_conditional(args):
     payload = {
         "conditionalEntropy": cs.entropy.nats,
         "conditionalSpectrum": spectrum,
-        "antiqubitVelocity": antiqubit_process_velocity(cs, ThermalContext()),
+        "antiqubitVelocity": antiqubit_process_velocity(cs),
     }
     rows = [("conditionalEntropy", cs.entropy.nats)]
     if branch_value is not None:
@@ -233,12 +233,11 @@ def _cmd_gaussian(args):
     grid = _Table(("x", "G", "H"), gaussian_mod.tabulate(args.grid))
     xg, vg = gaussian_mod.max_G()
     xh, vh = gaussian_mod.max_H()
-    ctx = ThermalContext()
     packet = gaussian_mod.GaussianPacket(sigma_k0=args.sigma_k0)
     bounds = {
-        "process": gaussian_mod.bound_process_velocity(ctx),
-        "classical": gaussian_mod.bound_classical_velocity(packet, ctx),
-        "resolution": gaussian_mod.bound_resolution_velocity(args.sigma_x0, ctx),
+        "process": gaussian_mod.bound_process_velocity(),
+        "classical": gaussian_mod.bound_classical_velocity(packet),
+        "resolution": gaussian_mod.bound_resolution_velocity(args.sigma_x0),
     }
     payload = {
         "grid": grid,
@@ -264,7 +263,7 @@ def _frame(quantities, velocity: float) -> dict:
         "T": quantities.T,
         "S": quantities.S.nats,
         "r": quantities.r,
-        "dtMin": quantities.dt_min.dt,
+        "dtMin": quantities.dt_min,
         "velocity": velocity,
     }
 
@@ -275,7 +274,6 @@ def _cmd_lorentz(args):
     packet = gaussian_mod.GaussianPacket(sigma_k0=args.sigma_k0)
     report = relativity.check_bound_invariance(
         packet,
-        ThermalContext(),
         boost,
         length_exponent=args.length_exponent,
         temp_exponent=args.temp_exponent,
@@ -300,23 +298,23 @@ def _cmd_lorentz(args):
 
 
 def _load_flow_config(path: str):
-    """Systems, context and horizon of a flow config, checked whatever
+    """Systems, temperature and horizon of a flow config, checked whatever
     the mode reads of them."""
     cfg = read_json(path)
     try:
         systems = [
-            SystemSpec(id=s["id"], entropy=EntropyValue(float(s["entropyNats"])))
+            SystemSpec(id=s["id"], entropy=EntropyValue(_number(s["entropyNats"])))
             for s in cfg["systems"]
         ]
-        temperature = float(cfg.get("T", 1.0))
-        horizon = float(cfg["horizon"])
+        temperature = _number(cfg.get("T", 1.0))
+        horizon = _number(cfg["horizon"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidState(f"{path}: malformed flow config: {exc}") from exc
-    return systems, ThermalContext(T=temperature), require_horizon(horizon)
+    return systems, require_temperature(temperature), require_horizon(horizon)
 
 
 def _cmd_flow(args):
-    systems, ctx, horizon = _load_flow_config(args.config)
+    systems, T, horizon = _load_flow_config(args.config)
 
     if args.ratio is not None:
         by_id = {s.id: s for s in systems}
@@ -330,24 +328,23 @@ def _cmd_flow(args):
         cq = load_state(args.dilation)
         if not isinstance(cq, ClassicalQuantumState):
             raise InvalidState("--dilation needs a cq state file")
-        dt_cond, dt_marg = dilation_from_conditioning(cq, ctx)
-        payload = {"dtConditional": dt_cond.dt, "dtMarginal": dt_marg.dt}
-        return payload, [("conditional", dt_cond.dt), ("marginal", dt_marg.dt)]
+        dt_cond, dt_marg = dilation_from_conditioning(cq, T)
+        payload = {"dtConditional": dt_cond, "dtMarginal": dt_marg}
+        return payload, [("conditional", dt_cond), ("marginal", dt_marg)]
 
-    ticks = _Table(("time", "quantum", "systemId"), simulate_flow(systems, ctx, horizon).ticks)
+    ticks = _Table(("time", "quantum", "systemId"), simulate_flow(systems, T, horizon).ticks)
     return {"ticks": ticks}, [ticks]
 
 
 def _cmd_simultaneity(args):
     _require(args, "finite", math.isfinite, "theta1", "theta2", "t1", "t2")
-    ctx = ThermalContext()
     thetas = (args.theta1, args.theta2)
     counts = (args.s1, args.t1, args.s2, args.t2)
     if None not in thetas and set(counts) == {None}:
         theta1, theta2 = thetas
     elif set(thetas) == {None} and None not in counts:
-        theta1 = state_count(EntropyValue(args.s1), args.t1, ctx)
-        theta2 = state_count(EntropyValue(args.s2), args.t2, ctx)
+        theta1 = state_count(EntropyValue(args.s1), args.t1)
+        theta2 = state_count(EntropyValue(args.s2), args.t2)
     else:
         raise InvalidState(
             "give either --theta1/--theta2 or all of --s1/--t1/--s2/--t2"
@@ -355,7 +352,7 @@ def _cmd_simultaneity(args):
     if args.vmax is not None:
         v_max = args.vmax
     elif args.entropy is not None:
-        v_max = process_velocity(EntropyValue(args.entropy), ctx)
+        v_max = process_velocity(EntropyValue(args.entropy))
     else:
         raise InvalidState("give --vmax or --entropy to fix the maximal velocity")
     offset = simultaneity_offset(theta1, theta2, v_max)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .entropy import EntropyValue, cq_conditional, von_neumann
 from .errors import InvalidState
-from .speed_limits import ThermalContext, TimeQuantum, time_quantum
+from .speed_limits import time_quantum
 from .states import ClassicalQuantumState
 
 MAX_TICKS = 10**6  # largest merged flow simulate_flow will build
@@ -52,13 +52,6 @@ class ThermalFlow:
 
     ticks: tuple
 
-    def __post_init__(self):
-        ticks = tuple(self.ticks)
-        for a, b in zip(ticks, ticks[1:]):
-            if b[0] < a[0]:
-                raise InvalidState("tick times must be non-decreasing")
-        object.__setattr__(self, "ticks", ticks)
-
 
 def require_horizon(horizon: float) -> float:
     """The horizon itself; InvalidState unless it is positive and finite."""
@@ -67,10 +60,9 @@ def require_horizon(horizon: float) -> float:
     return horizon
 
 
-def simulate_flow(
-    systems: list, ctx: ThermalContext, horizon: float
-) -> ThermalFlow:
-    """Merge the periodic ticks of every active system up to the horizon.
+def simulate_flow(systems: list, T: float, horizon: float) -> ThermalFlow:
+    """Merge the periodic ticks of every active system, each with its
+    quantum at temperature T, up to the horizon.
 
     The horizon must pass :func:`require_horizon`.  Systems with zero
     entropy contribute no ticks; if none is active the flow is undefined
@@ -82,7 +74,7 @@ def simulate_flow(
     active = [s for s in systems if s.entropy.nats > 0.0]
     if not active:
         raise InvalidState("no system has positive entropy: nothing happens")
-    quanta = [(spec, time_quantum(spec.entropy, ctx).dt) for spec in active]
+    quanta = [(spec, time_quantum(spec.entropy, T)) for spec in active]
     # horizon / dt may overflow to inf for a vanishing quantum
     counts = [horizon / dt for _, dt in quanta]
     n_ticks = sum(math.floor(q) if math.isfinite(q) else q for q in counts)
@@ -98,24 +90,23 @@ def simulate_flow(
 
 
 def clock_ratio(s1: SystemSpec, s2: SystemSpec) -> float:
-    """Quantum ratio dt1/dt2 = S2/S1; the context constants cancel."""
+    """Quantum ratio dt1/dt2 = S2/S1; the temperature cancels."""
     if s1.entropy.nats <= 0.0 or s2.entropy.nats <= 0.0:
         raise InvalidState("clock ratio requires both entropies > 0")
     return s2.entropy.nats / s1.entropy.nats
 
 
-def dilation_from_conditioning(
-    cq: ClassicalQuantumState, ctx: ThermalContext
-) -> tuple[TimeQuantum, TimeQuantum]:
-    """Time quanta (conditional, marginal) for a classical-quantum state.
+def dilation_from_conditioning(cq: ClassicalQuantumState, T: float) -> tuple[float, float]:
+    """Time quanta (conditional, marginal) at temperature T for a
+    classical-quantum state.
 
     Conditioning can only slow the flow: the branch-averaged entropy never
     exceeds the mixture entropy, so dt_conditional >= dt_marginal.  A zero
     conditional entropy (all branches pure) raises InvalidState: that flow
     has stopped.
     """
-    dt_conditional = time_quantum(cq_conditional(cq), ctx)
-    dt_marginal = time_quantum(von_neumann(cq.mixture()), ctx)
+    dt_conditional = time_quantum(cq_conditional(cq), T)
+    dt_marginal = time_quantum(von_neumann(cq.mixture()), T)
     return dt_conditional, dt_marginal
 
 

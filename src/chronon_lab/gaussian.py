@@ -19,7 +19,7 @@ import numpy as np
 from .entropy import EntropyValue
 from .errors import InvalidState
 from .linalg import xlnx
-from .speed_limits import ThermalContext, _golden_min
+from .speed_limits import _golden_min
 
 SEARCH_UPPER = 6.0  # erf saturates to 1 within 1e-12 well before x = 6
 SEARCH_GRID = 1024
@@ -111,19 +111,20 @@ def max_H() -> tuple[float, float]:
     return x, scaled_function_H(x)
 
 
-def bound_process_velocity(ctx: ThermalContext) -> float:
-    """Repeated-position-measurement process velocity cap 4 ln2 kT/h."""
-    return 4.0 * math.log(2.0) * ctx.k * ctx.T / ctx.h
+def bound_process_velocity() -> float:
+    """Repeated-position-measurement process velocity cap 4 ln 2 at T = 1."""
+    return 4.0 * math.log(2.0)
 
 
-def bound_classical_velocity(packet: GaussianPacket, ctx: ThermalContext) -> float:
-    """Classical average-velocity cap 4 max(H) kT sigma_k0 / h (~1.832 kT sigma/h)."""
+def bound_classical_velocity(packet: GaussianPacket) -> float:
+    """Classical average-velocity cap 4 max(H) sigma_k0 at T = 1
+    (~1.832 sigma_k0)."""
     _, h_max = max_H()
-    return 4.0 * h_max * ctx.k * ctx.T * packet.sigma_k0 / ctx.h
+    return 4.0 * h_max * packet.sigma_k0
 
 
-def bound_resolution_velocity(sigma_x0: float, ctx: ThermalContext) -> float:
-    """Velocity cap kT/(h sigma_x0) for spatial resolution sigma_x0.
+def bound_resolution_velocity(sigma_x0: float) -> float:
+    """Velocity cap 1/sigma_x0 at T = 1 for spatial resolution sigma_x0.
 
     Printed without the 1.832 prefactor that the uncertainty substitution
     sigma_x0 * sigma_k0 = 1 would carry over from the classical bound; the
@@ -131,4 +132,4 @@ def bound_resolution_velocity(sigma_x0: float, ctx: ThermalContext) -> float:
     """
     if not (math.isfinite(sigma_x0) and sigma_x0 > 0.0):
         raise InvalidState(f"sigma_x0 must be positive, got {sigma_x0}")
-    return ctx.k * ctx.T / (ctx.h * sigma_x0)
+    return 1.0 / sigma_x0

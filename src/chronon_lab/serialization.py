@@ -116,6 +116,14 @@ def _integer(value) -> int:
     raise InvalidState(f"expected an integer, got {value!r}")
 
 
+def _number(value) -> float:
+    """A real number read from JSON, as a float.  A bool or a string such
+    as "1.5" raises InvalidState, not a conversion."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise InvalidState(f"expected a number, got {value!r}")
+
+
 def decode_state(obj: dict):
     kind = _field(obj, "kind", str)
     if kind == "state_vector":
@@ -124,7 +132,7 @@ def decode_state(obj: dict):
         return DensityMatrix(_field(obj, "matrix", decode_matrix))
     if kind == "cq":
         branches = [
-            (_field(b, "p", float), DensityMatrix(_field(b, "matrix", decode_matrix)))
+            (_field(b, "p", _number), DensityMatrix(_field(b, "matrix", decode_matrix)))
             for b in _field(obj, "branches", list)
         ]
         return ClassicalQuantumState(tuple(branches))

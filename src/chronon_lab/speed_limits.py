@@ -3,12 +3,12 @@ velocities.
 
 Unit conventions
 ----------------
-Thermodynamic formulas (time quantum h/(4kTS), process velocity 4kTS/h)
-take their constants from a :class:`ThermalContext`, whose natural default
-is h = k = c = T = 1.  Dynamical comparisons against explicit Schrodinger
-evolution use exp(-iHt) with hbar = 1, for which the matching Planck
-constant is 2*pi: build that context with :meth:`ThermalContext.hbar_one`.
-:func:`orthogonalization_time` works in the hbar = 1 convention throughout.
+Natural units, h = k = 1: the thermal time quantum h/(4kTS) is 1/(4TS)
+and the process velocity 4kTS/h is 4TS.  Only :func:`time_quantum` takes a
+temperature, since only flow configs and a Lorentz check's boosted frame
+vary it; every other thermal formula is at T = 1.  Dynamics evolve as
+exp(-iHt) with hbar = 1, where h = 2*pi: :func:`ml_bound_shifted` and
+:func:`orthogonalization_time` work in that convention throughout.
 """
 
 from __future__ import annotations
@@ -32,42 +32,6 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
-class ThermalContext:
-    """Temperature plus the physical constants h, k, c.
-
-    Defaults are natural units (all 1).  For quantities tied to hbar = 1
-    Hamiltonian evolution, use :meth:`hbar_one`, which sets h = 2*pi.
-    """
-
-    T: float = 1.0
-    h: float = 1.0
-    k: float = 1.0
-    c: float = 1.0
-
-    def __post_init__(self):
-        for name in ("T", "h", "k", "c"):
-            val = getattr(self, name)
-            if not (math.isfinite(val) and val > 0.0):
-                raise InvalidState(f"{name} must be positive and finite, got {val}")
-
-    @classmethod
-    def hbar_one(cls) -> "ThermalContext":
-        """Context matching Hamiltonians evolved as exp(-iHt): h = 2*pi."""
-        return cls(h=2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class TimeQuantum:
-    """Minimal duration of one tick, strictly positive."""
-
-    dt: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise InvalidState(f"time quantum must be positive and finite, got {self.dt}")
-
-
-@dataclass(frozen=True)
 class OrthogonalizationResult:
     """Outcome of a first-orthogonalization search.
 
@@ -81,39 +45,53 @@ class OrthogonalizationResult:
     bound: float
 
 
-def time_quantum(s: EntropyValue, ctx: ThermalContext) -> TimeQuantum:
-    """Minimal tick h/(4 k T S) generated by entropy dissipation S."""
+def require_temperature(T: float) -> float:
+    """T itself; InvalidState unless it is positive and finite."""
+    if not (math.isfinite(T) and T > 0.0):
+        raise InvalidState(f"T must be positive and finite, got {T}")
+    return T
+
+
+def _quantum(dt: float) -> float:
+    """A time quantum, strictly positive and finite, else InvalidState."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidState(f"time quantum must be positive and finite, got {dt}")
+    return dt
+
+
+def time_quantum(s: EntropyValue, T: float) -> float:
+    """Minimal tick 1/(4 T S) generated by entropy dissipation S at
+    temperature T; a 4 T S that underflows to 0 gives inf, rejected."""
+    require_temperature(T)
     if s.nats <= 0.0:
         raise InvalidState(
             f"time quantum undefined for entropy {s.nats}: no time flow"
         )
-    return TimeQuantum(ctx.h / (4.0 * ctx.k * ctx.T * s.nats))
+    rate = 4.0 * T * s.nats
+    return _quantum(1.0 / rate if rate else math.inf)
 
 
-def ml_bound_shifted(e_mean: float, e0: float, ctx: ThermalContext) -> TimeQuantum:
-    """Shifted Margolus-Levitin bound h / (4 (E_mean - E0)).
-
-    Invariant under a common energy shift.  For Hamiltonians evolved as
-    exp(-iHt), pass a context with h = 2*pi (:meth:`ThermalContext.hbar_one`).
-    """
+def ml_bound_shifted(e_mean: float, e0: float) -> float:
+    """Shifted Margolus-Levitin bound 2*pi / (4 (E_mean - E0)) under
+    exp(-iHt); invariant under a common energy shift."""
     gap = e_mean - e0
     if gap <= 0.0:
         raise InvalidState(
             f"mean energy {e_mean} does not exceed ground energy {e0}"
         )
-    return TimeQuantum(ctx.h / (4.0 * gap))
+    return _quantum(2.0 * math.pi / (4.0 * gap))
 
 
-def process_velocity(s0: EntropyValue, ctx: ThermalContext) -> float:
-    """Orthogonal states per unit time, 4 k T S0 / h.  Requires S0 >= 0."""
-    return 4.0 * ctx.k * ctx.T * s0.nats / ctx.h
+def process_velocity(s0: EntropyValue) -> float:
+    """Orthogonal states per unit time, 4 S0 at T = 1.  Requires S0 >= 0."""
+    return 4.0 * s0.nats
 
 
-def state_count(s0: EntropyValue, t: float, ctx: ThermalContext) -> float:
+def state_count(s0: EntropyValue, t: float) -> float:
     """Number of orthogonal states passed over [0, t]: velocity * t."""
     if t < 0.0:
         raise InvalidState(f"t must be >= 0, got {t}")
-    return process_velocity(s0, ctx) * t
+    return process_velocity(s0) * t
 
 
 def _golden_min(f, lo: float, hi: float, xtol: float) -> float:
@@ -174,7 +152,7 @@ def orthogonalization_time(
     e0 = float(energies[0])
     gap = e_mean - e0
     if gap > 1e-15 * max(1.0, abs(e0), abs(e_mean)):
-        bound = ml_bound_shifted(e_mean, e0, ThermalContext.hbar_one()).dt
+        bound = ml_bound_shifted(e_mean, e0)
     else:
         bound = math.inf
 
@@ -207,8 +185,8 @@ def orthogonalization_time(
     return OrthogonalizationResult(t_orth=t_orth, bound=bound)
 
 
-def antiqubit_process_velocity(cs: ConditionalState, ctx: ThermalContext) -> float:
-    """Process velocity 4 k T (S(A|B) - E0) / h for a bipartite joint's
+def antiqubit_process_velocity(cs: ConditionalState) -> float:
+    """Process velocity 4 (S(A|B) - E0) at T = 1 for a bipartite joint's
     conditional state (see :func:`chronon_lab.entropy.conditional_state`).
 
     E0 is the smallest eigenvalue of -log rho_{A|B} on its support, i.e.
@@ -216,4 +194,4 @@ def antiqubit_process_velocity(cs: ConditionalState, ctx: ThermalContext) -> flo
     the velocity non-negative even when S(A|B) < 0.
     """
     e0 = -math.log(float(cs.spectrum[-1]))
-    return 4.0 * ctx.k * ctx.T * (cs.entropy.nats - e0) / ctx.h
+    return 4.0 * (cs.entropy.nats - e0)

@@ -234,6 +234,16 @@ class TestMalformedStateFiles:
                                                         "data": [[1.0, 0.0]]}},
                          "field 'rows' is malformed: expected an integer, got 1.5",
                          id="rows-fraction"),
+            # a branch weight is a number: a numeric string or a bool is not converted
+            pytest.param({"kind": "cq", "branches": [
+                             {"p": "0.5", "matrix": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}},
+                             {"p": 0.5, "matrix": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}]},
+                         "field 'p' is malformed: expected a number, got '0.5'",
+                         id="p-string"),
+            pytest.param({"kind": "cq", "branches": [
+                             {"p": True, "matrix": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}]},
+                         "field 'p' is malformed: expected a number, got True",
+                         id="p-bool"),
         ],
     )
     def test_exit_one_naming_the_field(self, payload, field, tmp_path, capsys):
@@ -339,6 +349,16 @@ class TestFlowCommand:
         report = json.loads(out)
         assert report["dtConditional"] >= report["dtMarginal"]
 
+    def test_underflowing_quantum_exit_one(self, tmp_path, capsys):
+        # 4 T S underflows to 0: the quantum 1/(4 T S) is inf, not a division by zero
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"systems": [{"id": "a", "entropyNats": 1e-300}], "T": 1e-300, "horizon": 1}
+        ))
+        code = cli.run(["flow", "--config", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: time quantum must be positive and finite, got inf\n"
+
     def test_all_zero_entropy_exit_one(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(
@@ -351,8 +371,9 @@ class TestFlowCommand:
         "entropy_nats, horizon, invariant",
         [
             (1e7, 1e3, "ticks, above the cap of 1000000"),  # 4e10 ticks
-            (1.0, "inf", "horizon must be positive and finite"),
-            (1.0, "nan", "horizon must be positive and finite"),
+            # json writes these as the number literals Infinity and NaN
+            (1.0, math.inf, "horizon must be positive and finite"),
+            (1.0, math.nan, "horizon must be positive and finite"),
         ],
     )
     def test_unbounded_flow_exit_one(self, entropy_nats, horizon, invariant, tmp_path, capsys):
@@ -447,6 +468,13 @@ class TestSimultaneityCommand:
         (["mlcheck", "--trials", "100000000"],
          "sweep needs 300000000 trials, above the cap of 5000"),
         (["mlcheck", "--dims", "2,x"], "--dims must list integers >= 2, got '2,x'"),
+        # gamma = 7071 here: a power of it beyond the float range
+        (["lorentz", "--v", "0.99999999", "--temp-exponent", "1000"],
+         "temperature factor gamma^-1000.0 is out of range"),
+        (["lorentz", "--v", "0.99999999", "--temp-exponent", "-1000"],
+         "temperature factor gamma^1000.0 is out of range"),
+        (["lorentz", "--v", "0.99999999", "--length-exponent", "1000"],
+         "length factor gamma^1000.0 is out of range"),
     ],
 )
 def test_numeric_flag_out_of_range_exit_one(argv, flag, capsys):
@@ -641,15 +669,21 @@ def _run_quietly(argv) -> tuple[int, str]:
         ("horizon", "1e400", "horizon must be positive and finite, got inf"),
         ("id", None, "malformed flow config: system id must be a string, got None"),
         ("id", [], "malformed flow config: system id must be a string, got []"),
+        ("entropyNats", True, "malformed flow config: expected a number, got True"),
+        ("entropyNats", "1.5", "malformed flow config: expected a number, got '1.5'"),
+        ("T", True, "malformed flow config: expected a number, got True"),
+        ("horizon", "2", "malformed flow config: expected a number, got '2'"),
+        ("T", 0, "T must be positive and finite, got 0.0"),
     ],
-    ids=["horizon-negative", "horizon-overflow", "id-null", "id-list"],
+    ids=["horizon-negative", "horizon-overflow", "id-null", "id-list", "entropy-bool",
+         "entropy-string", "T-bool", "horizon-string", "T-zero"],
 )
 def test_flow_config_checked_in_every_mode(mode, key, value, invariant, tmp_path):
     """Every mode rejects what plain flow rejects, whether or not it reads
     the ticks: the config is checked as a whole when it is loaded."""
     cfg = json.loads((INPUTS / "flow.json").read_text())
-    if key == "id":
-        cfg["systems"][0]["id"] = value
+    if key in ("id", "entropyNats"):
+        cfg["systems"][0][key] = value
     else:
         cfg[key] = value
     path = tmp_path / "cfg.json"
@@ -730,6 +764,49 @@ def test_mutated_input_never_raises(mutation):
             assert code in (0, 1, 2), argv
             if code:
                 assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+# Zero, huge, tiny and subnormal magnitudes of both signs, and +-1000.
+_EXTREMES = (0.0, 1e-300, -1e-300, 1e300, -1e300, 1e308, -1e308, 5e-324, -5e-324, 1000.0, -1000.0)
+# Boost velocities against the default c = 1; 0.99999999 gives gamma = 7071.
+_SPEEDS = (0.0, 0.6, 0.99999999, -0.99999999, 5e-324, 1e-300, 1000.0)
+
+
+@pytest.mark.parametrize("cmd", ["lorentz", "simultaneity", "gaussian", "flow"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_extreme_numbers_never_raise(cmd, data):
+    """Every numeric flag, or flow-config number, drawn from _EXTREMES in a
+    flag combination the subcommand accepts: no traceback, and a nonzero
+    exit prints one error line."""
+    x = st.sampled_from(_EXTREMES)
+    cfg = None
+    if cmd == "flow":
+        cfg = {"systems": [{"id": "a", "entropyNats": data.draw(x)},
+                           {"id": "b", "entropyNats": data.draw(x)}],
+               "T": data.draw(x), "horizon": data.draw(x)}
+        argv = data.draw(st.sampled_from(sorted(_FLOW_MODES.values())))
+    else:
+        if cmd == "lorentz":
+            flags = ["--c", "--temp-exponent", "--length-exponent", "--sigma-k0"]
+            flags = [f for f in flags if data.draw(st.booleans())]
+            argv = ["--v", repr(data.draw(st.sampled_from(_SPEEDS)))]
+        elif cmd == "gaussian":
+            flags, argv = ["--sigma-k0", "--sigma-x0"], ["--grid", "2"]
+        else:
+            flags = data.draw(st.sampled_from([["--theta1", "--theta2"],
+                                               ["--s1", "--t1", "--s2", "--t2"]]))
+            flags, argv = flags + [data.draw(st.sampled_from(["--vmax", "--entropy"]))], []
+        argv = [cmd, "--format", data.draw(st.sampled_from(["csv", "json"])), *argv]
+        argv += [a for f in flags for a in (f, repr(data.draw(x)))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "flow.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        code, err = _run_quietly([a.format(f=path) for a in argv])
+    assert code in (0, 1, 2), argv
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, cfg, err)
 
 
 class TestDeterminism:

@@ -15,24 +15,23 @@ from chronon_lab.flow import (
     simulate_flow,
     simultaneity_offset,
 )
-from chronon_lab.speed_limits import ThermalContext, time_quantum
+from chronon_lab.speed_limits import time_quantum
 from chronon_lab.states import ClassicalQuantumState, DensityMatrix
 
 from conftest import entropy_oracle
 
 LN2 = math.log(2.0)
-NATURAL = ThermalContext()
 FLOW_ENTROPIES = (0.31, LN2, 2 * LN2, 1.3)
 
 
-def reference_ticks(systems, ctx, horizon):
+def reference_ticks(systems, temp, horizon):
     """Per-tick loop: one (time, quantum, id) row per n with n * dt <= horizon,
     sorted by (time, id)."""
     ticks = []
     for spec in systems:
         if spec.entropy.nats <= 0.0:
             continue
-        dt = time_quantum(spec.entropy, ctx).dt
+        dt = time_quantum(spec.entropy, temp)
         for n in range(1, math.floor(horizon / dt) + 1):
             t = n * dt
             if t <= horizon:
@@ -43,9 +42,9 @@ def reference_ticks(systems, ctx, horizon):
 
 @st.composite
 def flow_cases(draw):
-    """1-5 systems with repeating ids and equal quanta, and a horizon from
-    below one tick to about 2000 ticks of one system's quantum, either on
-    a tick time or between two."""
+    """1-5 systems with repeating ids and equal quanta, a temperature, and
+    a horizon from below one tick to about 2000 ticks of one system's
+    quantum, either on a tick time or between two."""
     alphabet = draw(st.sampled_from(("ab", "abc")))
     systems = draw(st.lists(
         st.builds(
@@ -56,18 +55,19 @@ def flow_cases(draw):
         min_size=1,
         max_size=5,
     ))
-    dt = time_quantum(draw(st.sampled_from(systems)).entropy, NATURAL).dt
+    temp = draw(st.sampled_from((1.0, 2.0, 0.37)))
+    dt = time_quantum(draw(st.sampled_from(systems)).entropy, temp)
     n = draw(st.integers(min_value=0, max_value=2000))
     if n > 0 and draw(st.booleans()):
         horizon = n * dt
     else:
         horizon = (n + draw(st.floats(min_value=0.01, max_value=0.99))) * dt
-    return systems, horizon
+    return systems, temp, horizon
 
 
 class TestSimulateFlow:
     def test_single_system_arithmetic_oracle(self):
-        flow = simulate_flow([SystemSpec("s", EntropyValue(LN2))], NATURAL, horizon=1.1)
+        flow = simulate_flow([SystemSpec("s", EntropyValue(LN2))], 1.0, horizon=1.1)
         dt = 1.0 / (4.0 * LN2)
         times = [t for t, _, _ in flow.ticks]
         assert times == pytest.approx([dt, 2 * dt, 3 * dt], rel=1e-12)
@@ -77,19 +77,19 @@ class TestSimulateFlow:
     def test_inactive_system_contributes_nothing(self):
         flow = simulate_flow(
             [SystemSpec("on", EntropyValue(LN2)), SystemSpec("off", EntropyValue(0.0))],
-            NATURAL,
+            1.0,
             horizon=1.0,
         )
         assert all(sid == "on" for _, _, sid in flow.ticks)
 
     def test_all_inactive_rejected(self):
         with pytest.raises(InvalidState, match="no system has positive entropy"):
-            simulate_flow([SystemSpec("off", EntropyValue(0.0))], NATURAL, horizon=1.0)
+            simulate_flow([SystemSpec("off", EntropyValue(0.0))], 1.0, horizon=1.0)
 
     def test_identical_systems_tie_broken_by_id(self):
         flow = simulate_flow(
             [SystemSpec("b", EntropyValue(LN2)), SystemSpec("a", EntropyValue(LN2))],
-            NATURAL,
+            1.0,
             horizon=0.8,
         )
         ids = [sid for _, _, sid in flow.ticks]
@@ -99,22 +99,22 @@ class TestSimulateFlow:
     def test_tick_times_exact_multiples(self):
         # bitwise equality: n * dt, no accumulated drift
         spec = SystemSpec("s", EntropyValue(0.31))
-        flow = simulate_flow([spec], NATURAL, horizon=50.0)
-        dt = time_quantum(spec.entropy, NATURAL).dt
+        flow = simulate_flow([spec], 1.0, horizon=50.0)
+        dt = time_quantum(spec.entropy, 1.0)
         for n, tick in enumerate(flow.ticks, start=1):
             assert tick[0] == n * dt
 
     def test_consecutive_gaps_equal_quantum(self):
         spec = SystemSpec("s", EntropyValue(1.3))
-        flow = simulate_flow([spec], NATURAL, horizon=20.0)
+        flow = simulate_flow([spec], 1.0, horizon=20.0)
         times = np.array([t for t, _, _ in flow.ticks])
-        dt = time_quantum(spec.entropy, NATURAL).dt
+        dt = time_quantum(spec.entropy, 1.0)
         assert np.allclose(np.diff(times), dt, rtol=1e-12)
 
     def test_merged_ordering(self):
         flow = simulate_flow(
             [SystemSpec("fast", EntropyValue(2 * LN2)), SystemSpec("slow", EntropyValue(LN2))],
-            NATURAL,
+            1.0,
             horizon=2.0,
         )
         times = [t for t, _, _ in flow.ticks]
@@ -124,23 +124,21 @@ class TestSimulateFlow:
         # floor(1.1 / dt) = 3 ticks per system at S = ln 2: 6 in all
         systems = [SystemSpec("a", EntropyValue(LN2)), SystemSpec("b", EntropyValue(LN2))]
         monkeypatch.setattr(flow_mod, "MAX_TICKS", 6)
-        assert len(simulate_flow(systems, NATURAL, horizon=1.1).ticks) == 6
+        assert len(simulate_flow(systems, 1.0, horizon=1.1).ticks) == 6
         monkeypatch.setattr(flow_mod, "MAX_TICKS", 5)
         with pytest.raises(InvalidState, match="needs 6 ticks"):
-            simulate_flow(systems, NATURAL, horizon=1.1)
+            simulate_flow(systems, 1.0, horizon=1.1)
 
     @given(flow_cases())
     @settings(max_examples=200, deadline=None)
     def test_equals_the_per_tick_loop(self, case):
-        systems, horizon = case
-        assert simulate_flow(systems, NATURAL, horizon).ticks == reference_ticks(
-            systems, NATURAL, horizon
-        )
+        systems, temp, horizon = case
+        assert simulate_flow(systems, temp, horizon).ticks == reference_ticks(systems, temp, horizon)
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
     def test_horizon_must_be_positive_and_finite(self, horizon):
         with pytest.raises(InvalidState, match="horizon must be positive and finite"):
-            simulate_flow([SystemSpec("s", EntropyValue(LN2))], NATURAL, horizon=horizon)
+            simulate_flow([SystemSpec("s", EntropyValue(LN2))], 1.0, horizon=horizon)
 
 
 class TestClockRatio:
@@ -159,9 +157,8 @@ class TestClockRatio:
         s2 = SystemSpec("b", EntropyValue(0.3))
         r = clock_ratio(s1, s2)
         for temp in (1.0, 2.0, 300.0):
-            ctx = ThermalContext(T=temp)
-            dt1 = time_quantum(s1.entropy, ctx).dt
-            dt2 = time_quantum(s2.entropy, ctx).dt
+            dt1 = time_quantum(s1.entropy, temp)
+            dt2 = time_quantum(s2.entropy, temp)
             assert dt1 / dt2 == pytest.approx(r, rel=1e-12)
 
     @given(st.floats(min_value=0.01, max_value=5.0), st.floats(min_value=0.01, max_value=5.0))
@@ -181,8 +178,8 @@ class TestDilation:
 
         rho = random_density(2, rng)
         cq = ClassicalQuantumState(((0.5, rho), (0.5, rho)))
-        dt_cond, dt_marg = dilation_from_conditioning(cq, NATURAL)
-        assert dt_cond.dt == pytest.approx(dt_marg.dt, rel=1e-12)
+        dt_cond, dt_marg = dilation_from_conditioning(cq, 1.0)
+        assert dt_cond == pytest.approx(dt_marg, rel=1e-12)
 
     def test_orthogonal_pure_branches_stop_conditional_flow(self):
         cq = ClassicalQuantumState(
@@ -190,25 +187,25 @@ class TestDilation:
              (0.5, DensityMatrix(np.diag([0.0, 1.0]).astype(complex))))
         )
         with pytest.raises(InvalidState, match="time quantum undefined for entropy 0.0"):
-            dilation_from_conditioning(cq, NATURAL)
+            dilation_from_conditioning(cq, 1.0)
         # the marginal flow alone would still tick at 1/(4 ln 2)
         from chronon_lab.entropy import von_neumann
 
-        dt_marg = time_quantum(von_neumann(cq.mixture()), NATURAL)
-        assert dt_marg.dt == pytest.approx(1.0 / (4 * LN2), rel=1e-12)
+        dt_marg = time_quantum(von_neumann(cq.mixture()), 1.0)
+        assert dt_marg == pytest.approx(1.0 / (4 * LN2), rel=1e-12)
 
     def test_half_mixed_branch_oracle(self):
         cq = ClassicalQuantumState(
             ((0.5, DensityMatrix(np.diag([1.0, 0.0]).astype(complex))),
              (0.5, DensityMatrix(np.eye(2, dtype=complex) / 2)))
         )
-        dt_cond, dt_marg = dilation_from_conditioning(cq, NATURAL)
-        assert dt_cond.dt == pytest.approx(1.0 / (4 * 0.5 * LN2), rel=1e-12)
-        assert dt_cond.dt == pytest.approx(0.721348, abs=1e-6)
+        dt_cond, dt_marg = dilation_from_conditioning(cq, 1.0)
+        assert dt_cond == pytest.approx(1.0 / (4 * 0.5 * LN2), rel=1e-12)
+        assert dt_cond == pytest.approx(0.721348, abs=1e-6)
         # mixture is diag(0.75, 0.25); its entropy from scalar arithmetic
         expected_marg = 1.0 / (4.0 * entropy_oracle([0.75, 0.25]))
-        assert dt_marg.dt == pytest.approx(expected_marg, rel=1e-12)
-        assert dt_cond.dt >= dt_marg.dt
+        assert dt_marg == pytest.approx(expected_marg, rel=1e-12)
+        assert dt_cond >= dt_marg
 
     @given(
         st.integers(min_value=2, max_value=4),
@@ -231,16 +228,16 @@ class TestDilation:
         s_cond = cq_conditional(cq).nats
         assert s_cond <= von_neumann(cq.mixture()).nats + 1e-12
         if not all(pure):  # all-pure branches stop the conditional flow
-            dt_cond, dt_marg = dilation_from_conditioning(cq, NATURAL)
-            assert dt_cond.dt >= dt_marg.dt * (1 - 1e-12)
+            dt_cond, dt_marg = dilation_from_conditioning(cq, 1.0)
+            assert dt_cond >= dt_marg * (1 - 1e-12)
 
     def test_conditioning_never_speeds_the_clock(self, rng):
         from conftest import random_cq
 
         for _ in range(50):
             cq = random_cq(rng)
-            dt_cond, dt_marg = dilation_from_conditioning(cq, NATURAL)
-            assert dt_cond.dt >= dt_marg.dt - 1e-12
+            dt_cond, dt_marg = dilation_from_conditioning(cq, 1.0)
+            assert dt_cond >= dt_marg - 1e-12
 
 
 class TestSimultaneity:

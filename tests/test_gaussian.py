@@ -19,10 +19,9 @@ from chronon_lab.gaussian import (
     scaled_function_H,
     tabulate,
 )
-from chronon_lab.speed_limits import ThermalContext, process_velocity
+from chronon_lab.speed_limits import process_velocity
 
 LN2 = math.log(2.0)
-NATURAL = ThermalContext()
 
 
 def erf_quadrature(x):
@@ -189,26 +188,23 @@ class TestTabulate:
 
 class TestVelocityBounds:
     def test_process_bound_natural(self):
-        assert bound_process_velocity(NATURAL) == pytest.approx(2.772589, abs=1e-6)
+        assert bound_process_velocity() == 4.0 * LN2  # 4 ln 2 kT/h at h = k = T = 1
+        assert bound_process_velocity() == pytest.approx(2.772589, abs=1e-6)
 
     def test_process_bound_composition_identity(self):
         _, g_max = max_G()
-        assert bound_process_velocity(NATURAL) == pytest.approx(
-            process_velocity(EntropyValue(g_max), NATURAL), rel=1e-9
-        )
-
-    def test_process_bound_linear_in_temperature(self):
-        assert bound_process_velocity(ThermalContext(T=2.0)) == pytest.approx(
-            2 * bound_process_velocity(NATURAL), rel=1e-12
+        assert bound_process_velocity() == pytest.approx(
+            process_velocity(EntropyValue(g_max)), rel=1e-9
         )
 
     def test_classical_bound_constant(self):
-        v = bound_classical_velocity(GaussianPacket(sigma_k0=1.0), NATURAL)
+        v = bound_classical_velocity(GaussianPacket(sigma_k0=1.0))
+        assert v == 4.0 * max_H()[1]
         assert v == pytest.approx(1.832, abs=2e-3)
 
     def test_classical_bound_scales_with_sigma(self):
-        v1 = bound_classical_velocity(GaussianPacket(sigma_k0=1.0), NATURAL)
-        v3 = bound_classical_velocity(GaussianPacket(sigma_k0=3.0), NATURAL)
+        v1 = bound_classical_velocity(GaussianPacket(sigma_k0=1.0))
+        v3 = bound_classical_velocity(GaussianPacket(sigma_k0=3.0))
         assert v3 == pytest.approx(3 * v1, rel=1e-12)
 
     def test_classical_bound_ignores_k0(self):
@@ -216,16 +212,17 @@ class TestVelocityBounds:
         assert [f.name for f in dataclasses.fields(GaussianPacket)] == ["sigma_k0"]
 
     def test_resolution_bound(self):
-        assert bound_resolution_velocity(1.0, NATURAL) == pytest.approx(1.0)
-        assert bound_resolution_velocity(0.5, NATURAL) == pytest.approx(2.0)
+        assert bound_resolution_velocity(1.0) == 1.0
+        assert bound_resolution_velocity(0.5) == 2.0
+        assert bound_resolution_velocity(0.3) == 1.0 / 0.3
 
     def test_resolution_bound_monotone(self):
-        vals = [bound_resolution_velocity(s, NATURAL) for s in (0.5, 1.0, 2.0, 4.0)]
+        vals = [bound_resolution_velocity(s) for s in (0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_resolution_bound_rejects_nonpositive(self):
         with pytest.raises(InvalidState, match="sigma_x0 must be positive"):
-            bound_resolution_velocity(0.0, NATURAL)
+            bound_resolution_velocity(0.0)
 
     def test_packet_validation(self):
         with pytest.raises(InvalidState, match="sigma_k0 must be positive and finite"):

@@ -12,9 +12,7 @@ from chronon_lab.relativity import (
     gamma,
     transform_temperature,
 )
-from chronon_lab.speed_limits import ThermalContext, time_quantum
-
-NATURAL = ThermalContext()
+from chronon_lab.speed_limits import time_quantum
 
 
 class TestGamma:
@@ -43,74 +41,65 @@ class TestGamma:
 
 class TestTransforms:
     def test_temperature_identity_at_rest(self):
-        assert transform_temperature(3.0, Boost(0.0)) == pytest.approx(3.0)
+        assert transform_temperature(Boost(0.0), -0.5) == 1.0
 
     def test_temperature_sqrt_convention(self):
         # gamma = 4 with exponent -1/2 halves the temperature
         v = math.sqrt(1.0 - 1.0 / 16.0)
-        assert transform_temperature(2.0, Boost(v), exponent=-0.5) == pytest.approx(1.0, rel=1e-12)
+        assert transform_temperature(Boost(v), -0.5) == pytest.approx(0.5, rel=1e-12)
 
     def test_temperature_planck_convention(self):
         v = math.sqrt(1.0 - 1.0 / 4.0)  # gamma = 2
-        assert transform_temperature(2.0, Boost(v), exponent=-1.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_temperature_rejects_nonpositive(self):
-        with pytest.raises(InvalidState, match="temperature must be positive"):
-            transform_temperature(0.0, Boost(0.5))
+        assert transform_temperature(Boost(v), -1.0) == pytest.approx(0.5, rel=1e-12)
 
     def test_entropy_is_identity(self):
         # entropy is frame-invariant: both frames of the check carry one S
         for v in (0.0, 0.6, 0.95):
-            rep = check_bound_invariance(GaussianPacket(1.0), NATURAL, Boost(v))
+            rep = check_bound_invariance(GaussianPacket(1.0), Boost(v))
             assert rep.boosted.S == rep.rest.S
 
     def test_time_quantum_at_rest(self):
-        rep = check_bound_invariance(GaussianPacket(1.0), NATURAL, Boost(0.0))
-        assert rep.boosted.dt_min.dt == pytest.approx(rep.rest.dt_min.dt, rel=1e-15)
+        rep = check_bound_invariance(GaussianPacket(1.0), Boost(0.0))
+        assert rep.boosted.dt_min == pytest.approx(rep.rest.dt_min, rel=1e-15)
 
     def test_time_quantum_dilation_factor(self):
         # temperature exponent -1: our quantum is gamma times the other frame's
-        rep = check_bound_invariance(
-            GaussianPacket(1.0), NATURAL, Boost(0.6), temp_exponent=-1.0
-        )
-        assert rep.rest.dt_min.dt == pytest.approx(1.25 * rep.boosted.dt_min.dt, rel=1e-12)
+        rep = check_bound_invariance(GaussianPacket(1.0), Boost(0.6), temp_exponent=-1.0)
+        assert rep.rest.dt_min == pytest.approx(1.25 * rep.boosted.dt_min, rel=1e-12)
 
     def test_time_quantum_substitution_oracle(self):
         # exponent -1/2 at gamma = 4: push T through the quantum formula by hand
         v = math.sqrt(1.0 - 1.0 / 16.0)
-        rep = check_bound_invariance(
-            GaussianPacket(1.0), ThermalContext(T=1.0), Boost(v), temp_exponent=-0.5
-        )
+        rep = check_bound_invariance(GaussianPacket(1.0), Boost(v), temp_exponent=-0.5)
         t_bar = 2.0  # T = gamma^-1/2 T_bar with T = 1 and gamma = 4
+        assert rep.rest.T == 1.0
         assert rep.boosted.T == pytest.approx(t_bar, rel=1e-12)
-        expected = time_quantum(rep.rest.S, ThermalContext(T=t_bar)).dt
-        assert rep.boosted.dt_min.dt == pytest.approx(expected, rel=1e-12)
-        assert rep.rest.dt_min.dt == pytest.approx(2.0 * rep.boosted.dt_min.dt, rel=1e-12)
+        expected = time_quantum(rep.rest.S, t_bar)
+        assert rep.boosted.dt_min == pytest.approx(expected, rel=1e-12)
+        assert rep.rest.dt_min == pytest.approx(2.0 * rep.boosted.dt_min, rel=1e-12)
 
     def test_path_independence(self):
         # the rest quantum is gamma^(-e) times the boosted one, which equals
         # the quantum recomputed from the boosted temperature
         for v, exp in ((0.3, -1.0), (0.8, -0.5), (0.95, -2.0)):
             b = Boost(v)
-            rep = check_bound_invariance(
-                GaussianPacket(1.0), ThermalContext(T=1.7), b, temp_exponent=exp
-            )
-            dt_bar = rep.boosted.dt_min.dt
-            assert rep.rest.dt_min.dt == pytest.approx(gamma(b) ** -exp * dt_bar, rel=1e-12)
-            recomputed = time_quantum(rep.boosted.S, ThermalContext(T=rep.boosted.T)).dt
+            rep = check_bound_invariance(GaussianPacket(1.0), b, temp_exponent=exp)
+            dt_bar = rep.boosted.dt_min
+            assert rep.rest.dt_min == pytest.approx(gamma(b) ** -exp * dt_bar, rel=1e-12)
+            recomputed = time_quantum(rep.boosted.S, rep.boosted.T)
             assert dt_bar == pytest.approx(recomputed, rel=1e-12)
 
 
 class TestBoundInvariance:
     def test_rest_frame_trivial(self):
-        rep = check_bound_invariance(GaussianPacket(1.0), NATURAL, Boost(0.0))
+        rep = check_bound_invariance(GaussianPacket(1.0), Boost(0.0))
         assert rep.passed
         assert rep.rest_velocity == pytest.approx(rep.boosted_velocity, rel=1e-15)
 
     @pytest.mark.parametrize("v", [0.6, math.sqrt(3) / 2, math.sqrt(1 - 1e-2)])
     def test_certified_pair_invariant(self, v):
         rep = check_bound_invariance(
-            GaussianPacket(1.0), NATURAL, Boost(v),
+            GaussianPacket(1.0), Boost(v),
             length_exponent=-1.0, temp_exponent=-1.0,
         )
         assert rep.rel_diff <= 1e-12
@@ -122,7 +111,7 @@ class TestBoundInvariance:
         # convention leaves a gamma^(1/2) residue
         b = Boost(0.6)
         rep = check_bound_invariance(
-            GaussianPacket(1.0), NATURAL, b,
+            GaussianPacket(1.0), b,
             length_exponent=-0.5, temp_exponent=-1.0,
         )
         assert rep.gamma_power == pytest.approx(0.5)
@@ -134,7 +123,7 @@ class TestBoundInvariance:
     def test_equal_exponent_pairs_always_cancel(self):
         # any pair with equal exponents cancels identically in the ratio
         rep = check_bound_invariance(
-            GaussianPacket(2.0), NATURAL, Boost(0.9),
+            GaussianPacket(2.0), Boost(0.9),
             length_exponent=-0.5, temp_exponent=-0.5,
         )
         assert rep.gamma_power == 0.0
@@ -143,7 +132,7 @@ class TestBoundInvariance:
     def test_rest_velocity_is_classical_bound(self):
         from chronon_lab.gaussian import bound_classical_velocity
 
-        rep = check_bound_invariance(GaussianPacket(1.3), NATURAL, Boost(0.5))
+        rep = check_bound_invariance(GaussianPacket(1.3), Boost(0.5))
         assert rep.rest_velocity == pytest.approx(
-            bound_classical_velocity(GaussianPacket(1.3), NATURAL), rel=1e-9
+            bound_classical_velocity(GaussianPacket(1.3)), rel=1e-9
         )

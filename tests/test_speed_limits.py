@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chronon_lab import speed_limits, sweeps
@@ -12,11 +12,11 @@ from chronon_lab.linalg import eig_hermitian
 from chronon_lab.speed_limits import (
     REFINE_TIME_RESOLUTION,
     SCAN_GRID_POINTS,
-    ThermalContext,
     antiqubit_process_velocity,
     ml_bound_shifted,
     orthogonalization_time,
     process_velocity,
+    require_temperature,
     state_count,
     time_quantum,
 )
@@ -26,94 +26,93 @@ from chronon_lab.sweeps import _eigenpair_state, random_state_vector, rng_for
 from conftest import bell_state, entropy_oracle, random_density_mat, random_hermitian
 
 LN2 = math.log(2.0)
-NATURAL = ThermalContext()
-HBAR_ONE = ThermalContext.hbar_one()
+_POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
 
 
-class TestThermalContext:
-    def test_defaults_are_natural(self):
-        assert (NATURAL.T, NATURAL.h, NATURAL.k, NATURAL.c) == (1.0, 1.0, 1.0, 1.0)
+class TestNaturalUnits:
+    """h = k = 1 (hbar = 1 in dynamics): each formula is its plain
+    expression, bit for bit."""
 
-    def test_hbar_one_sets_planck(self):
-        assert HBAR_ONE.h == pytest.approx(2 * math.pi)
+    @given(_POSITIVE, _POSITIVE)
+    @settings(max_examples=200, deadline=None)
+    def test_time_quantum_is_one_over_4TS(self, s, temp):
+        assert time_quantum(EntropyValue(s), temp) == 1.0 / (4.0 * temp * s)
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidState, match="T must be positive and finite"):
-            ThermalContext(T=0.0)
-        with pytest.raises(InvalidState, match="h must be positive and finite"):
-            ThermalContext(h=-1.0)
+    @given(_POSITIVE)
+    @settings(max_examples=100, deadline=None)
+    def test_velocity_is_4S(self, s):
+        assert process_velocity(EntropyValue(s)) == 4.0 * s
+        assert state_count(EntropyValue(s), 3.0) == 4.0 * s * 3.0
+
+    @pytest.mark.parametrize("temp", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_temperature(self, temp):
+        with pytest.raises(InvalidState, match="T must be positive and finite, got"):
+            require_temperature(temp)
+        with pytest.raises(InvalidState, match="T must be positive and finite, got"):
+            time_quantum(EntropyValue(LN2), temp)
+
+    @pytest.mark.parametrize("s, temp, dt", [(1e-300, 1e-300, "inf"), (1e300, 1e300, "0.0")])
+    def test_quantum_out_of_range_rejected(self, s, temp, dt):
+        # 4 T S underflows to 0 (1/0 is inf) or overflows to inf (1/inf is 0)
+        with pytest.raises(InvalidState, match=f"quantum must be positive and finite, got {dt}"):
+            time_quantum(EntropyValue(s), temp)
 
 
 class TestTimeQuantum:
     def test_ln2_natural(self):
-        dt = time_quantum(EntropyValue(LN2), NATURAL)
-        assert dt.dt == pytest.approx(1.0 / (4 * LN2), rel=1e-12)
-        assert dt.dt == pytest.approx(0.360674, abs=1e-6)
-
-    def test_si_constants_arithmetic_oracle(self):
-        h, k, temp = 6.62607e-34, 1.380649e-23, 300.0
-        ctx = ThermalContext(T=temp, h=h, k=k, c=2.99792458e8)
-        expected = h / (4.0 * k * temp * LN2)  # direct substitution
-        dt = time_quantum(EntropyValue(LN2), ctx)
-        assert dt.dt == pytest.approx(expected, rel=1e-12)
-        assert dt.dt == pytest.approx(5.77e-14, rel=1e-3)
+        dt = time_quantum(EntropyValue(LN2), 1.0)
+        assert dt == pytest.approx(1.0 / (4 * LN2), rel=1e-12)
+        assert dt == pytest.approx(0.360674, abs=1e-6)
 
     def test_zero_entropy_signals_no_flow(self):
         with pytest.raises(InvalidState, match="time quantum undefined for entropy 0.0"):
-            time_quantum(EntropyValue(0.0), NATURAL)
+            time_quantum(EntropyValue(0.0), 1.0)
 
     def test_inverse_of_velocity(self, rng):
         for _ in range(20):
             s = EntropyValue(float(rng.random()) + 0.05)
-            ctx = ThermalContext(T=float(rng.random()) + 0.5, h=2.0, k=0.7)
-            product = time_quantum(s, ctx).dt * process_velocity(s, ctx)
+            product = time_quantum(s, 1.0) * process_velocity(s)
             assert product == pytest.approx(1.0, rel=1e-12)
 
 
 class TestMlBoundShifted:
     def test_hbar_one_convention_oracle(self):
         # E_mean = 0.5, E0 = 0 with h = 2 pi gives exactly pi
-        dt = ml_bound_shifted(0.5, 0.0, HBAR_ONE)
-        assert dt.dt == pytest.approx(math.pi, rel=1e-12)
+        assert ml_bound_shifted(0.5, 0.0) == math.pi
 
     def test_degenerate_spectrum(self):
         with pytest.raises(InvalidState, match="does not exceed ground energy"):
-            ml_bound_shifted(1.0, 1.0, NATURAL)
+            ml_bound_shifted(1.0, 1.0)
 
     def test_energy_shift_gauge_invariance(self):
-        a = ml_bound_shifted(0.9, 0.1, NATURAL).dt
-        b = ml_bound_shifted(0.9 + 5.0, 0.1 + 5.0, NATURAL).dt
+        a = ml_bound_shifted(0.9, 0.1)
+        b = ml_bound_shifted(0.9 + 5.0, 0.1 + 5.0)
         assert a == pytest.approx(b, rel=1e-15)
 
 
 class TestProcessVelocity:
     def test_zero_entropy_zero_velocity(self):
-        assert process_velocity(EntropyValue(0.0), NATURAL) == 0.0
+        assert process_velocity(EntropyValue(0.0)) == 0.0
 
     def test_ln2_natural(self):
-        assert process_velocity(EntropyValue(LN2), NATURAL) == pytest.approx(2.772589, abs=1e-6)
-
-    def test_linear_in_temperature(self):
-        v1 = process_velocity(EntropyValue(LN2), ThermalContext(T=1.0))
-        v2 = process_velocity(EntropyValue(LN2), ThermalContext(T=2.0))
-        assert v2 == pytest.approx(2 * v1, rel=1e-12)
+        assert process_velocity(EntropyValue(LN2)) == pytest.approx(2.772589, abs=1e-6)
 
 
 class TestStateCount:
     def test_zero_time(self):
-        assert state_count(EntropyValue(LN2), 0.0, NATURAL) == 0.0
+        assert state_count(EntropyValue(LN2), 0.0) == 0.0
 
     def test_unit_time(self):
-        assert state_count(EntropyValue(LN2), 1.0, NATURAL) == pytest.approx(2.772589, abs=1e-6)
+        assert state_count(EntropyValue(LN2), 1.0) == pytest.approx(2.772589, abs=1e-6)
 
     def test_linear_in_time(self):
-        th1 = state_count(EntropyValue(0.4), 1.3, NATURAL)
-        th2 = state_count(EntropyValue(0.4), 2.6, NATURAL)
+        th1 = state_count(EntropyValue(0.4), 1.3)
+        th2 = state_count(EntropyValue(0.4), 2.6)
         assert th2 == pytest.approx(2 * th1, rel=1e-12)
 
     def test_negative_time_rejected(self):
         with pytest.raises(InvalidState, match="t must be >= 0"):
-            state_count(EntropyValue(LN2), -0.1, NATURAL)
+            state_count(EntropyValue(LN2), -0.1)
 
 
 class TestOrthogonalizationTime:
@@ -175,7 +174,7 @@ def reference_orthogonalization(h_op, psi0, t_max, tol=1e-9):
     gap = e_mean - e0
     bound = math.inf
     if gap > 1e-15 * max(1.0, abs(e0), abs(e_mean)):
-        bound = ml_bound_shifted(e_mean, e0, HBAR_ONE).dt
+        bound = ml_bound_shifted(e_mean, e0)
     ts = np.linspace(0.0, t_max, SCAN_GRID_POINTS)
     trace = np.abs((weights[None, :] * np.exp(-1j * np.outer(ts, w))).sum(axis=1))
 
@@ -257,9 +256,44 @@ class TestScanPruning:
         assert 10 * calls <= reference_refinements
 
 
+_DIMS = st.integers(min_value=2, max_value=16)
+_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+class TestAnalyticOracles:
+    """Closed forms and bounds every scan result must meet (hbar = 1)."""
+
+    @given(_DIMS, _SEEDS)
+    @settings(max_examples=100, deadline=None)
+    def test_eigenpair_time_is_pi_over_the_gap(self, dim, seed):
+        # |<psi0|psi(t)>| = |cos((E_j - E_i) t / 2)| first vanishes at pi/(E_j - E_i)
+        rng = rng_for(seed)
+        w, v = eig_hermitian(sweeps.random_hermitian(dim, rng))
+        psi = _eigenpair_state((w, v), rng)
+        assume(psi is not None)
+        i, j = sorted(np.argsort(np.abs(v.conj().T @ psi) ** 2)[-2:])
+        res = orthogonalization_time((w, v), StateVector(psi), t_max=60.0)
+        assert res.t_orth == pytest.approx(math.pi / (w[j] - w[i]), rel=1e-9)
+
+    @given(_DIMS, _SEEDS, st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_found_times_meet_mandelstam_tamm(self, dim, seed, eigenpair):
+        # a found time is orthogonal to tolerance, and no earlier than
+        # arccos|a(t)| / dE with dE the energy spread (Mandelstam-Tamm)
+        h_op, psi0 = sweep_trial(dim, seed, eigenpair)
+        w, v = eig_hermitian(h_op)
+        res = orthogonalization_time((w, v), psi0, t_max=60.0)
+        if res.t_orth is not None:
+            weights = np.abs(v.conj().T @ psi0.amplitudes) ** 2
+            spread = math.sqrt(weights @ (w - weights @ w) ** 2)
+            overlap = abs(np.sum(weights * np.exp(-1j * w * res.t_orth)))
+            assert overlap <= speed_limits.ORTHOGONALITY_TOL
+            assert res.t_orth >= math.acos(overlap) / spread - sweeps.SLACK_TOL
+
+
 class TestAntiqubitVelocity:
     def test_bell_state_zero(self):
-        assert antiqubit_process_velocity(conditional_state(bell_state()), NATURAL) == pytest.approx(0.0, abs=1e-9)
+        assert antiqubit_process_velocity(conditional_state(bell_state())) == pytest.approx(0.0, abs=1e-9)
 
     def test_product_scalar_oracle(self, rng):
         rho_a = np.diag([0.75, 0.25]).astype(complex)
@@ -269,7 +303,7 @@ class TestAntiqubitVelocity:
             dim_b=2,
         )
         expected = 4.0 * (entropy_oracle([0.75, 0.25]) - (-math.log(0.75)))
-        v = antiqubit_process_velocity(conditional_state(bi), NATURAL)
+        v = antiqubit_process_velocity(conditional_state(bi))
         assert v == pytest.approx(expected, abs=1e-9)
         assert v == pytest.approx(1.098612, abs=1e-6)
 
@@ -279,12 +313,7 @@ class TestAntiqubitVelocity:
             dim_a=2,
             dim_b=2,
         )
-        assert antiqubit_process_velocity(conditional_state(bi), NATURAL) == pytest.approx(0.0, abs=1e-9)
-
-    def test_temperature_scaling(self):
-        bi = bell_state()
-        v1 = antiqubit_process_velocity(conditional_state(bi), ThermalContext(T=2.0))
-        assert v1 == pytest.approx(0.0, abs=1e-9)
+        assert antiqubit_process_velocity(conditional_state(bi)) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestSweepBudgets:
