@@ -8,12 +8,19 @@ Philox generator.
 
 Each subcommand returns one report, ``(payload, rows)``, and writes
 nothing.  ``payload`` is the JSON object; ``rows`` lists the CSV lines,
-each a tuple of raw values.  ``render`` turns a report into either format,
-and ``run`` alone writes the text, to stdout or --out.  The CSV cell rule
-is ``_cell``: a float has 9 significant digits, None is empty, a boolean
-is lowercase and anything else is its ``str``.  A ``_Table`` holds named
-columns over the rows a library call returned; it renders as a CSV header
-line plus one line per row, and as a JSON list of records.
+each a tuple of raw values.  ``run`` rejects a payload holding a number
+that left the float range (exit 1, naming its key), so no output spells
+NaN or Infinity.  ``render`` turns a report into either format as an
+iterator of text chunks, and ``run`` alone writes them, one by one, to
+stdout or --out; the text of a long table is never held whole.  The CSV
+cell rule is ``_cell``: a float has 9 significant digits, None is empty,
+a boolean is lowercase and anything else is its ``str``.  A ``_Table``
+holds named columns over the rows a library call returned; it renders as
+a CSV header line plus one line per row, and as a JSON list of records
+that it writes itself, CHUNK_ROWS rows per chunk.  The rest of a JSON
+payload goes through one ``json.dumps(..., indent=2, sort_keys=True)``
+call, with each table's records spliced in at a placeholder, so the text
+is byte for byte what that call would give for the whole payload.
 
 Exit codes: 0 success, 1 invalid input (message names the violated
 invariant), 2 numerical failure.  A usage error (unknown flag, bad flag
@@ -31,7 +38,9 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_string
 
 from . import gaussian as gaussian_mod
 from . import relativity
@@ -74,6 +83,10 @@ from .states import (
 from .sweeps import ml_bound_sweep
 
 _FLOAT = "{:.9g}"
+CHUNK_ROWS = 4096  # most table rows in one chunk of rendered text
+# Stands for a _Table in the one json.dumps of a payload; no other payload
+# string or key is ever this one.
+_SPLICE = "\x00table"
 
 
 def _cell(value) -> str:
@@ -85,39 +98,107 @@ def _cell(value) -> str:
     return _FLOAT.format(value) if isinstance(value, float) else str(value)
 
 
+def _chunks(rows):
+    """rows in consecutive slices of at most CHUNK_ROWS."""
+    for start in range(0, len(rows), CHUNK_ROWS):
+        yield rows[start:start + CHUNK_ROWS]
+
+
 @dataclass(frozen=True)
 class _Table:
     """Rows of raw values under named columns, a top-level payload value.
-    Every column holds floats or strings only, so the first row fixes one
-    format template for all."""
+
+    Every column holds Python floats or strings only, so the first row
+    fixes one format template for all.  The JSON records are written
+    directly, byte for byte as ``json.dumps(..., indent=2, sort_keys=True)``
+    writes the list: keys in sorted order, floats by ``float.__repr__`` and
+    strings by ``json.encoder.encode_basestring_ascii``, each distinct
+    string encoded once.  That needs finite floats, which json would spell
+    ``NaN`` or ``Infinity``; flow ticks and the gaussian grid are finite by
+    construction (a tick time is at most the finite horizon and its quantum
+    is checked finite; the grid has x <= 6 and 0 <= G <= ln 2).  Both
+    formats come in chunks of at most CHUNK_ROWS rows.
+    """
 
     columns: tuple
     rows: tuple | list
 
-    def records(self) -> list:
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
-    def csv_lines(self) -> list:
-        lines = [",".join(self.columns)]
+    def csv_chunks(self):
+        """The header line, then the rows, one line each."""
+        yield ",".join(self.columns) + "\n"
         if self.rows:
-            template = ",".join(_FLOAT if isinstance(v, float) else "{}" for v in self.rows[0])
-            lines += itertools.starmap(template.format, self.rows)
-        return lines
+            cells = (_FLOAT if isinstance(v, float) else "{}" for v in self.rows[0])
+            template = ",".join(cells) + "\n"
+            for chunk in _chunks(self.rows):
+                yield "".join(itertools.starmap(template.format, chunk))
+
+    def json_chunks(self):
+        """The list of records, indented as the value of a top-level key."""
+        if not self.rows:
+            yield "[]"
+            return
+        order = sorted(range(len(self.columns)), key=self.columns.__getitem__)
+        strings = {i for i in order if isinstance(self.rows[0][i], str)}
+        fields = ",\n".join(
+            "      %s: %s" % (_encode_string(self.columns[i]).replace("%", "%%"),
+                              "%s" if i in strings else "%r")
+            for i in order
+        )
+        template = "    {\n" + fields + "\n    }"
+        encoded = {}  # a system id repeats on every one of its ticks
+        separator = "[\n"
+        for chunk in _chunks(self.rows):
+            cols = list(zip(*chunk))
+            for i in strings:
+                encoded.update((s, _encode_string(s)) for s in set(cols[i]) - encoded.keys())
+                cols[i] = map(encoded.__getitem__, cols[i])
+            yield separator + ",\n".join(map(template.__mod__, zip(*(cols[i] for i in order))))
+            separator = ",\n"
+        yield "\n  ]"
 
 
-def render(report: tuple, fmt: str) -> str:
-    """The text of a subcommand's (payload, rows) report in fmt."""
+def _json_chunks(payload: dict):
+    """json.dumps(payload, indent=2, sort_keys=True) plus a newline, with
+    each _Table written by the table itself at a placeholder."""
+    tables = [payload[k] for k in sorted(payload) if isinstance(payload[k], _Table)]
+    if tables:
+        payload = {k: _SPLICE if isinstance(v, _Table) else v for k, v in payload.items()}
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if not tables:
+        yield text
+        return
+    # sort_keys puts the placeholders in the order of the sorted table keys
+    head, *tails = text.split(_encode_string(_SPLICE))
+    yield head
+    for table, tail in zip(tables, tails):
+        yield from table.json_chunks()
+        yield tail
+
+
+def render(report: tuple, fmt: str) -> Iterator[str]:
+    """The text of a subcommand's (payload, rows) report in fmt, as an
+    iterator of chunks; a _Table comes CHUNK_ROWS rows at a time."""
     payload, rows = report
     if fmt == "json":
-        payload = {k: v.records() if isinstance(v, _Table) else v for k, v in payload.items()}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    lines = []
+        yield from _json_chunks(payload)
+        return
     for row in rows:
         if isinstance(row, _Table):
-            lines += row.csv_lines()
+            yield from row.csv_chunks()
         else:
-            lines.append(",".join(map(_cell, row)))
-    return "\n".join(lines) + "\n"
+            yield ",".join(map(_cell, row)) + "\n"
+
+
+def _require_finite(value, path: str = "") -> None:
+    """InvalidState naming, by its dotted path, the first number of a
+    payload that left the float range.  A _Table is not walked: its values
+    are finite by construction."""
+    for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+        if isinstance(item, float):
+            if not math.isfinite(item):
+                raise InvalidState(f"{path}{key} left the float range, got {item}")
+        elif isinstance(item, (dict, list)):
+            _require_finite(item, f"{path}{key}.")
 
 
 def _require(args, rule: str, holds, *names: str) -> None:
@@ -356,7 +437,8 @@ def _cmd_simultaneity(args):
     else:
         raise InvalidState("give --vmax or --entropy to fix the maximal velocity")
     offset = simultaneity_offset(theta1, theta2, v_max)
-    payload = {"offset": offset, "theta1": theta1, "theta2": theta2, "vMax": v_max}
+    # inputs first, so a non-finite input is named before the offset it spoils
+    payload = {"theta1": theta1, "theta2": theta2, "vMax": v_max, "offset": offset}
     return payload, [(offset,)]
 
 
@@ -480,7 +562,9 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         with _output(args.out) as fh:
-            fh.write(render(args.func(args), args.format))
+            report = args.func(args)
+            _require_finite(report[0])
+            fh.writelines(render(report, args.format))
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

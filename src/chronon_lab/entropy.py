@@ -116,8 +116,12 @@ def conditional_state(bi: BipartiteState) -> ConditionalState:
     the second factor.
 
     Computes rho_{A|B} = exp(P A P) within the support of the joint, where
-    A = log rho - id (x) log rho_B and P projects onto supp(rho).  A joint
-    whose support leaks out of id (x) supp(rho_B) raises NumericalError.
+    A = log rho - id (x) log rho_B and P projects onto supp(rho).  Both
+    supports keep the eigenvalues above linalg.SUPPORT_CUTOFF times the
+    joint's largest one, so a weight the joint keeps is not dropped from
+    rho_B for being small next to rho_B's own largest eigenvalue.  A joint
+    whose support still leaks out of id (x) supp(rho_B) by more than
+    SUPPORT_CONTAINMENT_TOL raises NumericalError.
     The entropy S(joint) - S(B) is cross-checked against the trace form
     -tr(rho log rho_{A|B}); a disagreement beyond 1e-8 raises
     NumericalError too.
@@ -125,7 +129,7 @@ def conditional_state(bi: BipartiteState) -> ConditionalState:
     rho = bi.joint.mat
     marginal = bi.marginal_b()
     w, basis = linalg.support_spectrum(rho)
-    log_b, proj_b = linalg.support_log(marginal.mat)
+    log_b, proj_b = linalg.support_log(marginal.mat, scale=float(w[-1]))
     proj_joint = basis @ linalg.dag(basis)
     embed_proj = np.kron(np.eye(bi.dim_a), proj_b)
     leak = linalg.frobenius(proj_joint - embed_proj @ proj_joint @ embed_proj)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidState, NumericalError
 
 MAX_DIM = 4096  # largest matrix or tensor-product dimension accepted
-SUPPORT_CUTOFF = 1e-12  # support threshold, relative to the largest eigenvalue
+SUPPORT_CUTOFF = 1e-12  # support threshold, relative to a largest eigenvalue
 HERMITICITY_RTOL = 1e-9
 
 
@@ -100,29 +100,36 @@ def matrix_func(a: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
     return (v * fw) @ dag(v)
 
 
-def support_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def support_spectrum(
+    rho: np.ndarray, scale: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors spanning the support of a PSD Hermitian
     matrix.
 
-    Eigenvalues above SUPPORT_CUTOFF times the largest eigenvalue form the
-    support.  Returns ``(values, columns)``, ascending, from a single
-    eigendecomposition.  Eigenvalues below ``-SUPPORT_CUTOFF`` raise
-    InvalidState.
+    Eigenvalues above SUPPORT_CUTOFF times scale form the support; scale
+    defaults to the largest eigenvalue.  Returns ``(values, columns)``,
+    ascending, from a single eigendecomposition.  Eigenvalues below
+    ``-SUPPORT_CUTOFF`` raise InvalidState.
     """
     w, v = eig_hermitian(rho)
     if w[0] < -SUPPORT_CUTOFF:
         raise InvalidState(f"eigenvalue {w[0]:.3e} below -cutoff")
-    keep = w > SUPPORT_CUTOFF * max(float(w[-1]), 0.0)
+    if scale is None:
+        scale = max(float(w[-1]), 0.0)
+    keep = w > SUPPORT_CUTOFF * scale
     return w[keep], v[:, keep]
 
 
-def support_log(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def support_log(
+    rho: np.ndarray, scale: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Matrix log restricted to the support of a PSD Hermitian matrix.
 
-    The support is that of :func:`support_spectrum`; the log vanishes off
-    it.  Returns ``(logm, projector)``, both zero for an empty support.
+    The support is that of :func:`support_spectrum` at the same scale; the
+    log vanishes off it.  Returns ``(logm, projector)``, both zero for an
+    empty support.
     """
-    w, vk = support_spectrum(rho)
+    w, vk = support_spectrum(rho, scale)
     logm = (vk * np.log(w)) @ dag(vk)
     proj = vk @ dag(vk)
     return logm, proj

@@ -173,18 +173,35 @@ class TestConditionalCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: conditional-entropy paths disagree")
 
-    @pytest.mark.parametrize("argv", [["conditional"], ["entropy", "--conditional"]])
-    def test_support_leak_exit_two(self, argv, tmp_path, capsys):
-        # eps sits above the relative support cutoff of the joint (largest
-        # eigenvalue 1/8) but below that of rho_B = diag(1 - eps, eps), so
-        # the joint's |0>|1> direction leaks out of id (x) supp(rho_B)
+    @staticmethod
+    def _faint_weight_file(tmp_path) -> str:
+        # a weight eps on |0>|1> above the support cutoff relative to the
+        # joint's largest eigenvalue 1/8, but below the cutoff relative to
+        # rho_B = diag(1 - eps, eps)'s own largest eigenvalue
         eps = 5e-13
         e0, e1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
         first = np.diag([1.0] + [0.0] * 7)
         joint = (1 - eps) * np.kron(np.eye(8) / 8, e0) + eps * np.kron(first, e1)
-        path = tmp_path / "leak.json"
+        path = tmp_path / "faint.json"
         save_state(str(path), BipartiteState(DensityMatrix(joint), dim_a=8, dim_b=2))
-        code = cli.run(argv + ["--state", str(path)])
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [["conditional"], ["entropy", "--conditional"]])
+    def test_faint_weight_kept_in_both_supports(self, argv, tmp_path, capsys):
+        code, out = run_capture(argv + ["--state", self._faint_weight_file(tmp_path),
+                                        "--format", "json"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        value = report.get("conditionalEntropy", report.get("value"))
+        assert value == pytest.approx(math.log(8.0), abs=1e-9)
+
+    @pytest.mark.parametrize("argv", [["conditional"], ["entropy", "--conditional"]])
+    def test_support_leak_exit_two(self, argv, tmp_path, monkeypatch, capsys):
+        # cut rho_B against its own largest eigenvalue, not the joint's, so
+        # the joint's |0>|1> direction leaks out of id (x) supp(rho_B)
+        own_scale = linalg.support_log
+        monkeypatch.setattr(linalg, "support_log", lambda rho, scale=None: own_scale(rho))
+        code = cli.run(argv + ["--state", self._faint_weight_file(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2
         assert err == "error: joint support leaks out of id (x) supp(rho_B) by 1.000e+00\n"
@@ -475,6 +492,12 @@ class TestSimultaneityCommand:
          "temperature factor gamma^1000.0 is out of range"),
         (["lorentz", "--v", "0.99999999", "--length-exponent", "1000"],
          "length factor gamma^1000.0 is out of range"),
+        # finite inputs whose product or quotient leaves the float range
+        (["lorentz", "--v", "0.5", "--sigma-k0", "1e308", "--format", "json"],
+         "restFrame.velocity left the float range, got inf"),
+        (["gaussian", "--sigma-x0", "1e-320"], "bounds.resolution left the float range, got inf"),
+        (["simultaneity", "--theta1", "0", "--theta2", "1", "--entropy", "1e-320"],
+         "offset left the float range, got inf"),
     ],
 )
 def test_numeric_flag_out_of_range_exit_one(argv, flag, capsys):
@@ -777,15 +800,17 @@ _SPEEDS = (0.0, 0.6, 0.99999999, -0.99999999, 5e-324, 1e-300, 1000.0)
 @settings(max_examples=100, deadline=None)
 def test_extreme_numbers_never_raise(cmd, data):
     """Every numeric flag, or flow-config number, drawn from _EXTREMES in a
-    flag combination the subcommand accepts: no traceback, and a nonzero
-    exit prints one error line."""
+    flag combination the subcommand accepts: no traceback, a nonzero exit
+    prints one error line, and an exit-0 output holds finite numbers only
+    (JSON without NaN or Infinity, CSV without nan or inf cells)."""
     x = st.sampled_from(_EXTREMES)
+    fmt = data.draw(st.sampled_from(["csv", "json"]))
     cfg = None
     if cmd == "flow":
         cfg = {"systems": [{"id": "a", "entropyNats": data.draw(x)},
                            {"id": "b", "entropyNats": data.draw(x)}],
                "T": data.draw(x), "horizon": data.draw(x)}
-        argv = data.draw(st.sampled_from(sorted(_FLOW_MODES.values())))
+        argv = data.draw(st.sampled_from(sorted(_FLOW_MODES.values()))) + ["--format", fmt]
     else:
         if cmd == "lorentz":
             flags = ["--c", "--temp-exponent", "--length-exponent", "--sigma-k0"]
@@ -797,16 +822,28 @@ def test_extreme_numbers_never_raise(cmd, data):
             flags = data.draw(st.sampled_from([["--theta1", "--theta2"],
                                                ["--s1", "--t1", "--s2", "--t2"]]))
             flags, argv = flags + [data.draw(st.sampled_from(["--vmax", "--entropy"]))], []
-        argv = [cmd, "--format", data.draw(st.sampled_from(["csv", "json"])), *argv]
+        argv = [cmd, "--format", fmt, *argv]
         argv += [a for f in flags for a in (f, repr(data.draw(x)))]
+    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "flow.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(cfg, fh)
-        code, err = _run_quietly([a.format(f=path) for a in argv])
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run([a.format(f=path) for a in argv])
+    err = err.getvalue()
     assert code in (0, 1, 2), argv
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, cfg, err)
+    elif fmt == "json":
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        cells = {c for line in out.getvalue().splitlines() for c in line.split(",")}
+        assert not cells & {"nan", "inf", "-inf"}, (argv, cfg)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"output holds the non-finite JSON number {name}")
 
 
 class TestDeterminism:
@@ -829,6 +866,84 @@ class TestDeterminism:
         assert cli.run(["flow", "--config", flow_config, "--out", str(a)]) == 0
         assert cli.run(["flow", "--config", flow_config, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# Floats at the edges of repr: signed zero, subnormals, the extremes, and
+# both sides of repr's switch to exponent form at 1e16 and 1e-4.
+_EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e300, -1e300,
+    1.7976931348623157e308, 1e16, -1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05,
+    0.1, 1.0 / 3.0,
+)
+# Quotes, backslashes, control characters, non-ASCII and non-BMP text.
+_EDGE_STRINGS = (
+    "", "a", '"', "\\", 'a"b\\c', "\x00\x1f\x7f\n\t", "\u00e9t\u00e9", "\U0001f600", "%s%r%%",
+)
+
+
+@st.composite
+def _tables(draw):
+    """A random _Table: 1-4 float or string columns; 0 rows, 1 row, a few,
+    or more than one chunk's worth, cycled from up to 8 drawn rows whose
+    strings repeat from a small pool."""
+    columns = draw(st.lists(st.text(max_size=6), min_size=1, max_size=4, unique=True))
+    kinds = [draw(st.sampled_from([float, str])) for _ in columns]
+    pool = draw(st.lists(st.sampled_from(_EDGE_STRINGS) | st.text(max_size=8),
+                         min_size=1, max_size=4))
+    values = {float: st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False,
+                                                                allow_infinity=False),
+              str: st.sampled_from(pool)}
+    base = draw(st.lists(st.tuples(*(values[k] for k in kinds)), min_size=1, max_size=8))
+    n = draw(st.sampled_from([0, 1, 2, 5, cli.CHUNK_ROWS + 3]))
+    return cli._Table(tuple(columns), [base[i % len(base)] for i in range(n)])
+
+
+class TestTableWriter:
+    @given(table=_tables(), extra=st.dictionaries(
+        st.text(alphabet="abcxyz", min_size=1, max_size=3),
+        st.sampled_from(_EDGE_FLOATS) | st.sampled_from(_EDGE_STRINGS), max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_json_matches_json_dumps(self, table, extra):
+        """The direct writer writes what json.dumps writes, in chunks of at
+        most CHUNK_ROWS records."""
+        records = [dict(zip(table.columns, row)) for row in table.rows]
+        payload = {**extra, "t": table}
+        chunks = list(cli.render((payload, [table]), "json"))
+        expected = json.dumps({**extra, "t": records}, indent=2, sort_keys=True) + "\n"
+        # compared line by line: a diff of two long texts takes minutes
+        assert "".join(chunks).split("\n") == expected.split("\n")
+        assert max(chunk.count("\n    {\n") for chunk in chunks) <= cli.CHUNK_ROWS
+
+    @given(table=_tables())
+    @settings(max_examples=30, deadline=None)
+    def test_csv_matches_the_cell_rule(self, table):
+        """The table's CSV is its header plus one _cell line per row, in a
+        header chunk and chunks of at most CHUNK_ROWS rows."""
+        chunks = list(cli.render(({}, [table]), "csv"))
+        lines = [",".join(map(cli._cell, row)) + "\n" for row in table.rows]
+        expected = ",".join(table.columns) + "\n" + "".join(lines)
+        assert "".join(chunks).split("\n") == expected.split("\n")
+        assert len(chunks) == 1 + math.ceil(len(table.rows) / cli.CHUNK_ROWS)
+
+    def test_zero_tick_flow(self, tmp_path, capsys):
+        # the horizon is shorter than the one quantum 1/(4 T S) = 0.25
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"systems": [{"id": "a", "entropyNats": 1.0}],
+                                    "horizon": 0.1}))
+        argv = ["flow", "--config", str(path), "--format"]
+        assert run_capture(argv + ["json"], capsys) == (0, '{\n  "ticks": []\n}\n')
+        assert run_capture(argv + ["csv"], capsys) == (0, "time,quantum,systemId\n")
+
+    def test_ids_that_need_escaping(self, tmp_path, capsys):
+        ids = [s for s in _EDGE_STRINGS if s]
+        systems = [{"id": s, "entropyNats": 1.0 + i} for i, s in enumerate(ids)]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"systems": systems, "horizon": 1.0}))
+        code, out = run_capture(["flow", "--config", str(path), "--format", "json"], capsys)
+        assert code == 0
+        ticks = json.loads(out)["ticks"]
+        assert {t["systemId"] for t in ticks} == set(ids)
+        assert out == json.dumps({"ticks": ticks}, indent=2, sort_keys=True) + "\n"
 
 
 # The writer half of the state-file codec: no subcommand writes state files;

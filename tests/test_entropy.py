@@ -156,6 +156,22 @@ class TestTrotterConditionalDensity:
         assert all(a > b for a, b in zip(dists, dists[1:]))
         assert dists[-1] < dists[0] / 100
 
+    @given(
+        st.sampled_from(FACTOR_DIMS),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_distance_shrinks_as_n_doubles(self, dims, seed):
+        # Cerf-Adami (PRL 79, 5194 (1997)): the product approximant tends
+        # to the conditional density; on full-rank joints it gets closer
+        # each time n doubles
+        dim_a, dim_b = dims
+        rng = np.random.default_rng(seed)
+        bi = BipartiteState(random_density(dim_a * dim_b, rng), dim_a, dim_b)
+        cond = conditional_state(bi).density
+        dists = [frobenius(trotter_conditional_density(bi, 2**k) - cond) for k in range(7)]
+        assert all(a > b for a, b in zip(dists, dists[1:])), dists
+
     def test_rank_deficient_needs_regularization(self):
         bi = bell_state()
         with pytest.raises(NumericalError, match="rank-deficient state"):

@@ -74,7 +74,7 @@ def test_one_report_renders_both_formats(case):
     report = args.func(args)
     for fmt in FORMATS:
         expected = (GOLDEN / f"{case}.{fmt}").read_bytes()
-        assert cli.render(report, fmt).encode("utf-8") == expected, fmt
+        assert "".join(cli.render(report, fmt)).encode("utf-8") == expected, fmt
 
 
 def test_subcommands_leave_format_and_output_to_run():
