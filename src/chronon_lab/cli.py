@@ -14,7 +14,9 @@ NaN or Infinity.  ``render`` turns a report into either format as an
 iterator of text chunks, and ``run`` alone writes them, one by one, to
 stdout or --out; the text of a long table is never held whole.  The CSV
 cell rule is ``_cell``: a float has 9 significant digits, None is empty,
-a boolean is lowercase and anything else is its ``str``.  A ``_Table``
+a boolean is lowercase and anything else is its ``str``, unquoted.  The
+only strings read from input that reach a cell are system ids, which
+``flow.SystemSpec`` keeps free of commas, quotes, CR and LF.  A ``_Table``
 holds named columns over the rows a library call returned; it renders as
 a CSV header line plus one line per row, and as a JSON list of records
 that it writes itself, CHUNK_ROWS rows per chunk.  The rest of a JSON

@@ -23,6 +23,8 @@ from .speed_limits import time_quantum
 from .states import ClassicalQuantumState
 
 MAX_TICKS = 10**6  # largest merged flow simulate_flow will build
+# Characters a system id may not hold: CSV output writes ids unquoted.
+_CSV_UNSAFE = frozenset(',"\r\n')
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,10 @@ class SystemSpec:
     def __post_init__(self):
         if not isinstance(self.id, str):
             raise InvalidState(f"system id must be a string, got {self.id!r}")
+        if not _CSV_UNSAFE.isdisjoint(self.id):
+            raise InvalidState(
+                f"system id {self.id!r} holds a comma, quote, CR or LF"
+            )
         if self.entropy.nats < 0.0:
             raise InvalidState(
                 f"system {self.id!r}: per-measurement entropy must be >= 0"

@@ -26,6 +26,7 @@ from .states import StateVector
 
 ORTHOGONALITY_TOL = 1e-9
 SCAN_GRID_POINTS = 4096
+BLOCK_ROWS = 8  # grid rows per coarse block; SCAN_GRID_POINTS is a multiple
 REFINE_TIME_RESOLUTION = 1e-12
 _EPS = float(np.finfo(np.float64).eps)
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -111,6 +112,12 @@ def _golden_min(f, lo: float, hi: float, xtol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _overlap_rows(weights: np.ndarray, energies: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """|<psi0|exp(-iHt)|psi0>| at each time of ts, each row by the same
+    arithmetic whichever other rows are asked for."""
+    return np.abs((weights[None, :] * np.exp(-1j * np.outer(ts, energies))).sum(axis=1))
+
+
 def orthogonalization_time(
     spectrum: tuple[np.ndarray, np.ndarray], psi0: StateVector, t_max: float
 ) -> OrthogonalizationResult:
@@ -121,22 +128,40 @@ def orthogonalization_time(
     that H is Hermitian; a caller that needs the pair for anything else
     decomposes H once and passes the same pair here.
 
-    Samples |<psi0|exp(-iHt)|psi0>| on a grid of SCAN_GRID_POINTS points
-    over [0, t_max], refines local minima by golden section down to
-    REFINE_TIME_RESOLUTION, and reports the first refined minimum whose
-    overlap modulus is <= tol = ORTHOGONALITY_TOL (None if no such time
-    exists).  The bound field carries 2*pi/(4 (E_mean - E0)) with
+    Scans A(t) = |sum_k w_k exp(-i E_k t)| on a grid ts of SCAN_GRID_POINTS
+    points over [0, t_max], refines grid-local minima by golden section down
+    to REFINE_TIME_RESOLUTION, and reports the first refined minimum with
+    A <= tol = ORTHOGONALITY_TOL; failing that t_max if A(t_max) <= tol,
+    else None.  The bound field carries 2*pi/(4 (E_mean - E0)) with
     E_mean = <psi0|H|psi0> and E0 the smallest eigenvalue (hbar = 1
     convention; inf when E_mean = E0).
 
-    The overlap A(t) = |sum_k w_k exp(-i E_k t)| is Lipschitz with constant
-    L = sum_k w_k |E_k - E_mean|.  Every point t of the refinement bracket
-    [ts[i-1], ts[i+1]] lies within half a grid step dt of one of its three
-    grid points, none of which samples below the minimum trace[i]; so
-    A(t) >= trace[i] - L*dt/2.  A minimum with trace[i] > tol + L*dt/2
-    (plus a rounding margin) is skipped unrefined: no refinement of its
-    bracket could pass.  The brackets refined up to the first passing one,
-    and hence t_orth, are the same as when every minimum is refined.
+    A is evaluated only where it can reach tol, by two bounds that hold
+    for the computed values once rounding = 1e-12 + 64 eps (max|E| t_max + d),
+    the error of an overlap whose phases reach max|E| t_max, is taken off:
+
+    - First order: A is Lipschitz with L = sum_k w_k |E_k - E_mean|, and
+      each point of the bracket [ts[i-1], ts[i+1]] lies within dt/2 of a
+      grid point no lower than the minimum trace[i]; a minimum above
+      skip_above = tol + L dt/2 + rounding is not refined.
+    - Second order: with a the overlap and c = -i sum_k w_k (E_k - E_mean)
+      exp(-i E_k t) its slope at t (phase shifted by E_mean, which no
+      modulus sees), A(t + s) >= min_{|s| <= h} |a + c s| - M2 h^2/2 on
+      |s| <= h, where M2 = sum_k w_k (E_k - E_mean)^2.  Rounding is taken
+      off twice: scaled by 1 + L h for the computed a and c, and once for
+      the value compared.  At the centre of each block of BLOCK_ROWS rows,
+      with h half its width, the bound skips the blocks above skip_above:
+      the trace is computed only on the other blocks' rows, every other
+      row reading inf.  At a candidate, with h = dt, it skips a bracket
+      above tol.  A NaN bound skips nothing.
+
+    Each computed row uses the full grid's per-row arithmetic
+    (:func:`_overlap_rows`), so it holds the full grid's bits.  A skipped
+    row lies above skip_above on the full grid too, so it is no candidate,
+    and as a neighbour it compares with a row <= skip_above the same way
+    as inf does; no skipped bracket could have held a passing point.  So
+    t_orth, the trace[-1] fallback included, is bit for bit the one found
+    by refining every grid-local minimum of the full grid.
     """
     energies, vectors = spectrum
     if vectors.shape[0] != psi0.dim:
@@ -157,12 +182,6 @@ def orthogonalization_time(
         bound = math.inf
 
     ts = np.linspace(0.0, t_max, SCAN_GRID_POINTS)
-    amp = (weights[None, :] * np.exp(-1j * np.outer(ts, energies))).sum(axis=1)
-    trace = np.abs(amp)
-
-    def overlap(t: float) -> float:
-        return abs(np.sum(weights * np.exp(-1j * energies * t)))
-
     lipschitz = float(weights @ np.abs(energies - e_mean))
     half_step = 0.5 * t_max / (SCAN_GRID_POINTS - 1)
     # Both overlap evaluations round phases of size up to max|E| * t_max.
@@ -170,11 +189,43 @@ def orthogonalization_time(
     # A(t) >= trace[i] - L*dt/2 on the bracket of a grid minimum, so one above
     # tol + L*dt/2 (plus rounding) cannot refine to a passing point: skip it.
     skip_above = ORTHOGONALITY_TOL + lipschitz * half_step * (1.0 + 1e-9) + rounding
+    slope_weights = -1j * weights * (energies - e_mean)
+    half_m2 = 0.5 * float(weights @ (energies - e_mean) ** 2) * (1.0 + 1e-9)
+
+    def floor(t: np.ndarray, h) -> np.ndarray:
+        """Second-order lower bound on the computed A over [t - h, t + h]."""
+        p = np.exp(-1j * np.outer(energies, t))
+        a = (weights[:, None] * p).sum(axis=0)
+        c = (slope_weights[:, None] * p).sum(axis=0)
+        cc = c.real**2 + c.imag**2
+        # the s in [-h, h] nearest the minimum of |a + c s| over all real s
+        s = np.divide(-(a.real * c.real + a.imag * c.imag), cc,
+                      out=np.zeros_like(cc), where=cc > 0)
+        s = np.clip(s, -h, h)
+        return np.abs(a + c * s) - half_m2 * h * h - rounding * (2.0 + lipschitz * h)
+
+    first, last = ts[::BLOCK_ROWS], ts[BLOCK_ROWS - 1::BLOCK_ROWS]
+    radius = 0.5 * (last - first) * (1.0 + 1e-9)
+    kept = ~(floor(0.5 * (first + last), radius) > skip_above)
+    rows = np.flatnonzero(np.repeat(kept, BLOCK_ROWS))
+    trace = np.full(SCAN_GRID_POINTS, np.inf)
+    trace[rows] = _overlap_rows(weights, energies, ts[rows])
+
     mid = trace[1:-1]
     candidates = (mid <= trace[:-2]) & (mid <= trace[2:]) & (mid <= skip_above)
+    candidates = np.flatnonzero(candidates) + 1
+    # every point of a candidate's bracket lies within dt of its grid point
+    step = 2.0 * half_step * (1.0 + 1e-9)
+    candidates = candidates[~(floor(ts[candidates], step) > ORTHOGONALITY_TOL)]
+
+    # (-1j * energies) * t and np.sum's reduce, hoisted: the same bits, cheaper
+    neg_i_energies = -1j * energies
+
+    def overlap(t: float) -> float:
+        return abs(np.add.reduce(weights * np.exp(neg_i_energies * t)))
 
     t_orth = None
-    for i in np.flatnonzero(candidates) + 1:
+    for i in candidates:
         t_star = _golden_min(overlap, ts[i - 1], ts[i + 1], REFINE_TIME_RESOLUTION)
         if overlap(t_star) <= ORTHOGONALITY_TOL:
             t_orth = t_star

@@ -692,14 +692,19 @@ def _run_quietly(argv) -> tuple[int, str]:
         ("horizon", "1e400", "horizon must be positive and finite, got inf"),
         ("id", None, "malformed flow config: system id must be a string, got None"),
         ("id", [], "malformed flow config: system id must be a string, got []"),
+        ("id", "x,y", "malformed flow config: system id 'x,y' holds a comma, quote, CR or LF"),
+        ("id", "a\nb", "system id 'a\\nb' holds a comma, quote, CR or LF"),
+        ("id", 'say "hi"', "system id 'say \"hi\"' holds a comma, quote, CR or LF"),
+        ("id", "c\rd", "system id 'c\\rd' holds a comma, quote, CR or LF"),
         ("entropyNats", True, "malformed flow config: expected a number, got True"),
         ("entropyNats", "1.5", "malformed flow config: expected a number, got '1.5'"),
         ("T", True, "malformed flow config: expected a number, got True"),
         ("horizon", "2", "malformed flow config: expected a number, got '2'"),
         ("T", 0, "T must be positive and finite, got 0.0"),
     ],
-    ids=["horizon-negative", "horizon-overflow", "id-null", "id-list", "entropy-bool",
-         "entropy-string", "T-bool", "horizon-string", "T-zero"],
+    ids=["horizon-negative", "horizon-overflow", "id-null", "id-list", "id-comma", "id-lf",
+         "id-quote", "id-cr", "entropy-bool", "entropy-string", "T-bool", "horizon-string",
+         "T-zero"],
 )
 def test_flow_config_checked_in_every_mode(mode, key, value, invariant, tmp_path):
     """Every mode rejects what plain flow rejects, whether or not it reads
@@ -935,7 +940,8 @@ class TestTableWriter:
         assert run_capture(argv + ["csv"], capsys) == (0, "time,quantum,systemId\n")
 
     def test_ids_that_need_escaping(self, tmp_path, capsys):
-        ids = [s for s in _EDGE_STRINGS if s]
+        # JSON escapes what a CSV-safe id may hold; the unsafe ones are rejected
+        ids = [s for s in _EDGE_STRINGS if s and not set(s) & set(',"\r\n')]
         systems = [{"id": s, "entropyNats": 1.0 + i} for i, s in enumerate(ids)]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"systems": systems, "horizon": 1.0}))

@@ -38,6 +38,9 @@ CASES = {
         "entropy", "--state", _in("xi.json"), "--measure", _in("basis.json"),
     ],
     "mlcheck": ["mlcheck", "--dims", "2,3", "--trials", "6", "--seed", "7"],
+    "mlcheck_wide": [
+        "mlcheck", "--dims", "2,3,4,8,16,32,64", "--trials", "20", "--seed", "11",
+    ],
     "gaussian": ["gaussian", "--grid", "64"],
     "lorentz": ["lorentz", "--v", "0.6"],
     "flow_ticks": ["flow", "--config", _in("flow.json")],

@@ -204,20 +204,64 @@ def sweep_trial(dim, seed, eigenpair):
     return h_op, StateVector(psi)
 
 
+def assert_matches_reference(h_op, psi0, t_max):
+    """The scan's (t_orth, bound) equal the unpruned reference's, bit for bit."""
+    res = orthogonalization_time(eig_hermitian(h_op), psi0, t_max=t_max)
+    t_ref, bound_ref, _ = reference_orthogonalization(h_op, psi0, t_max)
+    assert res.t_orth == t_ref
+    assert res.bound == bound_ref
+    return res
+
+
+def two_level(gap):
+    """H = diag(0, gap) and the equal superposition, with |a(t)| = |cos(gap t / 2)|."""
+    return np.diag([0.0, gap]).astype(complex), StateVector(np.array([1.0, 1.0]) / math.sqrt(2))
+
+
 class TestScanPruning:
     @given(
-        st.integers(min_value=2, max_value=16),
+        st.integers(min_value=2, max_value=sweeps.MAX_SWEEP_DIM),
         st.integers(min_value=0, max_value=2**32 - 1),
         st.booleans(),
-        st.sampled_from([5.0, 60.0, 200.0]),
+        st.sampled_from([0.5, 5.0, 60.0, 200.0, 1000.0]),
     )
     @settings(max_examples=60, deadline=None)
     def test_pruned_scan_equals_unpruned_reference(self, dim, seed, eigenpair, t_max):
-        h_op, psi0 = sweep_trial(dim, seed, eigenpair)
-        res = orthogonalization_time(eig_hermitian(h_op), psi0, t_max=t_max)
-        t_ref, bound_ref, _ = reference_orthogonalization(h_op, psi0, t_max)
-        assert res.t_orth == t_ref
-        assert res.bound == bound_ref
+        assert_matches_reference(*sweep_trial(dim, seed, eigenpair), t_max)
+
+    @pytest.mark.parametrize("t_max", [0.5, 5.0, 60.0, 1000.0])
+    def test_zero_at_t_max_found_by_the_last_row(self, t_max):
+        # the overlap falls to zero only at t_max itself: no interior minimum
+        res = assert_matches_reference(*two_level(math.pi / t_max), t_max)
+        assert res.t_orth == t_max
+
+    @pytest.mark.parametrize("dim", [2, 16])
+    def test_eigenstate_never_orthogonalizes(self, dim, rng):
+        # M2 = 0 and a zero slope: every block's bound is |a| = 1
+        h_op = random_hermitian(dim, rng)
+        psi0 = StateVector(np.linalg.eigh(h_op)[1][:, dim // 2])
+        assert assert_matches_reference(h_op, psi0, 60.0).t_orth is None
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5, -0.5, 1.0])
+    def test_zero_on_a_block_boundary(self, offset):
+        # the first zero sits offset grid steps after the first row of a block
+        t_max = 60.0
+        step = t_max / (SCAN_GRID_POINTS - 1)
+        t_zero = (37 * speed_limits.BLOCK_ROWS + offset) * step
+        res = assert_matches_reference(*two_level(math.pi / t_zero), t_max)
+        assert res.t_orth == pytest.approx(t_zero, rel=1e-9)
+
+    @pytest.mark.parametrize("t_max", [5.0, 60.0, 200.0])
+    def test_degenerate_energies(self, t_max, rng):
+        # E = 0, 0, 1, 1, 2 in a random basis; the equal superposition of
+        # both degenerate pairs has |a(t)| = |cos(t / 2)|, first zero at pi
+        q, _ = np.linalg.qr(random_hermitian(5, rng) + 1j * np.eye(5))
+        h_op = q @ np.diag([0.0, 0.0, 1.0, 1.0, 2.0]) @ q.conj().T
+        psi0 = StateVector(q[:, :4].sum(axis=1) / 2.0)
+        res = assert_matches_reference(h_op, psi0, t_max)
+        assert res.t_orth == pytest.approx(math.pi, rel=1e-6)
+        # the same spectrum from a random state
+        assert_matches_reference(h_op, StateVector(random_state_vector(5, rng)), t_max)
 
     @pytest.mark.parametrize("dim", [2, 5, 16])
     def test_overlap_is_lipschitz_in_the_energy_spread(self, dim, rng):
@@ -254,6 +298,24 @@ class TestScanPruning:
         assert (res.t_orth, res.bound) == (t_ref, bound_ref)
         assert reference_refinements >= 90
         assert 10 * calls <= reference_refinements
+
+    def test_coarse_pass_leaves_most_rows_unevaluated(self, monkeypatch):
+        # the same trial: blocks whose second-order bound stays above the
+        # threshold are never evaluated row by row
+        h_op, psi0 = sweep_trial(16, 0, eigenpair=False)
+        t_ref, bound_ref, _ = reference_orthogonalization(h_op, psi0, 60.0)
+        overlap_rows = speed_limits._overlap_rows
+        rows = 0
+
+        def counting(weights, energies, ts):
+            nonlocal rows
+            rows += len(ts)
+            return overlap_rows(weights, energies, ts)
+
+        monkeypatch.setattr(speed_limits, "_overlap_rows", counting)
+        res = orthogonalization_time(eig_hermitian(h_op), psi0, t_max=60.0)
+        assert (res.t_orth, res.bound) == (t_ref, bound_ref)
+        assert 0 < rows < SCAN_GRID_POINTS / 4
 
 
 _DIMS = st.integers(min_value=2, max_value=16)
