@@ -19,6 +19,7 @@ Correlation bases for the measurement operator:
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -53,10 +54,23 @@ def decode_matrix(obj: dict) -> np.ndarray:
             f"matrix data length {len(data)} != rows*cols = {rows * cols}"
         )
     try:
-        flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-    except (TypeError, ValueError, OverflowError) as exc:
+        flat = np.fromiter(_entry_numbers(data), np.float64, 2 * len(data))
+    except (TypeError, OverflowError) as exc:
         raise InvalidState(f"malformed matrix object: {exc}") from exc
-    return flat.reshape(rows, cols)
+    return flat.view(np.complex128).reshape(rows, cols)
+
+
+def _entry_numbers(data: list) -> list:
+    """re, im, re, im, ... of the entries, each a [re, im] pair of JSON
+    numbers; a bool, a string or null raises InvalidState, not a conversion."""
+    if set(map(len, data)) != {2}:
+        raise InvalidState("malformed matrix object: each entry must be a [re, im] pair")
+    flat = list(chain.from_iterable(data))
+    other = set(map(type, flat)) - {int, float}
+    if other:
+        names = ", ".join(sorted(t.__name__ for t in other))
+        raise InvalidState(f"malformed matrix object: entries must be numbers, got {names}")
+    return flat
 
 
 def _decode_vector(obj: dict) -> np.ndarray:

@@ -3,6 +3,7 @@ and the operation-coverage audit."""
 
 import ast
 import contextlib
+import ctypes
 import functools
 import importlib
 import inspect
@@ -11,6 +12,7 @@ import json
 import math
 import os
 import pkgutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -28,7 +30,7 @@ from chronon_lab.serialization import save_state
 from chronon_lab.states import BipartiteState, ClassicalQuantumState, DensityMatrix, StateVector
 
 from conftest import bell_state
-from test_golden import CASES, FORMATS, INPUTS, _in, render_case
+from test_golden import CASES, FORMATS, GOLDEN, INPUTS, _in, render_case
 
 LN2 = math.log(2.0)
 
@@ -261,6 +263,27 @@ class TestMalformedStateFiles:
                              {"p": True, "matrix": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}]},
                          "field 'p' is malformed: expected a number, got True",
                          id="p-bool"),
+            # a matrix entry is a [re, im] pair of numbers, nothing converted
+            pytest.param({"kind": "density", "matrix": {"rows": 1, "cols": 1,
+                                                        "data": [[True, False]]}},
+                         "malformed matrix object: entries must be numbers, got bool",
+                         id="entry-bool"),
+            pytest.param({"kind": "density", "matrix": {"rows": 1, "cols": 1,
+                                                        "data": [["1", 0]]}},
+                         "malformed matrix object: entries must be numbers, got str",
+                         id="entry-string"),
+            pytest.param({"kind": "density", "matrix": {"rows": 1, "cols": 1,
+                                                        "data": [[None, 0]]}},
+                         "malformed matrix object: entries must be numbers, got NoneType",
+                         id="entry-null"),
+            pytest.param({"kind": "density", "matrix": {"rows": 1, "cols": 1,
+                                                        "data": [[1.0]]}},
+                         "malformed matrix object: each entry must be a [re, im] pair",
+                         id="entry-single"),
+            pytest.param({"kind": "density", "matrix": {"rows": 1, "cols": 1,
+                                                        "data": [[1.0, 0.0, 0.0]]}},
+                         "malformed matrix object: each entry must be a [re, im] pair",
+                         id="entry-triple"),
         ],
     )
     def test_exit_one_naming_the_field(self, payload, field, tmp_path, capsys):
@@ -619,6 +642,66 @@ def test_help_exits_zero(capsys):
         cli.run(["flow", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: chronon-lab flow")
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this checkout's src/, run from the repo root."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], cwd=REPO, env=env, capture_output=True)
+
+
+def _openblas_getter():
+    """(library path, thread-count getter) of numpy's bundled OpenBLAS, or None."""
+    libs = Path(np.__path__[0]).parent / "numpy.libs"
+    paths = sorted(libs.glob("*openblas*")) if libs.is_dir() else []
+    for path in paths:
+        lib = ctypes.CDLL(str(path))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            if hasattr(lib, symbol):
+                return str(path), symbol
+    return None
+
+
+class TestEntryPoint:
+    """The program as a user starts it: a fresh interpreter."""
+
+    @pytest.mark.parametrize("module", ["chronon_lab.cli", "chronon_lab.linalg"])
+    def test_blas_thread_policy_belongs_to_the_cli(self, module):
+        """Importing the CLI runs OpenBLAS on one thread; a library module
+        leaves the count as it was."""
+        getter = _openblas_getter()
+        if getter is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        probe = (
+            "import ctypes, importlib, sys, numpy\n"
+            "get = getattr(ctypes.CDLL(sys.argv[1]), sys.argv[2])\n"
+            "before = get()\n"
+            "importlib.import_module(sys.argv[3])\n"
+            "print(before, get())\n"
+        )
+        done = _python("-c", probe, *getter, module)
+        assert done.returncode == 0, done.stderr
+        before, after = map(int, done.stdout.split())
+        assert after == (1 if module == "chronon_lab.cli" else before)
+
+    def test_module_entry_point_writes_the_golden(self):
+        done = _python("-m", "chronon_lab.cli", "conditional",
+                       "--state", "tests/golden/inputs/bell.json", "--format", "json")
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == (GOLDEN / "conditional_bell.json").read_bytes()
+
+    def test_module_entry_point_usage_error(self):
+        done = _python("-m", "chronon_lab.cli", "lorentz", "--v", "0.5", "--bogus")
+        assert done.returncode == 1
+        assert done.stdout == b""
+        err = done.stderr.decode()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unrecognized arguments: --bogus" in err
 
 
 _THETAS = ["--theta1", "0", "--theta2", "1"]
