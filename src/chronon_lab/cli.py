@@ -17,12 +17,15 @@ cell rule is ``_cell``: a float has 9 significant digits, None is empty,
 a boolean is lowercase and anything else is its ``str``, unquoted.  The
 only strings read from input that reach a cell are system ids, which
 ``flow.SystemSpec`` keeps free of commas, quotes, CR and LF.  A ``_Table``
-holds named columns over the rows a library call returned; it renders as
-a CSV header line plus one line per row, and as a JSON list of records
-that it writes itself, CHUNK_ROWS rows per chunk.  The rest of a JSON
-payload goes through one ``json.dumps(..., indent=2, sort_keys=True)``
-call, with each table's records spliced in at a placeholder, so the text
-is byte for byte what that call would give for the whole payload.
+holds a long table as numpy columns: the floats that vary by row, and the
+cells that stay constant within a group of rows (a flow system's quantum
+and id).  It formats each group's constant cells once, into one row
+template per group, then fills the templates CHUNK_ROWS rows per chunk:
+a CSV header line plus one line per row, or a JSON list of records that
+it writes itself.  The rest of a JSON payload goes through one
+``json.dumps(..., indent=2, sort_keys=True)`` call, with each table's
+records spliced in at a placeholder, so the text is byte for byte what
+that call would give for the whole payload.
 
 Exit codes: 0 success, 1 invalid input (message names the violated
 invariant), 2 numerical failure.  A usage error (unknown flag, bad flag
@@ -40,14 +43,13 @@ import argparse
 import contextlib
 import ctypes
 import functools
-import itertools
 import json
 import math
+import operator
 import os
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _encode_string
 
 import numpy as np
 
@@ -127,63 +129,84 @@ def _cell(value) -> str:
     return _FLOAT.format(value) if isinstance(value, float) else str(value)
 
 
-def _chunks(rows):
-    """rows in consecutive slices of at most CHUNK_ROWS."""
-    for start in range(0, len(rows), CHUNK_ROWS):
-        yield rows[start:start + CHUNK_ROWS]
+def _literal(text: str) -> str:
+    """text as it stands inside a %-template."""
+    return text.replace("%", "%%")
 
 
 @dataclass(frozen=True)
 class _Table:
-    """Rows of raw values under named columns, a top-level payload value.
+    """Rows under named columns, a top-level payload value, held as columns.
 
-    Every column holds Python floats or strings only, so the first row
-    fixes one format template for all.  The JSON records are written
-    directly, byte for byte as ``json.dumps(..., indent=2, sort_keys=True)``
-    writes the list: keys in sorted order, floats by ``float.__repr__`` and
-    strings by ``json.encoder.encode_basestring_ascii``, each distinct
-    string encoded once.  That needs finite floats, which json would spell
+    The first ``len(values)`` columns vary by row: ``values`` holds each as
+    a numpy array of floats.  The remaining columns are constant within a
+    group of rows: ``groups`` lists each group's cells for them, and
+    ``group`` holds each row's group index (None puts every row in the one
+    group).  A flow has one group per system (its quantum and id); the
+    gaussian grid has one group and no constant cells.
+
+    Each format builds one %-template per group, with the group's constant
+    cells formatted once (a ``%`` in them escaped) and a placeholder for
+    each varying cell: ``%.9g`` in CSV, the ``_cell`` rule for a float;
+    ``%r`` in JSON, which is ``float.__repr__``.  A chunk of at most
+    CHUNK_ROWS rows is written by filling its rows' templates with the
+    chunk's ``.tolist()`` values, Python floats.  The JSON records come out
+    byte for byte as ``json.dumps(..., indent=2, sort_keys=True)`` writes
+    the list: keys in sorted order and constant cells through
+    ``json.dumps``.  That needs finite floats, which json would spell
     ``NaN`` or ``Infinity``; flow ticks and the gaussian grid are finite by
     construction (a tick time is at most the finite horizon and its quantum
-    is checked finite; the grid has x <= 6 and 0 <= G <= ln 2).  Both
-    formats come in chunks of at most CHUNK_ROWS rows.
+    is checked finite; the grid has x <= 6 and 0 <= G <= ln 2).
     """
 
     columns: tuple
-    rows: tuple | list
+    values: tuple
+    groups: tuple = ((),)
+    group: np.ndarray | None = None
+
+    def _rows(self, templates: list, order) -> Iterator:
+        """Per chunk, the text of each row through its group's template;
+        order lists the varying columns in placeholder order."""
+        for start in range(0, len(self.values[0]), CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            cells = [self.values[i][rows].tolist() for i in order]
+            # % formats a bare float faster than a 1-tuple holding it
+            cells = cells[0] if len(cells) == 1 else zip(*cells)
+            if self.group is None:
+                yield map(templates[0].__mod__, cells)
+            else:
+                yield map(operator.mod, map(templates.__getitem__, self.group[rows].tolist()),
+                          cells)
 
     def csv_chunks(self):
         """The header line, then the rows, one line each."""
         yield ",".join(self.columns) + "\n"
-        if self.rows:
-            cells = (_FLOAT if isinstance(v, float) else "{}" for v in self.rows[0])
-            template = ",".join(cells) + "\n"
-            for chunk in _chunks(self.rows):
-                yield "".join(itertools.starmap(template.format, chunk))
+        k = len(self.values)
+        templates = [
+            ",".join(["%.9g"] * k + [_literal(_cell(c)) for c in cells]) + "\n"
+            for cells in self.groups
+        ]
+        for lines in self._rows(templates, range(k)):
+            yield "".join(lines)
 
     def json_chunks(self):
         """The list of records, indented as the value of a top-level key."""
-        if not self.rows:
-            yield "[]"
-            return
+        k = len(self.values)
         order = sorted(range(len(self.columns)), key=self.columns.__getitem__)
-        strings = {i for i in order if isinstance(self.rows[0][i], str)}
-        fields = ",\n".join(
-            "      %s: %s" % (_encode_string(self.columns[i]).replace("%", "%%"),
-                              "%s" if i in strings else "%r")
-            for i in order
-        )
-        template = "    {\n" + fields + "\n    }"
-        encoded = {}  # a system id repeats on every one of its ticks
+
+        def field(i, cells):
+            value = "%r" if i < k else _literal(json.dumps(cells[i - k]))
+            return f"      {_literal(json.dumps(self.columns[i]))}: {value}"
+
+        templates = [
+            "    {\n" + ",\n".join(field(i, cells) for i in order) + "\n    }"
+            for cells in self.groups
+        ]
         separator = "[\n"
-        for chunk in _chunks(self.rows):
-            cols = list(zip(*chunk))
-            for i in strings:
-                encoded.update((s, _encode_string(s)) for s in set(cols[i]) - encoded.keys())
-                cols[i] = map(encoded.__getitem__, cols[i])
-            yield separator + ",\n".join(map(template.__mod__, zip(*(cols[i] for i in order))))
+        for records in self._rows(templates, [i for i in order if i < k]):
+            yield separator + ",\n".join(records)
             separator = ",\n"
-        yield "\n  ]"
+        yield "[]" if separator == "[\n" else "\n  ]"
 
 
 def _json_chunks(payload: dict):
@@ -197,7 +220,7 @@ def _json_chunks(payload: dict):
         yield text
         return
     # sort_keys puts the placeholders in the order of the sorted table keys
-    head, *tails = text.split(_encode_string(_SPLICE))
+    head, *tails = text.split(json.dumps(_SPLICE))
     yield head
     for table, tail in zip(tables, tails):
         yield from table.json_chunks()
@@ -427,11 +450,14 @@ def _cmd_flow(args):
     systems, T, horizon = _load_flow_config(args.config)
 
     if args.ratio is not None:
-        by_id = {s.id: s for s in systems}
         id1, id2 = args.ratio
-        if id1 not in by_id or id2 not in by_id:
+        named = {sid: [s for s in systems if s.id == sid] for sid in args.ratio}
+        if not named[id1] or not named[id2]:
             raise InvalidState("--ratio ids must name configured systems")
-        value = clock_ratio(by_id[id1], by_id[id2])
+        for sid, specs in named.items():
+            if len(specs) > 1:
+                raise InvalidState(f"--ratio id {sid!r} names {len(specs)} configured systems")
+        value = clock_ratio(named[id1][0], named[id2][0])
         return {"ratio": value, "ids": [id1, id2]}, [(value,)]
 
     if args.dilation is not None:
@@ -442,7 +468,9 @@ def _cmd_flow(args):
         payload = {"dtConditional": dt_cond, "dtMarginal": dt_marg}
         return payload, [("conditional", dt_cond), ("marginal", dt_marg)]
 
-    ticks = _Table(("time", "quantum", "systemId"), simulate_flow(systems, T, horizon).ticks)
+    flow = simulate_flow(systems, T, horizon)
+    ticks = _Table(("time", "quantum", "systemId"), (flow.ticks,),
+                   tuple((dt, sid) for sid, dt in flow.systems), flow.system)
     return {"ticks": ticks}, [ticks]
 
 

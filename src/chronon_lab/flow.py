@@ -2,18 +2,18 @@
 dilation, and the single-observable simultaneity rule.
 
 Each measured system ticks periodically with its own time quantum; the flow
-is the merged, deterministic series of those quanta.  A tick is a plain
-row ``(time, quantum, system_id)``.  Tick times are exact integer
-multiples n * dt rather than a running sum, so repeated quanta march in
-step bit-for-bit over any horizon.
+is the merged, deterministic series of those quanta.  It is held as numpy
+columns, not as one Python row per tick: the merged tick times and, per
+tick, the index of its system among the active ones, whose id and quantum
+are stored once.  Tick times are exact integer multiples n * dt rather
+than a running sum, so repeated quanta march in step bit-for-bit over any
+horizon.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -49,14 +49,19 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class ThermalFlow:
-    """Merged tick series of (time, quantum, system_id) rows, ordered by
-    time with id tie-break.
+    """Merged tick series as columns, ordered by time with id tie-break.
 
-    Times are non-decreasing overall (identical systems tick together) and
-    strictly increasing per system.
+    ``ticks`` holds the tick times, non-decreasing overall (identical
+    systems tick together) and strictly increasing per system; its length
+    is the tick count.  ``system`` holds, per tick, its index into
+    ``systems``, the ``(id, quantum)`` of each active system in config
+    order: tick i is the system ``systems[system[i]]`` ticking at
+    ``ticks[i]``.
     """
 
-    ticks: tuple
+    ticks: np.ndarray
+    system: np.ndarray
+    systems: tuple
 
 
 def require_horizon(horizon: float) -> float:
@@ -73,26 +78,37 @@ def simulate_flow(systems: list, T: float, horizon: float) -> ThermalFlow:
     The horizon must pass :func:`require_horizon`.  Systems with zero
     entropy contribute no ticks; if none is active the flow is undefined
     and InvalidState is raised, as it is for a flow of more than MAX_TICKS
-    ticks, before any tick is built.  Equal tick times are ordered
-    lexicographically by system id.
+    ticks, before any tick is built.  Each active system gives one column
+    of tick times; the columns are merged by one stable ``np.lexsort`` on
+    time, then on the rank of the system id among the sorted distinct ids,
+    so equal tick times are ordered lexicographically by id and systems
+    that share an id keep their config order.
     """
     require_horizon(horizon)
     active = [s for s in systems if s.entropy.nats > 0.0]
     if not active:
         raise InvalidState("no system has positive entropy: nothing happens")
-    quanta = [(spec, time_quantum(spec.entropy, T)) for spec in active]
+    quanta = [time_quantum(spec.entropy, T) for spec in active]
     # horizon / dt may overflow to inf for a vanishing quantum
-    counts = [horizon / dt for _, dt in quanta]
+    counts = [horizon / dt for dt in quanta]
     n_ticks = sum(math.floor(q) if math.isfinite(q) else q for q in counts)
     if n_ticks > MAX_TICKS:
         raise InvalidState(f"flow needs {n_ticks} ticks, above the cap of {MAX_TICKS}")
-    ticks = []
-    for (spec, dt), q in zip(quanta, counts):
+    columns = []
+    for dt, q in zip(quanta, counts):
         # exact multiples n * dt (every n < 2**53 is an exact float), no drift
         times = np.arange(1, math.floor(q) + 1) * dt
-        ticks.extend(zip(times[times <= horizon].tolist(), repeat(dt), repeat(spec.id)))
-    ticks.sort(key=itemgetter(0, 2))
-    return ThermalFlow(ticks=tuple(ticks))
+        columns.append(times[times <= horizon])
+    times = np.concatenate(columns)
+    system = np.repeat(np.arange(len(active)), [len(c) for c in columns])
+    rank = {sid: r for r, sid in enumerate(sorted({spec.id for spec in active}))}
+    id_rank = np.array([rank[spec.id] for spec in active])
+    order = np.lexsort((id_rank[system], times))
+    return ThermalFlow(
+        ticks=times[order],
+        system=system[order],
+        systems=tuple((spec.id, dt) for spec, dt in zip(active, quanta)),
+    )
 
 
 def clock_ratio(s1: SystemSpec, s2: SystemSpec) -> float:

@@ -59,8 +59,9 @@ def scaled_function_H(x: float) -> float:
     return _binary_entropy(math.erf(x)) * x
 
 
-def tabulate(points: int) -> list[tuple[float, float, float]]:
-    """(x, G(x), H(x)) at `points` evenly spaced x over [0, SEARCH_UPPER].
+def tabulate(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns x, G(x), H(x) at `points` evenly spaced x over
+    [0, SEARCH_UPPER].
 
     G is evaluated once per point and H formed as G * x, the product
     scaled_function_H computes.  More than MAX_GRID points raises
@@ -68,11 +69,9 @@ def tabulate(points: int) -> list[tuple[float, float, float]]:
     """
     if points > MAX_GRID:
         raise InvalidState(f"grid of {points} points is above the cap of {MAX_GRID}")
-    rows = []
-    for x in np.linspace(0.0, SEARCH_UPPER, points).tolist():
-        g = partition_entropy_G(x).nats
-        rows.append((x, g, g * x))
-    return rows
+    x = np.linspace(0.0, SEARCH_UPPER, points)
+    g = np.array([partition_entropy_G(v).nats for v in x.tolist()])
+    return x, g, g * x
 
 
 def _grid_seeded_argmax(f) -> float:

@@ -19,17 +19,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import chronon_lab
 from chronon_lab import cli, entropy, errors, linalg
 from chronon_lab.entropy import EntropyValue, generalized_conditional
 from chronon_lab.errors import NumericalError
+from chronon_lab.flow import SystemSpec
 from chronon_lab.serialization import save_state
+from chronon_lab.speed_limits import time_quantum
 from chronon_lab.states import BipartiteState, ClassicalQuantumState, DensityMatrix, StateVector
 
 from conftest import bell_state
+from test_flow import reference_ticks
 from test_golden import CASES, FORMATS, GOLDEN, INPUTS, _in, render_case
 
 LN2 = math.log(2.0)
@@ -784,14 +787,19 @@ def _run_quietly(argv) -> tuple[int, str]:
         ("T", True, "malformed flow config: expected a number, got True"),
         ("horizon", "2", "malformed flow config: expected a number, got '2'"),
         ("T", 0, "T must be positive and finite, got 0.0"),
+        # an id may repeat, but then it names no one system to take a ratio of
+        ("systems", [{"id": "a", "entropyNats": 1}, {"id": "a", "entropyNats": 2},
+                     {"id": "b", "entropyNats": 1}],
+         {"flow-ratio": "--ratio id 'a' names 2 configured systems"}),
     ],
     ids=["horizon-negative", "horizon-overflow", "id-null", "id-list", "id-comma", "id-lf",
          "id-quote", "id-cr", "entropy-bool", "entropy-string", "T-bool", "horizon-string",
-         "T-zero"],
+         "T-zero", "id-shared"],
 )
 def test_flow_config_checked_in_every_mode(mode, key, value, invariant, tmp_path):
     """Every mode rejects what plain flow rejects, whether or not it reads
-    the ticks: the config is checked as a whole when it is loaded."""
+    the ticks: the config is checked as a whole when it is loaded.  An
+    invariant given per mode holds in those modes only; the others exit 0."""
     cfg = json.loads((INPUTS / "flow.json").read_text())
     if key in ("id", "entropyNats"):
         cfg["systems"][0][key] = value
@@ -800,6 +808,11 @@ def test_flow_config_checked_in_every_mode(mode, key, value, invariant, tmp_path
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg).replace('"1e400"', "1e400"))
     code, err = _run_quietly([a.format(f=path) for a in _FLOW_MODES[mode]])
+    if isinstance(invariant, dict):
+        if mode not in invariant:
+            assert (code, err) == (0, "")
+            return
+        invariant = invariant[mode]
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert invariant in err
@@ -971,22 +984,93 @@ _EDGE_STRINGS = (
 
 @st.composite
 def _tables(draw):
-    """A random _Table: 1-4 float or string columns; 0 rows, 1 row, a few,
-    or more than one chunk's worth, cycled from up to 8 drawn rows whose
-    strings repeat from a small pool."""
+    """A random _Table: 1-4 columns, the first 1-4 of them floats that vary
+    by row and the rest float or string cells constant within each of 1-4
+    groups; 0 rows, 1 row, a few, or more than one chunk's worth, cycled
+    from up to 8 drawn rows, each in a drawn group.  A one-group table may
+    come without a group column."""
     columns = draw(st.lists(st.text(max_size=6), min_size=1, max_size=4, unique=True))
-    kinds = [draw(st.sampled_from([float, str])) for _ in columns]
-    pool = draw(st.lists(st.sampled_from(_EDGE_STRINGS) | st.text(max_size=8),
-                         min_size=1, max_size=4))
-    values = {float: st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False,
-                                                                allow_infinity=False),
-              str: st.sampled_from(pool)}
-    base = draw(st.lists(st.tuples(*(values[k] for k in kinds)), min_size=1, max_size=8))
+    k = draw(st.integers(min_value=1, max_value=len(columns)))
+    floats = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    values = {float: floats, str: st.sampled_from(_EDGE_STRINGS) | st.text(max_size=8)}
+    kinds = [draw(st.sampled_from([float, str])) for _ in columns[k:]]
+    groups = draw(st.lists(st.tuples(*(values[t] for t in kinds)), min_size=1, max_size=4))
+    base = draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=len(groups) - 1), st.tuples(*[floats] * k)),
+        min_size=1, max_size=8,
+    ))
     n = draw(st.sampled_from([0, 1, 2, 5, cli.CHUNK_ROWS + 3]))
-    return cli._Table(tuple(columns), [base[i % len(base)] for i in range(n)])
+    rows = [base[i % len(base)] for i in range(n)]
+    cols = tuple(np.array([cells[j] for _, cells in rows], dtype=float) for j in range(k))
+    group = np.array([g for g, _ in rows], dtype=np.intp)
+    if len(groups) == 1 and draw(st.booleans()):
+        group = None
+    return cli._Table(tuple(columns), cols, tuple(groups), group)
+
+
+def _table_rows(table) -> list:
+    """The table's rows of raw values, each varying cell a Python float."""
+    group = [0] * len(table.values[0]) if table.group is None else table.group.tolist()
+    cells = zip(*(v.tolist() for v in table.values))
+    return [row + table.groups[g] for row, g in zip(cells, group)]
+
+
+# Ids a flow config may hold that a writer could mangle: format directives,
+# braces, a backslash, non-ASCII and non-BMP text.
+_FLOW_IDS = ("a", "b", "%s%r%%", "{}", "\\", "\u00e9t\u00e9", "\U0001f600")
+_FLOW_TICK_COUNTS = (0, 1, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1)
+
+
+@st.composite
+def _flow_configs(draw):
+    """A flow config of 1-5 systems: ids from _FLOW_IDS, so they repeat and
+    their config order is seldom sorted; entropies 0 (inactive), 0.5, 1 or
+    2 (whose quanta are exact multiples of each other, so different systems
+    tick at the same time), ln 2 or any in [0.05, 4]; a temperature; and a
+    horizon after about n merged ticks for n in _FLOW_TICK_COUNTS, on the
+    n-th tick or between it and the next."""
+    entropies = st.sampled_from((0.0, 0.5, 1.0, 2.0, LN2)) | st.floats(0.05, 4.0)
+    systems = draw(st.lists(st.tuples(st.sampled_from(_FLOW_IDS), entropies),
+                            min_size=1, max_size=5))
+    assume(any(s > 0.0 for _, s in systems))
+    temp = draw(st.sampled_from((1.0, 2.0, 0.37)))
+    specs = [SystemSpec(sid, EntropyValue(s)) for sid, s in systems]
+    fastest = min(time_quantum(spec.entropy, temp) for spec in specs if spec.entropy.nats > 0.0)
+    n = draw(st.sampled_from(_FLOW_TICK_COUNTS))
+    times = [t for t, _, _ in reference_ticks(specs, temp, (n + 2) * fastest)]
+    if n == 0:
+        horizon = times[0] / 2
+    elif draw(st.booleans()) or times[n - 1] == times[n]:
+        horizon = times[n - 1]
+    else:
+        horizon = (times[n - 1] + times[n]) / 2
+    cfg = {"systems": [{"id": sid, "entropyNats": s} for sid, s in systems],
+           "T": temp, "horizon": horizon}
+    return cfg, reference_ticks(specs, temp, horizon)
 
 
 class TestTableWriter:
+    @given(_flow_configs())
+    @settings(max_examples=100, deadline=None)
+    def test_flow_matches_the_per_tick_loop(self, case):
+        """flow writes the per-tick loop's rows: as json.dumps writes them
+        in JSON, and one _cell line each in CSV."""
+        cfg, rows = case
+        records = [{"time": t, "quantum": q, "systemId": sid} for t, q, sid in rows]
+        expected = {
+            "json": json.dumps({"ticks": records}, indent=2, sort_keys=True) + "\n",
+            "csv": "time,quantum,systemId\n"
+                   + "".join(",".join(map(cli._cell, row)) + "\n" for row in rows),
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            config, out = os.path.join(tmp, "flow.json"), os.path.join(tmp, "out")
+            with open(config, "w", encoding="utf-8") as fh:
+                json.dump(cfg, fh)
+            for fmt, text in expected.items():
+                assert cli.run(["flow", "--config", config, "--format", fmt, "--out", out]) == 0
+                with open(out, encoding="utf-8", newline="") as fh:
+                    assert fh.read().split("\n") == text.split("\n"), fmt
+
     @given(table=_tables(), extra=st.dictionaries(
         st.text(alphabet="abcxyz", min_size=1, max_size=3),
         st.sampled_from(_EDGE_FLOATS) | st.sampled_from(_EDGE_STRINGS), max_size=3))
@@ -994,7 +1078,7 @@ class TestTableWriter:
     def test_json_matches_json_dumps(self, table, extra):
         """The direct writer writes what json.dumps writes, in chunks of at
         most CHUNK_ROWS records."""
-        records = [dict(zip(table.columns, row)) for row in table.rows]
+        records = [dict(zip(table.columns, row)) for row in _table_rows(table)]
         payload = {**extra, "t": table}
         chunks = list(cli.render((payload, [table]), "json"))
         expected = json.dumps({**extra, "t": records}, indent=2, sort_keys=True) + "\n"
@@ -1008,10 +1092,10 @@ class TestTableWriter:
         """The table's CSV is its header plus one _cell line per row, in a
         header chunk and chunks of at most CHUNK_ROWS rows."""
         chunks = list(cli.render(({}, [table]), "csv"))
-        lines = [",".join(map(cli._cell, row)) + "\n" for row in table.rows]
+        lines = [",".join(map(cli._cell, row)) + "\n" for row in _table_rows(table)]
         expected = ",".join(table.columns) + "\n" + "".join(lines)
         assert "".join(chunks).split("\n") == expected.split("\n")
-        assert len(chunks) == 1 + math.ceil(len(table.rows) / cli.CHUNK_ROWS)
+        assert len(chunks) == 1 + math.ceil(len(lines) / cli.CHUNK_ROWS)
 
     def test_zero_tick_flow(self, tmp_path, capsys):
         # the horizon is shorter than the one quantum 1/(4 T S) = 0.25

@@ -40,6 +40,15 @@ def reference_ticks(systems, temp, horizon):
     return tuple(ticks)
 
 
+def tick_rows(flow):
+    """The flow's columns as (time, quantum, id) rows, Python floats."""
+    assert flow.ticks.dtype == np.float64 and flow.ticks.shape == flow.system.shape
+    return tuple(
+        (t, flow.systems[i][1], flow.systems[i][0])
+        for t, i in zip(flow.ticks.tolist(), flow.system.tolist())
+    )
+
+
 @st.composite
 def flow_cases(draw):
     """1-5 systems with repeating ids and equal quanta, a temperature, and
@@ -69,10 +78,11 @@ class TestSimulateFlow:
     def test_single_system_arithmetic_oracle(self):
         flow = simulate_flow([SystemSpec("s", EntropyValue(LN2))], 1.0, horizon=1.1)
         dt = 1.0 / (4.0 * LN2)
-        times = [t for t, _, _ in flow.ticks]
+        times = flow.ticks.tolist()
         assert times == pytest.approx([dt, 2 * dt, 3 * dt], rel=1e-12)
         assert times == pytest.approx([0.360674, 0.721348, 1.082022], abs=1e-6)
-        assert all(q == dt for _, q, _ in flow.ticks)
+        assert flow.systems == (("s", dt),)
+        assert flow.system.tolist() == [0, 0, 0]
 
     def test_inactive_system_contributes_nothing(self):
         flow = simulate_flow(
@@ -80,7 +90,8 @@ class TestSimulateFlow:
             1.0,
             horizon=1.0,
         )
-        assert all(sid == "on" for _, _, sid in flow.ticks)
+        assert [sid for sid, _ in flow.systems] == ["on"]
+        assert len(flow.ticks) == 2 and set(flow.system.tolist()) == {0}
 
     def test_all_inactive_rejected(self):
         with pytest.raises(InvalidState, match="no system has positive entropy"):
@@ -92,24 +103,35 @@ class TestSimulateFlow:
             1.0,
             horizon=0.8,
         )
-        ids = [sid for _, _, sid in flow.ticks]
+        ids = [flow.systems[i][0] for i in flow.system.tolist()]
         assert ids == ["a", "b", "a", "b"]
-        assert flow.ticks[0][0] == flow.ticks[1][0]
+        assert flow.ticks[0] == flow.ticks[1]
+
+    def test_shared_id_keeps_config_order(self):
+        # "a" at S = 1 and at S = 2 tick together at t = 0.25 (0.25 and
+        # 2 * 0.125 are exact); the config order decides, as in list.sort
+        flow = simulate_flow(
+            [SystemSpec("b", EntropyValue(1.0)), SystemSpec("a", EntropyValue(1.0)),
+             SystemSpec("a", EntropyValue(2.0))],
+            1.0,
+            horizon=0.25,
+        )
+        assert tick_rows(flow) == ((0.125, 0.125, "a"), (0.25, 0.25, "a"),
+                                   (0.25, 0.125, "a"), (0.25, 0.25, "b"))
 
     def test_tick_times_exact_multiples(self):
         # bitwise equality: n * dt, no accumulated drift
         spec = SystemSpec("s", EntropyValue(0.31))
         flow = simulate_flow([spec], 1.0, horizon=50.0)
         dt = time_quantum(spec.entropy, 1.0)
-        for n, tick in enumerate(flow.ticks, start=1):
-            assert tick[0] == n * dt
+        for n, t in enumerate(flow.ticks.tolist(), start=1):
+            assert t == n * dt
 
     def test_consecutive_gaps_equal_quantum(self):
         spec = SystemSpec("s", EntropyValue(1.3))
         flow = simulate_flow([spec], 1.0, horizon=20.0)
-        times = np.array([t for t, _, _ in flow.ticks])
         dt = time_quantum(spec.entropy, 1.0)
-        assert np.allclose(np.diff(times), dt, rtol=1e-12)
+        assert np.allclose(np.diff(flow.ticks), dt, rtol=1e-12)
 
     def test_merged_ordering(self):
         flow = simulate_flow(
@@ -117,7 +139,7 @@ class TestSimulateFlow:
             1.0,
             horizon=2.0,
         )
-        times = [t for t, _, _ in flow.ticks]
+        times = flow.ticks.tolist()
         assert times == sorted(times)
 
     def test_tick_budget_counts_every_system(self, monkeypatch):
@@ -133,7 +155,8 @@ class TestSimulateFlow:
     @settings(max_examples=200, deadline=None)
     def test_equals_the_per_tick_loop(self, case):
         systems, temp, horizon = case
-        assert simulate_flow(systems, temp, horizon).ticks == reference_ticks(systems, temp, horizon)
+        flow = simulate_flow(systems, temp, horizon)
+        assert tick_rows(flow) == reference_ticks(systems, temp, horizon)
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
     def test_horizon_must_be_positive_and_finite(self, horizon):

@@ -172,8 +172,9 @@ class TestMaxima:
 
 class TestTabulate:
     def test_rows_match_the_pointwise_functions(self):
-        rows = tabulate(257)
-        assert len(rows) == 257
+        columns = tabulate(257)
+        assert [len(c) for c in columns] == [257, 257, 257]
+        rows = list(zip(*(c.tolist() for c in columns)))
         assert rows[0][0] == 0.0 and rows[-1][0] == 6.0
         for x, g, h in rows:
             assert g == partition_entropy_G(x).nats
@@ -181,7 +182,7 @@ class TestTabulate:
 
     def test_grid_cap(self, monkeypatch):
         monkeypatch.setattr(gaussian, "MAX_GRID", 16)
-        assert len(tabulate(16)) == 16
+        assert len(tabulate(16)[0]) == 16
         with pytest.raises(InvalidState, match="grid of 17 points is above the cap of 16"):
             tabulate(17)
 
