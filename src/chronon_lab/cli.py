@@ -56,7 +56,6 @@ import numpy as np
 from . import gaussian as gaussian_mod
 from . import relativity
 from .entropy import (
-    EntropyValue,
     conditional_state,
     cq_conditional,
     generalized_conditional,
@@ -68,7 +67,6 @@ from .flow import (
     SystemSpec,
     clock_ratio,
     dilation_from_conditioning,
-    require_horizon,
     simulate_flow,
     simultaneity_offset,
 )
@@ -77,7 +75,7 @@ from .serialization import _number, load_state, read_json
 from .speed_limits import (
     antiqubit_process_velocity,
     process_velocity,
-    require_temperature,
+    require_positive,
     state_count,
 )
 from .states import (
@@ -283,12 +281,12 @@ def _cmd_entropy(args):
         if not isinstance(state, StateVector):
             raise InvalidState("--reduce needs a state_vector input")
         dim_s, dim_a = args.reduce
-        value = von_neumann(reduce_over_apparatus(state, dim_s, dim_a)).nats
+        value = von_neumann(reduce_over_apparatus(state, dim_s, dim_a))
     elif args.conditional:
         if isinstance(state, ClassicalQuantumState):
-            value = cq_conditional(state).nats
+            value = cq_conditional(state)
         elif isinstance(state, BipartiteState):
-            value = generalized_conditional(state).nats
+            value = generalized_conditional(state)
         else:
             raise InvalidState("--conditional needs a cq or bipartite input")
     else:
@@ -300,7 +298,7 @@ def _cmd_entropy(args):
             state = state.joint
         elif not isinstance(state, DensityMatrix):
             raise InvalidState("entropy needs a state_vector, density, cq or bipartite input")
-        value = von_neumann(state).nats
+        value = von_neumann(state)
     return {"value": value}, [(value,)]
 
 
@@ -313,7 +311,7 @@ def _cmd_conditional(args):
     state = load_state(args.state)
     if isinstance(state, ClassicalQuantumState):
         bi = cq_embed(state)
-        branch_value = cq_conditional(state).nats
+        branch_value = cq_conditional(state)
     elif isinstance(state, BipartiteState):
         bi = state
         branch_value = None
@@ -323,11 +321,11 @@ def _cmd_conditional(args):
     cs = conditional_state(bi)
     spectrum = [float(w) for w in cs.spectrum]
     payload = {
-        "conditionalEntropy": cs.entropy.nats,
+        "conditionalEntropy": cs.entropy,
         "conditionalSpectrum": spectrum,
         "antiqubitVelocity": antiqubit_process_velocity(cs),
     }
-    rows = [("conditionalEntropy", cs.entropy.nats)]
+    rows = [("conditionalEntropy", cs.entropy)]
     if branch_value is not None:
         payload["branchConditional"] = branch_value
         rows.append(("branchConditional", branch_value))
@@ -366,10 +364,9 @@ def _cmd_gaussian(args):
     grid = _Table(("x", "G", "H"), gaussian_mod.tabulate(args.grid))
     xg, vg = gaussian_mod.max_G()
     xh, vh = gaussian_mod.max_H()
-    packet = gaussian_mod.GaussianPacket(sigma_k0=args.sigma_k0)
     bounds = {
         "process": gaussian_mod.bound_process_velocity(),
-        "classical": gaussian_mod.bound_classical_velocity(packet),
+        "classical": gaussian_mod.bound_classical_velocity(args.sigma_k0),
         "resolution": gaussian_mod.bound_resolution_velocity(args.sigma_x0),
     }
     payload = {
@@ -391,22 +388,21 @@ def _cmd_gaussian(args):
     return payload, rows
 
 
-def _frame(quantities, velocity: float) -> dict:
+def _frame(quantities) -> dict:
     return {
         "T": quantities.T,
-        "S": quantities.S.nats,
+        "S": quantities.S,
         "r": quantities.r,
         "dtMin": quantities.dt_min,
-        "velocity": velocity,
+        "velocity": quantities.velocity(),
     }
 
 
 def _cmd_lorentz(args):
     _require(args, "finite", math.isfinite, "temp_exponent", "length_exponent")
     boost = relativity.Boost(v=args.v, c=args.c)
-    packet = gaussian_mod.GaussianPacket(sigma_k0=args.sigma_k0)
     report = relativity.check_bound_invariance(
-        packet,
+        args.sigma_k0,
         boost,
         length_exponent=args.length_exponent,
         temp_exponent=args.temp_exponent,
@@ -414,16 +410,16 @@ def _cmd_lorentz(args):
     payload = {
         "gamma": report.gamma,
         "gammaPower": report.gamma_power,
-        "restFrame": _frame(report.rest, report.rest_velocity),
-        "boostedFrame": _frame(report.boosted, report.boosted_velocity),
+        "restFrame": _frame(report.rest),
+        "boostedFrame": _frame(report.boosted),
         "relDiff": report.rel_diff,
         "pass": report.passed,
     }
     rows = [
         ("gamma", report.gamma),
         ("gammaPower", report.gamma_power),
-        ("restVelocity", report.rest_velocity),
-        ("boostedVelocity", report.boosted_velocity),
+        ("restVelocity", report.rest.velocity()),
+        ("boostedVelocity", report.boosted.velocity()),
         ("relDiff", report.rel_diff),
         ("pass", report.passed),
     ]
@@ -436,14 +432,14 @@ def _load_flow_config(path: str):
     cfg = read_json(path)
     try:
         systems = [
-            SystemSpec(id=s["id"], entropy=EntropyValue(_number(s["entropyNats"])))
+            SystemSpec(id=s["id"], entropy=_number(s["entropyNats"]))
             for s in cfg["systems"]
         ]
         temperature = _number(cfg.get("T", 1.0))
         horizon = _number(cfg["horizon"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidState(f"{path}: malformed flow config: {exc}") from exc
-    return systems, require_temperature(temperature), require_horizon(horizon)
+    return systems, require_positive("T", temperature), require_positive("horizon", horizon)
 
 
 def _cmd_flow(args):
@@ -481,8 +477,8 @@ def _cmd_simultaneity(args):
     if None not in thetas and set(counts) == {None}:
         theta1, theta2 = thetas
     elif set(thetas) == {None} and None not in counts:
-        theta1 = state_count(EntropyValue(args.s1), args.t1)
-        theta2 = state_count(EntropyValue(args.s2), args.t2)
+        theta1 = state_count(args.s1, args.t1)
+        theta2 = state_count(args.s2, args.t2)
     else:
         raise InvalidState(
             "give either --theta1/--theta2 or all of --s1/--t1/--s2/--t2"
@@ -490,7 +486,7 @@ def _cmd_simultaneity(args):
     if args.vmax is not None:
         v_max = args.vmax
     elif args.entropy is not None:
-        v_max = process_velocity(EntropyValue(args.entropy))
+        v_max = process_velocity(args.entropy)
     else:
         raise InvalidState("give --vmax or --entropy to fix the maximal velocity")
     offset = simultaneity_offset(theta1, theta2, v_max)

@@ -1,9 +1,10 @@
 """Entropy functionals: von Neumann, branch-conditional, and generalized
 conditional entropy through the Cerf-Adami conditional density matrix.
 
-All entropies are dimensionless and in nats; the Boltzmann factor enters
-only when entropies are converted to energies or time quanta elsewhere.
-Generalized conditional entropy may be negative for entangled joints.
+All entropies are plain floats, dimensionless and in nats; the Boltzmann
+factor enters only when entropies are converted to energies or time quanta
+elsewhere.  Generalized conditional entropy may be negative for entangled
+joints.
 
 The conditional density matrix is defined by the operator limit
 
@@ -26,7 +27,6 @@ the spectra their DensityMatrix validation already computed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,21 +40,10 @@ DUAL_PATH_TOL = 1e-8
 SUPPORT_CONTAINMENT_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class EntropyValue:
-    """Entropy in nats (natural-log convention)."""
-
-    nats: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.nats):
-            raise InvalidState(f"entropy must be finite, got {self.nats}")
-
-
-def von_neumann(rho: DensityMatrix) -> EntropyValue:
+def von_neumann(rho: DensityMatrix) -> float:
     """-sum_i w_i ln w_i over the spectrum's support; in [0, ln dim]."""
     s = -sum(linalg.xlnx(float(x)) for x in rho.eigenvalues if x > 0.0)
-    return EntropyValue(max(s, 0.0))
+    return max(s, 0.0)
 
 
 @dataclass(frozen=True)
@@ -67,7 +56,7 @@ class ConditionalState:
     and is computed on first use only.
     """
 
-    entropy: EntropyValue
+    entropy: float
     density: np.ndarray
 
     @cached_property
@@ -75,10 +64,9 @@ class ConditionalState:
         return np.linalg.eigvalsh(self.density)
 
 
-def cq_conditional(cq: ClassicalQuantumState) -> EntropyValue:
+def cq_conditional(cq: ClassicalQuantumState) -> float:
     """Branch-averaged entropy sum_i p_i S(Psi_i); never negative."""
-    s = sum(p * von_neumann(state).nats for p, state in cq.branches)
-    return EntropyValue(s)
+    return sum(p * von_neumann(state) for p, state in cq.branches)
 
 
 def trotter_conditional_density(
@@ -145,16 +133,16 @@ def conditional_state(bi: BipartiteState) -> ConditionalState:
     vecs = basis @ u
     density = (vecs * np.exp(mu)) @ linalg.dag(vecs)
 
-    primary = von_neumann(bi.joint).nats - von_neumann(marginal).nats
+    primary = von_neumann(bi.joint) - von_neumann(marginal)
     dual = -float(np.trace(rho @ ((vecs * mu) @ linalg.dag(vecs))).real)
     if abs(primary - dual) > DUAL_PATH_TOL:
         raise NumericalError(
             f"conditional-entropy paths disagree: {primary} vs {dual}"
         )
-    return ConditionalState(entropy=EntropyValue(primary), density=density)
+    return ConditionalState(entropy=primary, density=density)
 
 
-def generalized_conditional(bi: BipartiteState) -> EntropyValue:
+def generalized_conditional(bi: BipartiteState) -> float:
     """S(A|B) alone: the entropy of :func:`conditional_state`, negative
     exactly for the entangled ("anti-qubit") joints."""
     return conditional_state(bi).entropy

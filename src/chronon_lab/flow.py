@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EntropyValue, cq_conditional, von_neumann
+from .entropy import cq_conditional, von_neumann
 from .errors import InvalidState
-from .speed_limits import time_quantum
+from .speed_limits import require_entropy, require_positive, time_quantum
 from .states import ClassicalQuantumState
 
 MAX_TICKS = 10**6  # largest merged flow simulate_flow will build
@@ -29,19 +29,21 @@ _CSV_UNSAFE = frozenset(',"\r\n')
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """A repeatedly measured system: id plus its per-measurement entropy."""
+    """A repeatedly measured system: id plus its per-measurement entropy
+    in nats, checked finite before the id is checked."""
 
     id: str
-    entropy: EntropyValue
+    entropy: float
 
     def __post_init__(self):
+        require_entropy(self.entropy)
         if not isinstance(self.id, str):
             raise InvalidState(f"system id must be a string, got {self.id!r}")
         if not _CSV_UNSAFE.isdisjoint(self.id):
             raise InvalidState(
                 f"system id {self.id!r} holds a comma, quote, CR or LF"
             )
-        if self.entropy.nats < 0.0:
+        if self.entropy < 0.0:
             raise InvalidState(
                 f"system {self.id!r}: per-measurement entropy must be >= 0"
             )
@@ -64,18 +66,11 @@ class ThermalFlow:
     systems: tuple
 
 
-def require_horizon(horizon: float) -> float:
-    """The horizon itself; InvalidState unless it is positive and finite."""
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise InvalidState(f"horizon must be positive and finite, got {horizon}")
-    return horizon
-
-
 def simulate_flow(systems: list, T: float, horizon: float) -> ThermalFlow:
     """Merge the periodic ticks of every active system, each with its
     quantum at temperature T, up to the horizon.
 
-    The horizon must pass :func:`require_horizon`.  Systems with zero
+    The horizon must be positive and finite.  Systems with zero
     entropy contribute no ticks; if none is active the flow is undefined
     and InvalidState is raised, as it is for a flow of more than MAX_TICKS
     ticks, before any tick is built.  Each active system gives one column
@@ -84,8 +79,8 @@ def simulate_flow(systems: list, T: float, horizon: float) -> ThermalFlow:
     so equal tick times are ordered lexicographically by id and systems
     that share an id keep their config order.
     """
-    require_horizon(horizon)
-    active = [s for s in systems if s.entropy.nats > 0.0]
+    require_positive("horizon", horizon)
+    active = [s for s in systems if s.entropy > 0.0]
     if not active:
         raise InvalidState("no system has positive entropy: nothing happens")
     quanta = [time_quantum(spec.entropy, T) for spec in active]
@@ -113,9 +108,9 @@ def simulate_flow(systems: list, T: float, horizon: float) -> ThermalFlow:
 
 def clock_ratio(s1: SystemSpec, s2: SystemSpec) -> float:
     """Quantum ratio dt1/dt2 = S2/S1; the temperature cancels."""
-    if s1.entropy.nats <= 0.0 or s2.entropy.nats <= 0.0:
+    if s1.entropy <= 0.0 or s2.entropy <= 0.0:
         raise InvalidState("clock ratio requires both entropies > 0")
-    return s2.entropy.nats / s1.entropy.nats
+    return s2.entropy / s1.entropy
 
 
 def dilation_from_conditioning(cq: ClassicalQuantumState, T: float) -> tuple[float, float]:
@@ -135,6 +130,4 @@ def dilation_from_conditioning(cq: ClassicalQuantumState, T: float) -> tuple[flo
 def simultaneity_offset(theta1: float, theta2: float, v_max: float) -> float:
     """Start-time offset (theta2 - theta1)/v_max declaring two processes
     simultaneous; antisymmetric in the two state counts."""
-    if not (math.isfinite(v_max) and v_max > 0.0):
-        raise InvalidState(f"v_max must be positive, got {v_max}")
-    return (theta2 - theta1) / v_max
+    return (theta2 - theta1) / require_positive("v_max", v_max)

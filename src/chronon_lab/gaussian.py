@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EntropyValue
 from .errors import InvalidState
 from .linalg import xlnx
-from .speed_limits import _golden_min
+from .speed_limits import _golden_min, require_positive
 
 SEARCH_UPPER = 6.0  # erf saturates to 1 within 1e-12 well before x = 6
 SEARCH_GRID = 1024
@@ -27,29 +25,16 @@ BRACKET_TOL = 1e-10
 MAX_GRID = 100_000  # most grid points a gaussian report may tabulate
 
 
-@dataclass(frozen=True)
-class GaussianPacket:
-    """Free Gaussian packet of width parameter sigma_k0 > 0."""
-
-    sigma_k0: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma_k0) and self.sigma_k0 > 0.0):
-            raise InvalidState(
-                f"sigma_k0 must be positive and finite, got {self.sigma_k0}"
-            )
-
-
 def _binary_entropy(p: float) -> float:
     # The leading 0.0 keeps h2(1) at +0.0 rather than -0.0.
     return 0.0 - xlnx(p) - xlnx(1.0 - p)
 
 
-def partition_entropy_G(x: float) -> EntropyValue:
+def partition_entropy_G(x: float) -> float:
     """Binary entropy (nats) of the in-interval weight erf(x); at most ln 2."""
     if x < 0.0:
         raise InvalidState(f"x must be >= 0, got {x}")
-    return EntropyValue(_binary_entropy(math.erf(x)))
+    return _binary_entropy(math.erf(x))
 
 
 def scaled_function_H(x: float) -> float:
@@ -70,7 +55,7 @@ def tabulate(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if points > MAX_GRID:
         raise InvalidState(f"grid of {points} points is above the cap of {MAX_GRID}")
     x = np.linspace(0.0, SEARCH_UPPER, points)
-    g = np.array([partition_entropy_G(v).nats for v in x.tolist()])
+    g = np.array([partition_entropy_G(v) for v in x.tolist()])
     return x, g, g * x
 
 
@@ -90,7 +75,7 @@ def _grid_seeded_argmax(f) -> float:
 # The maxima are constants: search for each location once per process.
 @functools.cache
 def _argmax_G() -> float:
-    return _grid_seeded_argmax(lambda x: partition_entropy_G(x).nats)
+    return _grid_seeded_argmax(partition_entropy_G)
 
 
 @functools.cache
@@ -101,7 +86,7 @@ def _argmax_H() -> float:
 def max_G() -> tuple[float, float]:
     """Location and value of the partition-entropy maximum (ln 2)."""
     x = _argmax_G()
-    return x, partition_entropy_G(x).nats
+    return x, partition_entropy_G(x)
 
 
 def max_H() -> tuple[float, float]:
@@ -115,11 +100,12 @@ def bound_process_velocity() -> float:
     return 4.0 * math.log(2.0)
 
 
-def bound_classical_velocity(packet: GaussianPacket) -> float:
+def bound_classical_velocity(sigma_k0: float) -> float:
     """Classical average-velocity cap 4 max(H) sigma_k0 at T = 1
-    (~1.832 sigma_k0)."""
+    (~1.832 sigma_k0) for a free Gaussian packet of width parameter
+    sigma_k0, which must be positive and finite."""
     _, h_max = max_H()
-    return 4.0 * h_max * packet.sigma_k0
+    return 4.0 * h_max * require_positive("sigma_k0", sigma_k0)
 
 
 def bound_resolution_velocity(sigma_x0: float) -> float:
@@ -129,6 +115,4 @@ def bound_resolution_velocity(sigma_x0: float) -> float:
     sigma_x0 * sigma_k0 = 1 would carry over from the classical bound; the
     two bounds therefore differ by that factor.
     """
-    if not (math.isfinite(sigma_x0) and sigma_x0 > 0.0):
-        raise InvalidState(f"sigma_x0 must be positive, got {sigma_x0}")
-    return 1.0 / sigma_x0
+    return 1.0 / require_positive("sigma_x0", sigma_x0)

@@ -16,10 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .entropy import EntropyValue
 from .errors import InvalidState
-from .gaussian import GaussianPacket, max_H, partition_entropy_G
-from .speed_limits import time_quantum
+from .gaussian import max_H, partition_entropy_G
+from .speed_limits import require_positive, time_quantum
 
 PLANCK_TEMPERATURE_EXPONENT = -1.0   # moving bodies appear cooler by 1/gamma
 INVARIANCE_REL_TOL = 1e-12
@@ -44,7 +43,7 @@ class FrameQuantities:
     """Temperature, entropy, length and time quantum as seen in one frame."""
 
     T: float
-    S: EntropyValue
+    S: float
     r: float
     dt_min: float
 
@@ -73,12 +72,10 @@ def transform_temperature(b: Boost, exponent: float) -> float:
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Rest- and boosted-frame bound velocities with their mismatch."""
+    """Rest- and boosted-frame quantities with their velocity mismatch."""
 
     rest: FrameQuantities
     boosted: FrameQuantities
-    rest_velocity: float
-    boosted_velocity: float
     rel_diff: float
     gamma: float
     gamma_power: float
@@ -86,16 +83,17 @@ class InvarianceReport:
 
 
 def check_bound_invariance(
-    packet: GaussianPacket,
+    sigma_k0: float,
     b: Boost,
     length_exponent: float = -1.0,
     temp_exponent: float = PLANCK_TEMPERATURE_EXPONENT,
 ) -> InvarianceReport:
     """Compare the bound-attaining velocity r/dt_min across frames.
 
-    The rest frame, at T = 1, evaluates the classical bound at its
-    attaining radius r* = x* sigma_k0.  The boosted frame contracts the
-    length by gamma^length_exponent and rescales temperature so that
+    The rest frame, at T = 1, evaluates the classical bound of a packet
+    of width parameter sigma_k0 (positive and finite, else InvalidState)
+    at its attaining radius r* = x* sigma_k0.  The boosted frame contracts
+    the length by gamma^length_exponent and rescales temperature so that
     our-frame recovery uses gamma^temp_exponent, then recomputes the
     quantum from the transformed temperature and the invariant entropy.
     The residual scales as gamma^(length_exponent - temp_exponent); the
@@ -105,7 +103,7 @@ def check_bound_invariance(
     g = gamma(b)
     x_star, _ = max_H()
     s_star = partition_entropy_G(x_star)  # frame-invariant
-    r_rest = x_star * packet.sigma_k0
+    r_rest = x_star * require_positive("sigma_k0", sigma_k0)
     rest = FrameQuantities(T=1.0, S=s_star, r=r_rest, dt_min=time_quantum(s_star, 1.0))
 
     t_boost = transform_temperature(b, -temp_exponent)
@@ -122,8 +120,6 @@ def check_bound_invariance(
     return InvarianceReport(
         rest=rest,
         boosted=boosted,
-        rest_velocity=v_rest,
-        boosted_velocity=v_boost,
         rel_diff=rel_diff,
         gamma=g,
         gamma_power=length_exponent - temp_exponent,

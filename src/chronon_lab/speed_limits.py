@@ -9,6 +9,10 @@ temperature, since only flow configs and a Lorentz check's boosted frame
 vary it; every other thermal formula is at T = 1.  Dynamics evolve as
 exp(-iHt) with hbar = 1, where h = 2*pi: :func:`ml_bound_shifted` and
 :func:`orthogonalization_time` work in that convention throughout.
+
+Scalars are plain floats, checked where they enter: :func:`require_positive`
+for a temperature, horizon, packet width, velocity or time quantum, and
+:func:`require_entropy` for an entropy.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .entropy import ConditionalState, EntropyValue
+from .entropy import ConditionalState
 from .errors import InvalidState
 from .states import StateVector
 
@@ -46,30 +50,28 @@ class OrthogonalizationResult:
     bound: float
 
 
-def require_temperature(T: float) -> float:
-    """T itself; InvalidState unless it is positive and finite."""
-    if not (math.isfinite(T) and T > 0.0):
-        raise InvalidState(f"T must be positive and finite, got {T}")
-    return T
+def require_positive(name: str, value: float) -> float:
+    """value itself; InvalidState naming it unless it is positive and finite."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidState(f"{name} must be positive and finite, got {value}")
+    return value
 
 
-def _quantum(dt: float) -> float:
-    """A time quantum, strictly positive and finite, else InvalidState."""
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise InvalidState(f"time quantum must be positive and finite, got {dt}")
-    return dt
+def require_entropy(s: float) -> float:
+    """The entropy s itself, in nats; InvalidState unless it is finite."""
+    if not math.isfinite(s):
+        raise InvalidState(f"entropy must be finite, got {s}")
+    return s
 
 
-def time_quantum(s: EntropyValue, T: float) -> float:
+def time_quantum(s: float, T: float) -> float:
     """Minimal tick 1/(4 T S) generated by entropy dissipation S at
     temperature T; a 4 T S that underflows to 0 gives inf, rejected."""
-    require_temperature(T)
-    if s.nats <= 0.0:
-        raise InvalidState(
-            f"time quantum undefined for entropy {s.nats}: no time flow"
-        )
-    rate = 4.0 * T * s.nats
-    return _quantum(1.0 / rate if rate else math.inf)
+    require_positive("T", T)
+    if s <= 0.0:
+        raise InvalidState(f"time quantum undefined for entropy {s}: no time flow")
+    rate = 4.0 * T * s
+    return require_positive("time quantum", 1.0 / rate if rate else math.inf)
 
 
 def ml_bound_shifted(e_mean: float, e0: float) -> float:
@@ -80,19 +82,24 @@ def ml_bound_shifted(e_mean: float, e0: float) -> float:
         raise InvalidState(
             f"mean energy {e_mean} does not exceed ground energy {e0}"
         )
-    return _quantum(2.0 * math.pi / (4.0 * gap))
+    return require_positive("time quantum", 2.0 * math.pi / (4.0 * gap))
 
 
-def process_velocity(s0: EntropyValue) -> float:
-    """Orthogonal states per unit time, 4 S0 at T = 1.  Requires S0 >= 0."""
-    return 4.0 * s0.nats
+def process_velocity(s0: float) -> float:
+    """Orthogonal states per unit time, 4 S0 at T = 1.  S0 must pass
+    :func:`require_entropy` and be >= 0, else InvalidState."""
+    if require_entropy(s0) < 0.0:
+        raise InvalidState(f"entropy must be >= 0, got {s0}")
+    return 4.0 * s0
 
 
-def state_count(s0: EntropyValue, t: float) -> float:
-    """Number of orthogonal states passed over [0, t]: velocity * t."""
+def state_count(s0: float, t: float) -> float:
+    """Number of orthogonal states passed over [0, t]: velocity * t.  The
+    entropy is checked before t."""
+    velocity = process_velocity(s0)
     if t < 0.0:
         raise InvalidState(f"t must be >= 0, got {t}")
-    return process_velocity(s0) * t
+    return velocity * t
 
 
 def _golden_min(f, lo: float, hi: float, xtol: float) -> float:
@@ -245,4 +252,4 @@ def antiqubit_process_velocity(cs: ConditionalState) -> float:
     the velocity non-negative even when S(A|B) < 0.
     """
     e0 = -math.log(float(cs.spectrum[-1]))
-    return 4.0 * (cs.entropy.nats - e0)
+    return 4.0 * (cs.entropy - e0)

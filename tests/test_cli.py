@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import chronon_lab
 from chronon_lab import cli, entropy, errors, linalg
-from chronon_lab.entropy import EntropyValue, generalized_conditional
+from chronon_lab.entropy import generalized_conditional
 from chronon_lab.errors import NumericalError
 from chronon_lab.flow import SystemSpec
 from chronon_lab.serialization import save_state
@@ -169,7 +169,7 @@ class TestConditionalCommand:
 
         def skewed(rho):
             s = exact(rho)
-            return EntropyValue(s.nats + 1e-6) if rho.dim == 4 else s
+            return s + 1e-6 if rho.dim == 4 else s
 
         monkeypatch.setattr(entropy, "von_neumann", skewed)
         with pytest.raises(NumericalError, match="conditional-entropy paths disagree"):
@@ -524,6 +524,36 @@ class TestSimultaneityCommand:
         (["gaussian", "--sigma-x0", "1e-320"], "bounds.resolution left the float range, got inf"),
         (["simultaneity", "--theta1", "0", "--theta2", "1", "--entropy", "1e-320"],
          "offset left the float range, got inf"),
+        # a negative entropy gives no negative state count or velocity
+        (["simultaneity", "--s1", "-1", "--t1", "1", "--s2", "-1", "--t2", "2", "--entropy", "1"],
+         "entropy must be >= 0, got -1.0"),
+        (["simultaneity", "--theta1", "0", "--theta2", "1", "--entropy", "-1"],
+         "entropy must be >= 0, got -1.0"),
+        (["simultaneity", "--s1", "-1", "--t1", "-1", "--s2", "1", "--t2", "1", "--vmax", "1"],
+         "entropy must be >= 0, got -1.0"),
+        # non-finite entropies, each checked before its time
+        (["simultaneity", "--s1", "inf", "--t1", "1", "--s2", "1", "--t2", "2", "--vmax", "1"],
+         "entropy must be finite, got inf"),
+        (["simultaneity", "--s1", "nan", "--t1", "-1", "--s2", "1", "--t2", "1", "--vmax", "1"],
+         "entropy must be finite, got nan"),
+        (["simultaneity", "--theta1", "0", "--theta2", "1", "--entropy", "nan"],
+         "entropy must be finite, got nan"),
+        # positive and finite, named in full
+        (["gaussian", "--sigma-x0", "inf"], "sigma_x0 must be positive and finite, got inf"),
+        (["gaussian", "--sigma-x0", "-1"], "sigma_x0 must be positive and finite, got -1.0"),
+        (["gaussian", "--sigma-k0", "nan"], "sigma_k0 must be positive and finite, got nan"),
+        (["simultaneity", "--theta1", "0", "--theta2", "1", "--vmax", "inf"],
+         "v_max must be positive and finite, got inf"),
+        (["simultaneity", "--theta1", "0", "--theta2", "1", "--entropy", "0"],
+         "v_max must be positive and finite, got 0.0"),
+        (["lorentz", "--v", "0.5", "--sigma-k0", "inf"],
+         "sigma_k0 must be positive and finite, got inf"),
+        # the checks that ran first before still run first
+        (["gaussian", "--grid", "200000", "--sigma-k0", "0"],
+         "grid of 200000 points is above the cap of 100000"),
+        (["gaussian", "--sigma-k0", "0", "--sigma-x0", "0"],
+         "sigma_k0 must be positive and finite, got 0.0"),
+        (["lorentz", "--v", "2", "--sigma-k0", "0"], "|v| = 2.0 must be < c = 1.0"),
     ],
 )
 def test_numeric_flag_out_of_range_exit_one(argv, flag, capsys):
@@ -787,6 +817,10 @@ def _run_quietly(argv) -> tuple[int, str]:
         ("T", True, "malformed flow config: expected a number, got True"),
         ("horizon", "2", "malformed flow config: expected a number, got '2'"),
         ("T", 0, "T must be positive and finite, got 0.0"),
+        ("entropyNats", "1e400", "malformed flow config: entropy must be finite, got inf"),
+        # the entropy is checked before the id
+        ("systems", [{"id": "x,y", "entropyNats": "1e400"}],
+         "malformed flow config: entropy must be finite, got inf"),
         # an id may repeat, but then it names no one system to take a ratio of
         ("systems", [{"id": "a", "entropyNats": 1}, {"id": "a", "entropyNats": 2},
                      {"id": "b", "entropyNats": 1}],
@@ -794,7 +828,7 @@ def _run_quietly(argv) -> tuple[int, str]:
     ],
     ids=["horizon-negative", "horizon-overflow", "id-null", "id-list", "id-comma", "id-lf",
          "id-quote", "id-cr", "entropy-bool", "entropy-string", "T-bool", "horizon-string",
-         "T-zero", "id-shared"],
+         "T-zero", "entropy-overflow", "entropy-before-id", "id-shared"],
 )
 def test_flow_config_checked_in_every_mode(mode, key, value, invariant, tmp_path):
     """Every mode rejects what plain flow rejects, whether or not it reads
@@ -1034,8 +1068,8 @@ def _flow_configs(draw):
                             min_size=1, max_size=5))
     assume(any(s > 0.0 for _, s in systems))
     temp = draw(st.sampled_from((1.0, 2.0, 0.37)))
-    specs = [SystemSpec(sid, EntropyValue(s)) for sid, s in systems]
-    fastest = min(time_quantum(spec.entropy, temp) for spec in specs if spec.entropy.nats > 0.0)
+    specs = [SystemSpec(sid, s) for sid, s in systems]
+    fastest = min(time_quantum(spec.entropy, temp) for spec in specs if spec.entropy > 0.0)
     n = draw(st.sampled_from(_FLOW_TICK_COUNTS))
     times = [t for t, _, _ in reference_ticks(specs, temp, (n + 2) * fastest)]
     if n == 0:

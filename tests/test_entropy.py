@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronon_lab.entropy import (
-    EntropyValue,
     conditional_state,
     cq_conditional,
     generalized_conditional,
@@ -39,29 +38,29 @@ FACTOR_DIMS = [(a, b) for a in range(2, 9) for b in range(2, 9) if a * b <= 16]
 
 class TestVonNeumann:
     def test_pure_state_zero(self):
-        assert von_neumann(DensityMatrix(np.diag([1.0, 0.0]).astype(complex))).nats == 0.0
+        assert von_neumann(DensityMatrix(np.diag([1.0, 0.0]).astype(complex))) == 0.0
 
     def test_maximally_mixed(self):
         s = von_neumann(DensityMatrix(np.eye(2, dtype=complex) / 2))
-        assert s.nats == pytest.approx(LN2, abs=1e-12)
+        assert s == pytest.approx(LN2, abs=1e-12)
 
     def test_scalar_oracle(self):
         s = von_neumann(DensityMatrix(np.diag([0.25, 0.75]).astype(complex)))
-        assert s.nats == pytest.approx(entropy_oracle([0.25, 0.75]), abs=1e-12)
-        assert s.nats == pytest.approx(0.562335, abs=1e-6)
+        assert s == pytest.approx(entropy_oracle([0.25, 0.75]), abs=1e-12)
+        assert s == pytest.approx(0.562335, abs=1e-6)
 
     def test_range(self, rng):
         for _ in range(20):
             d = int(rng.integers(2, 6))
-            s = von_neumann(random_density(d, rng)).nats
+            s = von_neumann(random_density(d, rng))
             assert 0.0 <= s <= math.log(d) + 1e-12
 
     def test_unitary_invariance(self, rng):
         for _ in range(100):
             rho = random_density_mat(4, rng)
             u = random_unitary(4, rng)
-            s0 = von_neumann(DensityMatrix(rho)).nats
-            s1 = von_neumann(DensityMatrix(u @ rho @ u.conj().T)).nats
+            s0 = von_neumann(DensityMatrix(rho))
+            s1 = von_neumann(DensityMatrix(u @ rho @ u.conj().T))
             assert abs(s0 - s1) <= 1e-10
 
     def test_reads_the_validated_spectrum(self, rng):
@@ -69,7 +68,7 @@ class TestVonNeumann:
         for d in (2, 4, 8):
             rho = random_density(d, rng)
             assert np.allclose(rho.eigenvalues, np.linalg.eigvalsh(rho.mat), rtol=0, atol=1e-14)
-            assert von_neumann(rho).nats == pytest.approx(
+            assert von_neumann(rho) == pytest.approx(
                 entropy_oracle(np.linalg.eigvalsh(rho.mat)), abs=1e-12
             )
 
@@ -80,25 +79,25 @@ class TestCqConditional:
             ((0.3, random_density(2, rng, pure=True)),
              (0.7, random_density(2, rng, pure=True)))
         )
-        assert cq_conditional(cq).nats == pytest.approx(0.0, abs=1e-12)
+        assert cq_conditional(cq) == pytest.approx(0.0, abs=1e-12)
 
     def test_half_mixed_branch(self):
         cq = ClassicalQuantumState(
             ((0.5, DensityMatrix(np.diag([1.0, 0.0]).astype(complex))),
              (0.5, DensityMatrix(np.eye(2, dtype=complex) / 2)))
         )
-        assert cq_conditional(cq).nats == pytest.approx(0.5 * LN2, abs=1e-12)
-        assert cq_conditional(cq).nats == pytest.approx(0.346574, abs=1e-6)
+        assert cq_conditional(cq) == pytest.approx(0.5 * LN2, abs=1e-12)
+        assert cq_conditional(cq) == pytest.approx(0.346574, abs=1e-6)
 
     def test_identical_branches_collapse(self, rng):
         rho = random_density(3, rng)
         cq = ClassicalQuantumState(((0.2, rho), (0.8, rho)))
-        assert cq_conditional(cq).nats == pytest.approx(von_neumann(rho).nats, abs=1e-12)
+        assert cq_conditional(cq) == pytest.approx(von_neumann(rho), abs=1e-12)
 
     def test_never_exceeds_mixture_entropy(self, rng):
         for _ in range(50):
             cq = random_cq(rng)
-            assert cq_conditional(cq).nats <= von_neumann(cq.mixture()).nats + 1e-9
+            assert cq_conditional(cq) <= von_neumann(cq.mixture()) + 1e-9
 
 
 class TestConditionalDensity:
@@ -195,16 +194,16 @@ class TestGeneralizedConditional:
             joint=DensityMatrix(np.kron(rho_a, rho_b)), dim_a=2, dim_b=3
         )
         expected = entropy_oracle(np.linalg.eigvalsh(rho_a))
-        assert generalized_conditional(bi).nats == pytest.approx(expected, abs=1e-10)
+        assert generalized_conditional(bi) == pytest.approx(expected, abs=1e-10)
 
     def test_bell_is_minus_ln2(self):
-        assert generalized_conditional(bell_state()).nats == pytest.approx(-LN2, abs=1e-9)
+        assert generalized_conditional(bell_state()) == pytest.approx(-LN2, abs=1e-9)
 
     def test_matches_cq_conditional(self, rng):
         for _ in range(100):
             cq = random_cq(rng, dim=2, branches=int(rng.integers(2, 4)))
-            eq4 = cq_conditional(cq).nats
-            gen = generalized_conditional(cq_embed(cq)).nats
+            eq4 = cq_conditional(cq)
+            gen = generalized_conditional(cq_embed(cq))
             assert abs(eq4 - gen) <= 1e-8
 
     def test_explicit_dual_path_trace(self, rng):
@@ -214,12 +213,12 @@ class TestGeneralizedConditional:
             cond = conditional_state(bi).density
             log_cond, _ = support_log(cond)
             dual = -float(np.trace(bi.joint.mat @ log_cond).real)
-            assert abs(generalized_conditional(bi).nats - dual) <= 1e-8
+            assert abs(generalized_conditional(bi) - dual) <= 1e-8
 
     def test_separable_states_nonnegative(self, rng):
         for _ in range(100):
             bi = random_separable(rng, terms=int(rng.integers(1, 5)))
-            assert generalized_conditional(bi).nats >= -1e-9
+            assert generalized_conditional(bi) >= -1e-9
 
     @given(
         st.sampled_from(FACTOR_DIMS),
@@ -236,7 +235,7 @@ class TestGeneralizedConditional:
         joint = k @ k.conj().T
         bi = BipartiteState(DensityMatrix(joint / np.trace(joint).real), dim_a, dim_b)
         bound = math.log(dim_a) + 1e-9
-        assert -bound <= generalized_conditional(bi).nats <= bound
+        assert -bound <= generalized_conditional(bi) <= bound
 
     def test_marginal_entropy_subtraction(self, rng):
         # S(A|B) = S(joint) - S(B) with the marginal taken by brute force
@@ -244,13 +243,5 @@ class TestGeneralizedConditional:
         s_joint = entropy_oracle(np.linalg.eigvalsh(bi.joint.mat))
         rho_b = partial_trace(bi.joint.mat, 2, 3, keep="B")
         s_b = entropy_oracle(np.linalg.eigvalsh(rho_b))
-        assert generalized_conditional(bi).nats == pytest.approx(s_joint - s_b, abs=1e-10)
+        assert generalized_conditional(bi) == pytest.approx(s_joint - s_b, abs=1e-10)
 
-
-class TestEntropyValue:
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidState, match="entropy must be finite"):
-            EntropyValue(math.inf)
-
-    def test_allows_negative(self):
-        assert EntropyValue(-LN2).nats < 0

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronon_lab import flow as flow_mod
-from chronon_lab.entropy import EntropyValue
 from chronon_lab.errors import InvalidState
 from chronon_lab.flow import (
     SystemSpec,
@@ -29,7 +28,7 @@ def reference_ticks(systems, temp, horizon):
     sorted by (time, id)."""
     ticks = []
     for spec in systems:
-        if spec.entropy.nats <= 0.0:
+        if spec.entropy <= 0.0:
             continue
         dt = time_quantum(spec.entropy, temp)
         for n in range(1, math.floor(horizon / dt) + 1):
@@ -59,7 +58,7 @@ def flow_cases(draw):
         st.builds(
             SystemSpec,
             st.sampled_from(alphabet),
-            st.sampled_from(FLOW_ENTROPIES).map(EntropyValue),
+            st.sampled_from(FLOW_ENTROPIES),
         ),
         min_size=1,
         max_size=5,
@@ -76,7 +75,7 @@ def flow_cases(draw):
 
 class TestSimulateFlow:
     def test_single_system_arithmetic_oracle(self):
-        flow = simulate_flow([SystemSpec("s", EntropyValue(LN2))], 1.0, horizon=1.1)
+        flow = simulate_flow([SystemSpec("s", LN2)], 1.0, horizon=1.1)
         dt = 1.0 / (4.0 * LN2)
         times = flow.ticks.tolist()
         assert times == pytest.approx([dt, 2 * dt, 3 * dt], rel=1e-12)
@@ -86,7 +85,7 @@ class TestSimulateFlow:
 
     def test_inactive_system_contributes_nothing(self):
         flow = simulate_flow(
-            [SystemSpec("on", EntropyValue(LN2)), SystemSpec("off", EntropyValue(0.0))],
+            [SystemSpec("on", LN2), SystemSpec("off", 0.0)],
             1.0,
             horizon=1.0,
         )
@@ -95,11 +94,11 @@ class TestSimulateFlow:
 
     def test_all_inactive_rejected(self):
         with pytest.raises(InvalidState, match="no system has positive entropy"):
-            simulate_flow([SystemSpec("off", EntropyValue(0.0))], 1.0, horizon=1.0)
+            simulate_flow([SystemSpec("off", 0.0)], 1.0, horizon=1.0)
 
     def test_identical_systems_tie_broken_by_id(self):
         flow = simulate_flow(
-            [SystemSpec("b", EntropyValue(LN2)), SystemSpec("a", EntropyValue(LN2))],
+            [SystemSpec("b", LN2), SystemSpec("a", LN2)],
             1.0,
             horizon=0.8,
         )
@@ -111,8 +110,8 @@ class TestSimulateFlow:
         # "a" at S = 1 and at S = 2 tick together at t = 0.25 (0.25 and
         # 2 * 0.125 are exact); the config order decides, as in list.sort
         flow = simulate_flow(
-            [SystemSpec("b", EntropyValue(1.0)), SystemSpec("a", EntropyValue(1.0)),
-             SystemSpec("a", EntropyValue(2.0))],
+            [SystemSpec("b", 1.0), SystemSpec("a", 1.0),
+             SystemSpec("a", 2.0)],
             1.0,
             horizon=0.25,
         )
@@ -121,21 +120,21 @@ class TestSimulateFlow:
 
     def test_tick_times_exact_multiples(self):
         # bitwise equality: n * dt, no accumulated drift
-        spec = SystemSpec("s", EntropyValue(0.31))
+        spec = SystemSpec("s", 0.31)
         flow = simulate_flow([spec], 1.0, horizon=50.0)
         dt = time_quantum(spec.entropy, 1.0)
         for n, t in enumerate(flow.ticks.tolist(), start=1):
             assert t == n * dt
 
     def test_consecutive_gaps_equal_quantum(self):
-        spec = SystemSpec("s", EntropyValue(1.3))
+        spec = SystemSpec("s", 1.3)
         flow = simulate_flow([spec], 1.0, horizon=20.0)
         dt = time_quantum(spec.entropy, 1.0)
         assert np.allclose(np.diff(flow.ticks), dt, rtol=1e-12)
 
     def test_merged_ordering(self):
         flow = simulate_flow(
-            [SystemSpec("fast", EntropyValue(2 * LN2)), SystemSpec("slow", EntropyValue(LN2))],
+            [SystemSpec("fast", 2 * LN2), SystemSpec("slow", LN2)],
             1.0,
             horizon=2.0,
         )
@@ -144,7 +143,7 @@ class TestSimulateFlow:
 
     def test_tick_budget_counts_every_system(self, monkeypatch):
         # floor(1.1 / dt) = 3 ticks per system at S = ln 2: 6 in all
-        systems = [SystemSpec("a", EntropyValue(LN2)), SystemSpec("b", EntropyValue(LN2))]
+        systems = [SystemSpec("a", LN2), SystemSpec("b", LN2)]
         monkeypatch.setattr(flow_mod, "MAX_TICKS", 6)
         assert len(simulate_flow(systems, 1.0, horizon=1.1).ticks) == 6
         monkeypatch.setattr(flow_mod, "MAX_TICKS", 5)
@@ -161,23 +160,39 @@ class TestSimulateFlow:
     @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
     def test_horizon_must_be_positive_and_finite(self, horizon):
         with pytest.raises(InvalidState, match="horizon must be positive and finite"):
-            simulate_flow([SystemSpec("s", EntropyValue(LN2))], 1.0, horizon=horizon)
+            simulate_flow([SystemSpec("s", LN2)], 1.0, horizon=horizon)
+
+
+class TestSystemSpec:
+    @pytest.mark.parametrize("sid, s, message", [
+        ("a", math.inf, "entropy must be finite, got inf"),
+        ("a", math.nan, "entropy must be finite, got nan"),
+        # the entropy is checked before the id
+        (None, math.inf, "entropy must be finite, got inf"),
+        ("x,y", -math.inf, "entropy must be finite, got -inf"),
+        ("x,y", -1.0, "system id 'x,y' holds a comma, quote, CR or LF"),
+        ("a", -1.0, "system 'a': per-measurement entropy must be >= 0"),
+    ])
+    def test_checks_in_order(self, sid, s, message):
+        with pytest.raises(InvalidState) as info:
+            SystemSpec(sid, s)
+        assert str(info.value) == message
 
 
 class TestClockRatio:
     def test_equal_entropies(self):
-        s = SystemSpec("a", EntropyValue(0.4))
-        assert clock_ratio(s, SystemSpec("b", EntropyValue(0.4))) == pytest.approx(1.0)
+        s = SystemSpec("a", 0.4)
+        assert clock_ratio(s, SystemSpec("b", 0.4)) == pytest.approx(1.0)
 
     def test_inverse_proportionality(self):
-        s1 = SystemSpec("a", EntropyValue(LN2))
-        s2 = SystemSpec("b", EntropyValue(2 * LN2))
+        s1 = SystemSpec("a", LN2)
+        s2 = SystemSpec("b", 2 * LN2)
         assert clock_ratio(s1, s2) == pytest.approx(2.0, rel=1e-12)
 
     def test_context_independent(self):
         # the ratio is a pure entropy ratio; temperature cancels
-        s1 = SystemSpec("a", EntropyValue(0.9))
-        s2 = SystemSpec("b", EntropyValue(0.3))
+        s1 = SystemSpec("a", 0.9)
+        s2 = SystemSpec("b", 0.3)
         r = clock_ratio(s1, s2)
         for temp in (1.0, 2.0, 300.0):
             dt1 = time_quantum(s1.entropy, temp)
@@ -187,12 +202,12 @@ class TestClockRatio:
     @given(st.floats(min_value=0.01, max_value=5.0), st.floats(min_value=0.01, max_value=5.0))
     @settings(max_examples=100, deadline=None)
     def test_reciprocal_pairs(self, a, b):
-        s1, s2 = SystemSpec("a", EntropyValue(a)), SystemSpec("b", EntropyValue(b))
+        s1, s2 = SystemSpec("a", a), SystemSpec("b", b)
         assert clock_ratio(s1, s2) * clock_ratio(s2, s1) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_entropy_rejected(self):
         with pytest.raises(InvalidState, match="clock ratio requires both entropies > 0"):
-            clock_ratio(SystemSpec("a", EntropyValue(0.0)), SystemSpec("b", EntropyValue(1.0)))
+            clock_ratio(SystemSpec("a", 0.0), SystemSpec("b", 1.0))
 
 
 class TestDilation:
@@ -248,8 +263,8 @@ class TestDilation:
             (float(w), random_density(dim, rng, pure=p))
             for w, p in zip(weights / weights.sum(), pure)
         ))
-        s_cond = cq_conditional(cq).nats
-        assert s_cond <= von_neumann(cq.mixture()).nats + 1e-12
+        s_cond = cq_conditional(cq)
+        assert s_cond <= von_neumann(cq.mixture()) + 1e-12
         if not all(pure):  # all-pure branches stop the conditional flow
             dt_cond, dt_marg = dilation_from_conditioning(cq, 1.0)
             assert dt_cond >= dt_marg * (1 - 1e-12)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,10 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from chronon_lab import gaussian
-from chronon_lab.entropy import EntropyValue
 from chronon_lab.errors import InvalidState
 from chronon_lab.gaussian import (
-    GaussianPacket,
     bound_classical_velocity,
     bound_process_velocity,
     bound_resolution_velocity,
@@ -19,6 +16,7 @@ from chronon_lab.gaussian import (
     scaled_function_H,
     tabulate,
 )
+from chronon_lab.relativity import Boost, check_bound_invariance
 from chronon_lab.speed_limits import process_velocity
 
 LN2 = math.log(2.0)
@@ -70,18 +68,18 @@ class TestErf:
 
 class TestPartitionEntropy:
     def test_zero_radius(self):
-        assert partition_entropy_G(0.0).nats == 0.0
+        assert partition_entropy_G(0.0) == 0.0
 
     def test_half_weight_gives_ln2(self):
         x_half = erf_half_root_bisection()
-        assert partition_entropy_G(x_half).nats == pytest.approx(LN2, abs=1e-10)
+        assert partition_entropy_G(x_half) == pytest.approx(LN2, abs=1e-10)
 
     def test_tail_vanishes(self):
-        assert partition_entropy_G(6.0).nats <= 1e-12
+        assert partition_entropy_G(6.0) <= 1e-12
 
     def test_bounded_by_ln2(self):
         for x in np.linspace(0.0, 6.0, 301):
-            s = partition_entropy_G(float(x)).nats
+            s = partition_entropy_G(float(x))
             assert 0.0 <= s <= LN2 + 1e-12
 
     def test_negative_rejected(self):
@@ -92,7 +90,7 @@ class TestPartitionEntropy:
         # finite-difference slope changes sign exactly once over a dense grid
         # (differences inside round-off of zero are not sign-relevant)
         xs = np.linspace(0.0, 6.0, 10_000)
-        vals = np.array([partition_entropy_G(float(x)).nats for x in xs])
+        vals = np.array([partition_entropy_G(float(x)) for x in xs])
         diffs = np.diff(vals)
         signs = np.sign(diffs[np.abs(diffs) > 1e-14])
         changes = np.count_nonzero(np.diff(signs) != 0)
@@ -126,8 +124,8 @@ class TestMaxima:
 
     def test_max_g_local_certificate(self):
         x_star, value = max_G()
-        assert partition_entropy_G(x_star - 0.1).nats < value
-        assert partition_entropy_G(x_star + 0.1).nats < value
+        assert partition_entropy_G(x_star - 0.1) < value
+        assert partition_entropy_G(x_star + 0.1) < value
 
     def test_max_h_value(self):
         x_star, value = max_H()
@@ -163,7 +161,7 @@ class TestMaxima:
         for sigma in (0.5, 1.0, 2.7):
             radii = np.linspace(1e-4, 6.0 * sigma, 4001)
             vals = [
-                partition_entropy_G(float(r) / sigma).nats * float(r)
+                partition_entropy_G(float(r) / sigma) * float(r)
                 for r in radii
             ]
             r_best = radii[int(np.argmax(vals))]
@@ -177,7 +175,7 @@ class TestTabulate:
         rows = list(zip(*(c.tolist() for c in columns)))
         assert rows[0][0] == 0.0 and rows[-1][0] == 6.0
         for x, g, h in rows:
-            assert g == partition_entropy_G(x).nats
+            assert g == partition_entropy_G(x)
             assert h == scaled_function_H(x)
 
     def test_grid_cap(self, monkeypatch):
@@ -195,22 +193,18 @@ class TestVelocityBounds:
     def test_process_bound_composition_identity(self):
         _, g_max = max_G()
         assert bound_process_velocity() == pytest.approx(
-            process_velocity(EntropyValue(g_max)), rel=1e-9
+            process_velocity(g_max), rel=1e-9
         )
 
     def test_classical_bound_constant(self):
-        v = bound_classical_velocity(GaussianPacket(sigma_k0=1.0))
+        v = bound_classical_velocity(1.0)
         assert v == 4.0 * max_H()[1]
         assert v == pytest.approx(1.832, abs=2e-3)
 
     def test_classical_bound_scales_with_sigma(self):
-        v1 = bound_classical_velocity(GaussianPacket(sigma_k0=1.0))
-        v3 = bound_classical_velocity(GaussianPacket(sigma_k0=3.0))
+        v1 = bound_classical_velocity(1.0)
+        v3 = bound_classical_velocity(3.0)
         assert v3 == pytest.approx(3 * v1, rel=1e-12)
-
-    def test_classical_bound_ignores_k0(self):
-        # the packet carries no mean wave number k0, so no bound can read one
-        assert [f.name for f in dataclasses.fields(GaussianPacket)] == ["sigma_k0"]
 
     def test_resolution_bound(self):
         assert bound_resolution_velocity(1.0) == 1.0
@@ -227,4 +221,6 @@ class TestVelocityBounds:
 
     def test_packet_validation(self):
         with pytest.raises(InvalidState, match="sigma_k0 must be positive and finite"):
-            GaussianPacket(sigma_k0=-1.0)
+            bound_classical_velocity(-1.0)
+        with pytest.raises(InvalidState, match="sigma_k0 must be positive and finite"):
+            check_bound_invariance(-1.0, Boost(0.5))

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chronon_lab import speed_limits, sweeps
-from chronon_lab.entropy import EntropyValue, conditional_state
+from chronon_lab.entropy import conditional_state
 from chronon_lab.errors import InvalidState
 from chronon_lab.linalg import eig_hermitian
 from chronon_lab.speed_limits import (
@@ -16,7 +16,8 @@ from chronon_lab.speed_limits import (
     ml_bound_shifted,
     orthogonalization_time,
     process_velocity,
-    require_temperature,
+    require_entropy,
+    require_positive,
     state_count,
     time_quantum,
 )
@@ -36,41 +37,53 @@ class TestNaturalUnits:
     @given(_POSITIVE, _POSITIVE)
     @settings(max_examples=200, deadline=None)
     def test_time_quantum_is_one_over_4TS(self, s, temp):
-        assert time_quantum(EntropyValue(s), temp) == 1.0 / (4.0 * temp * s)
+        assert time_quantum(s, temp) == 1.0 / (4.0 * temp * s)
 
     @given(_POSITIVE)
     @settings(max_examples=100, deadline=None)
     def test_velocity_is_4S(self, s):
-        assert process_velocity(EntropyValue(s)) == 4.0 * s
-        assert state_count(EntropyValue(s), 3.0) == 4.0 * s * 3.0
+        assert process_velocity(s) == 4.0 * s
+        assert state_count(s, 3.0) == 4.0 * s * 3.0
 
     @pytest.mark.parametrize("temp", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_temperature(self, temp):
         with pytest.raises(InvalidState, match="T must be positive and finite, got"):
-            require_temperature(temp)
+            require_positive("T", temp)
         with pytest.raises(InvalidState, match="T must be positive and finite, got"):
-            time_quantum(EntropyValue(LN2), temp)
+            time_quantum(LN2, temp)
 
     @pytest.mark.parametrize("s, temp, dt", [(1e-300, 1e-300, "inf"), (1e300, 1e300, "0.0")])
     def test_quantum_out_of_range_rejected(self, s, temp, dt):
         # 4 T S underflows to 0 (1/0 is inf) or overflows to inf (1/inf is 0)
         with pytest.raises(InvalidState, match=f"quantum must be positive and finite, got {dt}"):
-            time_quantum(EntropyValue(s), temp)
+            time_quantum(s, temp)
+
+
+class TestRequireEntropy:
+    @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, s):
+        with pytest.raises(InvalidState) as info:
+            require_entropy(s)
+        assert str(info.value) == f"entropy must be finite, got {s}"
+
+    def test_allows_negative(self):
+        # a generalized conditional entropy may be negative
+        assert require_entropy(-LN2) == -LN2
 
 
 class TestTimeQuantum:
     def test_ln2_natural(self):
-        dt = time_quantum(EntropyValue(LN2), 1.0)
+        dt = time_quantum(LN2, 1.0)
         assert dt == pytest.approx(1.0 / (4 * LN2), rel=1e-12)
         assert dt == pytest.approx(0.360674, abs=1e-6)
 
     def test_zero_entropy_signals_no_flow(self):
         with pytest.raises(InvalidState, match="time quantum undefined for entropy 0.0"):
-            time_quantum(EntropyValue(0.0), 1.0)
+            time_quantum(0.0, 1.0)
 
     def test_inverse_of_velocity(self, rng):
         for _ in range(20):
-            s = EntropyValue(float(rng.random()) + 0.05)
+            s = float(rng.random()) + 0.05
             product = time_quantum(s, 1.0) * process_velocity(s)
             assert product == pytest.approx(1.0, rel=1e-12)
 
@@ -92,27 +105,45 @@ class TestMlBoundShifted:
 
 class TestProcessVelocity:
     def test_zero_entropy_zero_velocity(self):
-        assert process_velocity(EntropyValue(0.0)) == 0.0
+        assert process_velocity(0.0) == 0.0
 
     def test_ln2_natural(self):
-        assert process_velocity(EntropyValue(LN2)) == pytest.approx(2.772589, abs=1e-6)
+        assert process_velocity(LN2) == pytest.approx(2.772589, abs=1e-6)
+
+    @pytest.mark.parametrize("s, message", [
+        (-1.0, "entropy must be >= 0, got -1.0"),
+        (-5e-324, "entropy must be >= 0, got -5e-324"),
+        (math.inf, "entropy must be finite, got inf"),
+        (-math.inf, "entropy must be finite, got -inf"),
+        (math.nan, "entropy must be finite, got nan"),
+    ])
+    def test_rejects_bad_entropy(self, s, message):
+        with pytest.raises(InvalidState) as info:
+            process_velocity(s)
+        assert str(info.value) == message
 
 
 class TestStateCount:
     def test_zero_time(self):
-        assert state_count(EntropyValue(LN2), 0.0) == 0.0
+        assert state_count(LN2, 0.0) == 0.0
 
     def test_unit_time(self):
-        assert state_count(EntropyValue(LN2), 1.0) == pytest.approx(2.772589, abs=1e-6)
+        assert state_count(LN2, 1.0) == pytest.approx(2.772589, abs=1e-6)
 
     def test_linear_in_time(self):
-        th1 = state_count(EntropyValue(0.4), 1.3)
-        th2 = state_count(EntropyValue(0.4), 2.6)
+        th1 = state_count(0.4, 1.3)
+        th2 = state_count(0.4, 2.6)
         assert th2 == pytest.approx(2 * th1, rel=1e-12)
 
     def test_negative_time_rejected(self):
         with pytest.raises(InvalidState, match="t must be >= 0"):
-            state_count(EntropyValue(LN2), -0.1)
+            state_count(LN2, -0.1)
+
+    def test_entropy_checked_before_time(self):
+        with pytest.raises(InvalidState, match="^entropy must be finite, got inf$"):
+            state_count(math.inf, -0.1)
+        with pytest.raises(InvalidState, match="^entropy must be >= 0, got -1.0$"):
+            state_count(-1.0, -0.1)
 
 
 class TestOrthogonalizationTime:
