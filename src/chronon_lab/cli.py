@@ -32,9 +32,14 @@ invariant), 2 numerical failure.  A usage error (unknown flag, bad flag
 value, missing argument, or flags that exclude each other) is invalid
 input too: exit 1 with one ``error:`` line.  --help exits 0.
 
-Importing this module runs numpy's bundled OpenBLAS on one thread for the
-whole process: at the d <= 64 the subcommands decompose, a second thread
-doubles the CPU time and gains no wall time.
+Importing this module loads no numpy.  It binds every library module in
+sys.modules (``_lazy``) and runs each module's code on its first use, so
+a subcommand loads only what it calls: lorentz, simultaneity and flow
+--ratio compute with math alone, and --help or a usage error loads none of
+them.  Importing it also runs numpy's bundled OpenBLAS on one thread for
+the whole process, numpy imported or not (the library is found beside the
+numpy package without importing it): at the d <= 64 the subcommands
+decompose, a second thread doubles the CPU time and gains no wall time.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ import argparse
 import contextlib
 import ctypes
 import functools
+import importlib.util
 import json
 import math
 import operator
@@ -50,46 +56,39 @@ import os
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import gaussian as gaussian_mod
-from . import relativity
-from .entropy import (
-    conditional_state,
-    cq_conditional,
-    generalized_conditional,
-    trotter_conditional_density,
-    von_neumann,
-)
 from .errors import InvalidState, NumericalError
-from .flow import (
-    SystemSpec,
-    clock_ratio,
-    dilation_from_conditioning,
-    simulate_flow,
-    simultaneity_offset,
-)
-from .linalg import frobenius
-from .serialization import _number, load_state, read_json
-from .speed_limits import (
-    antiqubit_process_velocity,
-    process_velocity,
-    require_positive,
-    state_count,
-)
-from .states import (
-    BipartiteState,
-    ClassicalQuantumState,
-    CorrelationBasis,
-    DensityMatrix,
-    StateVector,
-    build_measurement_operator,
-    cq_embed,
-    measurement_probability,
-    reduce_over_apparatus,
-)
-from .sweeps import ml_bound_sweep
+
+if TYPE_CHECKING:
+    import numpy as np
+
+
+def _lazy(name: str):
+    """Module chronon_lab.<name>, bound now in sys.modules and on the
+    package, its code run on first attribute use; a module already
+    imported is returned as it is.  Bound on the package, it is what a
+    sibling's ``from . import <name>`` takes, still without running it."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return sys.modules[full]
+
+
+entropy = _lazy("entropy")
+flow = _lazy("flow")
+gaussian = _lazy("gaussian")
+linalg = _lazy("linalg")
+relativity = _lazy("relativity")
+serialization = _lazy("serialization")
+speed_limits = _lazy("speed_limits")
+states = _lazy("states")
+sweeps = _lazy("sweeps")
 
 _FLOAT = "{:.9g}"
 CHUNK_ROWS = 4096  # most table rows in one chunk of rendered text
@@ -100,8 +99,12 @@ _SPLICE = "\x00table"
 
 def _one_blas_thread() -> None:
     """Set numpy's bundled OpenBLAS (under numpy.libs, beside the numpy
-    package) to one thread; without that library or a setter, do nothing."""
-    libs = os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs")
+    package, which is located but not imported) to one thread; without
+    numpy, that library or a setter, do nothing."""
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        return
+    libs = os.path.join(os.path.dirname(spec.submodule_search_locations[0]), "numpy.libs")
     setters = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
                "openblas_set_num_threads")
     try:
@@ -267,38 +270,38 @@ def _at_least_one(n: int) -> bool:
 
 
 def _cmd_entropy(args):
-    state = load_state(args.state)
+    state = serialization.load_state(args.state)
 
     if args.measure is not None:
-        basis = load_state(args.measure)
-        if not isinstance(basis, CorrelationBasis):
+        basis = serialization.load_state(args.measure)
+        if not isinstance(basis, states.CorrelationBasis):
             raise InvalidState(f"{args.measure} is not a correlation-basis file")
-        if not isinstance(state, StateVector):
+        if not isinstance(state, states.StateVector):
             raise InvalidState("--measure needs a state_vector input")
-        m = build_measurement_operator(basis)
-        value = measurement_probability(state, m)
+        m = states.build_measurement_operator(basis)
+        value = states.measurement_probability(state, m)
     elif args.reduce is not None:
-        if not isinstance(state, StateVector):
+        if not isinstance(state, states.StateVector):
             raise InvalidState("--reduce needs a state_vector input")
         dim_s, dim_a = args.reduce
-        value = von_neumann(reduce_over_apparatus(state, dim_s, dim_a))
+        value = entropy.von_neumann(states.reduce_over_apparatus(state, dim_s, dim_a))
     elif args.conditional:
-        if isinstance(state, ClassicalQuantumState):
-            value = cq_conditional(state)
-        elif isinstance(state, BipartiteState):
-            value = generalized_conditional(state)
+        if isinstance(state, states.ClassicalQuantumState):
+            value = entropy.cq_conditional(state)
+        elif isinstance(state, states.BipartiteState):
+            value = entropy.generalized_conditional(state)
         else:
             raise InvalidState("--conditional needs a cq or bipartite input")
     else:
-        if isinstance(state, StateVector):
-            state = DensityMatrix.from_state_vector(state)
-        elif isinstance(state, ClassicalQuantumState):
+        if isinstance(state, states.StateVector):
+            state = states.DensityMatrix.from_state_vector(state)
+        elif isinstance(state, states.ClassicalQuantumState):
             state = state.mixture()
-        elif isinstance(state, BipartiteState):
+        elif isinstance(state, states.BipartiteState):
             state = state.joint
-        elif not isinstance(state, DensityMatrix):
+        elif not isinstance(state, states.DensityMatrix):
             raise InvalidState("entropy needs a state_vector, density, cq or bipartite input")
-        value = von_neumann(state)
+        value = entropy.von_neumann(state)
     return {"value": value}, [(value,)]
 
 
@@ -308,22 +311,22 @@ def _cmd_conditional(args):
     _require(args, "in [0, 1)", lambda eps: 0.0 <= eps < 1.0, "eps")
     if args.eps and args.trotter_n is None:
         raise InvalidState("--eps applies only with --trotter-n")
-    state = load_state(args.state)
-    if isinstance(state, ClassicalQuantumState):
-        bi = cq_embed(state)
-        branch_value = cq_conditional(state)
-    elif isinstance(state, BipartiteState):
+    state = serialization.load_state(args.state)
+    if isinstance(state, states.ClassicalQuantumState):
+        bi = states.cq_embed(state)
+        branch_value = entropy.cq_conditional(state)
+    elif isinstance(state, states.BipartiteState):
         bi = state
         branch_value = None
     else:
         raise InvalidState("conditional needs a cq or bipartite input")
 
-    cs = conditional_state(bi)
+    cs = entropy.conditional_state(bi)
     spectrum = [float(w) for w in cs.spectrum]
     payload = {
         "conditionalEntropy": cs.entropy,
         "conditionalSpectrum": spectrum,
-        "antiqubitVelocity": antiqubit_process_velocity(cs),
+        "antiqubitVelocity": speed_limits.antiqubit_process_velocity(cs),
     }
     rows = [("conditionalEntropy", cs.entropy)]
     if branch_value is not None:
@@ -332,8 +335,8 @@ def _cmd_conditional(args):
     rows.append(("antiqubitVelocity", payload["antiqubitVelocity"]))
     rows += [(f"conditionalEigenvalue{i}", w) for i, w in enumerate(spectrum)]
     if args.trotter_n is not None:
-        approx = trotter_conditional_density(bi, args.trotter_n, eps=args.eps)
-        distance = frobenius(approx - cs.density)
+        approx = entropy.trotter_conditional_density(bi, args.trotter_n, eps=args.eps)
+        distance = linalg.frobenius(approx - cs.density)
         payload["trotter"] = {"n": args.trotter_n, "eps": args.eps, "distance": distance}
         rows.append(("trotterDistance", distance))
     return payload, rows
@@ -347,7 +350,8 @@ def _cmd_mlcheck(args):
     if not dims or any(d < 2 for d in dims):
         raise InvalidState(f"--dims must list integers >= 2, got {args.dims!r}")
     _require(args, ">= 1", _at_least_one, "trials")
-    result = ml_bound_sweep(dims, args.trials, args.seed)
+    _require(args, ">= 0", lambda seed: seed >= 0, "seed")
+    result = sweeps.ml_bound_sweep(dims, args.trials, args.seed)
     payload = {
         "dims": dims,
         "trialsPerDim": args.trials,
@@ -361,13 +365,13 @@ def _cmd_mlcheck(args):
 
 def _cmd_gaussian(args):
     _require(args, ">= 1", _at_least_one, "grid")
-    grid = _Table(("x", "G", "H"), gaussian_mod.tabulate(args.grid))
-    xg, vg = gaussian_mod.max_G()
-    xh, vh = gaussian_mod.max_H()
+    grid = _Table(("x", "G", "H"), gaussian.tabulate(args.grid))
+    xg, vg = gaussian.max_G()
+    xh, vh = gaussian.max_H()
     bounds = {
-        "process": gaussian_mod.bound_process_velocity(),
-        "classical": gaussian_mod.bound_classical_velocity(args.sigma_k0),
-        "resolution": gaussian_mod.bound_resolution_velocity(args.sigma_x0),
+        "process": gaussian.bound_process_velocity(),
+        "classical": gaussian.bound_classical_velocity(args.sigma_k0),
+        "resolution": gaussian.bound_resolution_velocity(args.sigma_x0),
     }
     payload = {
         "grid": grid,
@@ -429,17 +433,18 @@ def _cmd_lorentz(args):
 def _load_flow_config(path: str):
     """Systems, temperature and horizon of a flow config, checked whatever
     the mode reads of them."""
-    cfg = read_json(path)
+    cfg = serialization.read_json(path)
     try:
         systems = [
-            SystemSpec(id=s["id"], entropy=_number(s["entropyNats"]))
+            flow.SystemSpec(id=s["id"], entropy=serialization._number(s["entropyNats"]))
             for s in cfg["systems"]
         ]
-        temperature = _number(cfg.get("T", 1.0))
-        horizon = _number(cfg["horizon"])
+        temperature = serialization._number(cfg.get("T", 1.0))
+        horizon = serialization._number(cfg["horizon"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidState(f"{path}: malformed flow config: {exc}") from exc
-    return systems, require_positive("T", temperature), require_positive("horizon", horizon)
+    return (systems, speed_limits.require_positive("T", temperature),
+            speed_limits.require_positive("horizon", horizon))
 
 
 def _cmd_flow(args):
@@ -453,20 +458,20 @@ def _cmd_flow(args):
         for sid, specs in named.items():
             if len(specs) > 1:
                 raise InvalidState(f"--ratio id {sid!r} names {len(specs)} configured systems")
-        value = clock_ratio(named[id1][0], named[id2][0])
+        value = flow.clock_ratio(named[id1][0], named[id2][0])
         return {"ratio": value, "ids": [id1, id2]}, [(value,)]
 
     if args.dilation is not None:
-        cq = load_state(args.dilation)
-        if not isinstance(cq, ClassicalQuantumState):
+        cq = serialization.load_state(args.dilation)
+        if not isinstance(cq, states.ClassicalQuantumState):
             raise InvalidState("--dilation needs a cq state file")
-        dt_cond, dt_marg = dilation_from_conditioning(cq, T)
+        dt_cond, dt_marg = flow.dilation_from_conditioning(cq, T)
         payload = {"dtConditional": dt_cond, "dtMarginal": dt_marg}
         return payload, [("conditional", dt_cond), ("marginal", dt_marg)]
 
-    flow = simulate_flow(systems, T, horizon)
-    ticks = _Table(("time", "quantum", "systemId"), (flow.ticks,),
-                   tuple((dt, sid) for sid, dt in flow.systems), flow.system)
+    merged = flow.simulate_flow(systems, T, horizon)
+    ticks = _Table(("time", "quantum", "systemId"), (merged.ticks,),
+                   tuple((dt, sid) for sid, dt in merged.systems), merged.system)
     return {"ticks": ticks}, [ticks]
 
 
@@ -477,8 +482,8 @@ def _cmd_simultaneity(args):
     if None not in thetas and set(counts) == {None}:
         theta1, theta2 = thetas
     elif set(thetas) == {None} and None not in counts:
-        theta1 = state_count(args.s1, args.t1)
-        theta2 = state_count(args.s2, args.t2)
+        theta1 = speed_limits.state_count(args.s1, args.t1)
+        theta2 = speed_limits.state_count(args.s2, args.t2)
     else:
         raise InvalidState(
             "give either --theta1/--theta2 or all of --s1/--t1/--s2/--t2"
@@ -486,10 +491,10 @@ def _cmd_simultaneity(args):
     if args.vmax is not None:
         v_max = args.vmax
     elif args.entropy is not None:
-        v_max = process_velocity(args.entropy)
+        v_max = speed_limits.process_velocity(args.entropy)
     else:
         raise InvalidState("give --vmax or --entropy to fix the maximal velocity")
-    offset = simultaneity_offset(theta1, theta2, v_max)
+    offset = flow.simultaneity_offset(theta1, theta2, v_max)
     # inputs first, so a non-finite input is named before the offset it spoils
     payload = {"theta1": theta1, "theta2": theta2, "vMax": v_max, "offset": offset}
     return payload, [(offset,)]

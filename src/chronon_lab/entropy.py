@@ -27,6 +27,7 @@ the spectra their DensityMatrix validation already computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,7 +43,7 @@ SUPPORT_CONTAINMENT_TOL = 1e-7
 
 def von_neumann(rho: DensityMatrix) -> float:
     """-sum_i w_i ln w_i over the spectrum's support; in [0, ln dim]."""
-    s = -sum(linalg.xlnx(float(x)) for x in rho.eigenvalues if x > 0.0)
+    s = -sum(x * math.log(x) for x in rho.eigenvalues.tolist() if x > 0.0)
     return max(s, 0.0)
 
 

@@ -14,13 +14,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .entropy import cq_conditional, von_neumann
+from . import entropy
 from .errors import InvalidState
 from .speed_limits import require_entropy, require_positive, time_quantum
-from .states import ClassicalQuantumState
+
+# numpy loads inside simulate_flow, so ratios and offsets load without it
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .states import ClassicalQuantumState
 
 MAX_TICKS = 10**6  # largest merged flow simulate_flow will build
 # Characters a system id may not hold: CSV output writes ids unquoted.
@@ -79,6 +83,8 @@ def simulate_flow(systems: list, T: float, horizon: float) -> ThermalFlow:
     so equal tick times are ordered lexicographically by id and systems
     that share an id keep their config order.
     """
+    import numpy as np
+
     require_positive("horizon", horizon)
     active = [s for s in systems if s.entropy > 0.0]
     if not active:
@@ -122,8 +128,8 @@ def dilation_from_conditioning(cq: ClassicalQuantumState, T: float) -> tuple[flo
     conditional entropy (all branches pure) raises InvalidState: that flow
     has stopped.
     """
-    dt_conditional = time_quantum(cq_conditional(cq), T)
-    dt_marginal = time_quantum(von_neumann(cq.mixture()), T)
+    dt_conditional = time_quantum(entropy.cq_conditional(cq), T)
+    dt_marginal = time_quantum(entropy.von_neumann(cq.mixture()), T)
     return dt_conditional, dt_marginal
 
 

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import functools
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidState
-from .linalg import xlnx
 from .speed_limits import _golden_min, require_positive
+
+# numpy loads inside tabulate, so G, H and their maxima load without it
+if TYPE_CHECKING:
+    import numpy as np
 
 SEARCH_UPPER = 6.0  # erf saturates to 1 within 1e-12 well before x = 6
 SEARCH_GRID = 1024
@@ -25,9 +27,14 @@ BRACKET_TOL = 1e-10
 MAX_GRID = 100_000  # most grid points a gaussian report may tabulate
 
 
+def _xlnx(x: float) -> float:
+    """x * ln(x) with the continuous extension 0 * ln 0 := 0."""
+    return x * math.log(x) if x > 0.0 else 0.0
+
+
 def _binary_entropy(p: float) -> float:
     # The leading 0.0 keeps h2(1) at +0.0 rather than -0.0.
-    return 0.0 - xlnx(p) - xlnx(1.0 - p)
+    return 0.0 - _xlnx(p) - _xlnx(1.0 - p)
 
 
 def partition_entropy_G(x: float) -> float:
@@ -52,6 +59,8 @@ def tabulate(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     scaled_function_H computes.  More than MAX_GRID points raises
     InvalidState before the grid is built.
     """
+    import numpy as np
+
     if points > MAX_GRID:
         raise InvalidState(f"grid of {points} points is above the cap of {MAX_GRID}")
     x = np.linspace(0.0, SEARCH_UPPER, points)

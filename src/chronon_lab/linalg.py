@@ -8,7 +8,6 @@ Jacobi sweep and ascending-sorted by contract.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -168,8 +167,3 @@ def partial_trace(joint: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.nd
 
 def trace_real(a: np.ndarray) -> float:
     return float(np.trace(a).real)
-
-
-def xlnx(x: float) -> float:
-    """x * ln(x) with the continuous extension 0 * ln 0 := 0."""
-    return x * math.log(x) if x > 0.0 else 0.0

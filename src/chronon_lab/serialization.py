@@ -20,21 +20,19 @@ from __future__ import annotations
 
 import json
 from itertools import chain
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import linalg
+from . import linalg, states
 from .errors import InvalidState
-from .states import (
-    BipartiteState,
-    ClassicalQuantumState,
-    CorrelationBasis,
-    DensityMatrix,
-    StateVector,
-)
+
+# numpy loads inside the matrix codec, so read_json loads without it
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def encode_matrix(m: np.ndarray) -> dict:
+    import numpy as np
+
     m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
     data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
@@ -43,6 +41,8 @@ def encode_matrix(m: np.ndarray) -> dict:
 def decode_matrix(obj: dict) -> np.ndarray:
     """Matrix from its encoding.  rows and cols are checked against
     ``linalg.MAX_DIM`` before any entry is converted."""
+    import numpy as np
+
     rows = _field(obj, "rows", _integer)
     cols = _field(obj, "cols", _integer)
     data = _field(obj, "data", list)
@@ -81,21 +81,21 @@ def _decode_vector(obj: dict) -> np.ndarray:
 
 
 def encode_state(state) -> dict:
-    if isinstance(state, StateVector):
+    if isinstance(state, states.StateVector):
         return {
             "kind": "state_vector",
             "matrix": encode_matrix(state.amplitudes.reshape(-1, 1)),
         }
-    if isinstance(state, DensityMatrix):
+    if isinstance(state, states.DensityMatrix):
         return {"kind": "density", "matrix": encode_matrix(state.mat)}
-    if isinstance(state, ClassicalQuantumState):
+    if isinstance(state, states.ClassicalQuantumState):
         return {
             "kind": "cq",
             "branches": [
                 {"p": p, "matrix": encode_matrix(s.mat)} for p, s in state.branches
             ],
         }
-    if isinstance(state, BipartiteState):
+    if isinstance(state, states.BipartiteState):
         return {
             "kind": "bipartite",
             "dimA": state.dim_a,
@@ -141,27 +141,27 @@ def _number(value) -> float:
 def decode_state(obj: dict):
     kind = _field(obj, "kind", str)
     if kind == "state_vector":
-        return StateVector(_field(obj, "matrix", _decode_vector))
+        return states.StateVector(_field(obj, "matrix", _decode_vector))
     if kind == "density":
-        return DensityMatrix(_field(obj, "matrix", decode_matrix))
+        return states.DensityMatrix(_field(obj, "matrix", decode_matrix))
     if kind == "cq":
         branches = [
-            (_field(b, "p", _number), DensityMatrix(_field(b, "matrix", decode_matrix)))
+            (_field(b, "p", _number), states.DensityMatrix(_field(b, "matrix", decode_matrix)))
             for b in _field(obj, "branches", list)
         ]
-        return ClassicalQuantumState(tuple(branches))
+        return states.ClassicalQuantumState(tuple(branches))
     if kind == "bipartite":
-        return BipartiteState(
-            joint=DensityMatrix(_field(obj, "matrix", decode_matrix)),
+        return states.BipartiteState(
+            joint=states.DensityMatrix(_field(obj, "matrix", decode_matrix)),
             dim_a=_field(obj, "dimA", _integer),
             dim_b=_field(obj, "dimB", _integer),
         )
     if kind == "correlation_basis":
         system = _field(obj, "system", list)
         apparatus = _field(obj, "apparatus", list)
-        return CorrelationBasis(
-            system_basis=tuple(StateVector(_decode_vector(m)) for m in system),
-            apparatus_basis=tuple(StateVector(_decode_vector(m)) for m in apparatus),
+        return states.CorrelationBasis(
+            system_basis=tuple(states.StateVector(_decode_vector(m)) for m in system),
+            apparatus_basis=tuple(states.StateVector(_decode_vector(m)) for m in apparatus),
         )
     raise InvalidState(f"unknown state kind {kind!r}")
 

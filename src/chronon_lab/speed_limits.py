@@ -18,21 +18,24 @@ for a temperature, horizon, packet width, velocity or time quantum, and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from . import linalg
-from .entropy import ConditionalState
 from .errors import InvalidState
-from .states import StateVector
+
+# numpy loads inside the scan, so the thermal formulas load without it
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .entropy import ConditionalState
+    from .states import StateVector
 
 ORTHOGONALITY_TOL = 1e-9
 SCAN_GRID_POINTS = 4096
 BLOCK_ROWS = 8  # grid rows per coarse block; SCAN_GRID_POINTS is a multiple
 REFINE_TIME_RESOLUTION = 1e-12
-_EPS = float(np.finfo(np.float64).eps)
+_EPS = sys.float_info.epsilon
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -122,6 +125,8 @@ def _golden_min(f, lo: float, hi: float, xtol: float) -> float:
 def _overlap_rows(weights: np.ndarray, energies: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """|<psi0|exp(-iHt)|psi0>| at each time of ts, each row by the same
     arithmetic whichever other rows are asked for."""
+    import numpy as np
+
     return np.abs((weights[None, :] * np.exp(-1j * np.outer(ts, energies))).sum(axis=1))
 
 
@@ -170,6 +175,8 @@ def orthogonalization_time(
     t_orth, the trace[-1] fallback included, is bit for bit the one found
     by refining every grid-local minimum of the full grid.
     """
+    import numpy as np
+
     energies, vectors = spectrum
     if vectors.shape[0] != psi0.dim:
         raise InvalidState(
@@ -178,7 +185,7 @@ def orthogonalization_time(
     if t_max <= 0.0:
         raise InvalidState(f"t_max must be positive, got {t_max}")
 
-    weights = np.abs(linalg.dag(vectors) @ psi0.amplitudes) ** 2
+    weights = np.abs(vectors.conj().T @ psi0.amplitudes) ** 2
 
     e_mean = float(weights @ energies)
     e0 = float(energies[0])

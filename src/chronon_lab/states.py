@@ -90,7 +90,7 @@ class ClassicalQuantumState:
     """Mixture of quantum branches labelled by classical probabilities.
 
     branches is a tuple of (probability, DensityMatrix) pairs sharing one
-    dimension; probabilities sum to one.
+    dimension; probabilities are finite and sum to one.
     """
 
     branches: tuple
@@ -103,6 +103,9 @@ class ClassicalQuantumState:
         if len(dims) != 1:
             raise InvalidState(f"branch dimensions differ: {sorted(dims)}")
         probs = np.array([float(p) for p, _ in br])
+        bad = probs[~np.isfinite(probs)]
+        if bad.size:
+            raise InvalidState(f"branch probability must be finite, got {bad[0]}")
         if np.any(probs < -VALIDATION_ATOL):
             raise InvalidState(f"negative branch probability {probs.min()}")
         if abs(probs.sum() - 1.0) > VALIDATION_ATOL:

@@ -266,6 +266,11 @@ class TestMalformedStateFiles:
                              {"p": True, "matrix": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}]},
                          "field 'p' is malformed: expected a number, got True",
                          id="p-bool"),
+            # a non-finite weight is named, not reported by the mixture it spoils
+            pytest.param('{"kind": "cq", "branches": ['
+                         '{"p": NaN, "matrix": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}, '
+                         '{"p": 1.0, "matrix": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}]}',
+                         "branch probability must be finite, got nan", id="p-nan"),
             # a matrix entry is a [re, im] pair of numbers, nothing converted
             pytest.param({"kind": "density", "matrix": {"rows": 1, "cols": 1,
                                                         "data": [[True, False]]}},
@@ -554,6 +559,7 @@ class TestSimultaneityCommand:
         (["gaussian", "--sigma-k0", "0", "--sigma-x0", "0"],
          "sigma_k0 must be positive and finite, got 0.0"),
         (["lorentz", "--v", "2", "--sigma-k0", "0"], "|v| = 2.0 must be < c = 1.0"),
+        (["mlcheck", "--seed", "-1"], "--seed must be >= 0, got -1"),
     ],
 )
 def test_numeric_flag_out_of_range_exit_one(argv, flag, capsys):
@@ -591,7 +597,7 @@ def test_directory_path_exit_one(argv, tmp_path, capsys):
 )
 def test_unusable_out_fails_before_the_work(out, message, tmp_path, monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(cli, "simulate_flow", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli.flow, "simulate_flow", lambda *a: calls.append(a))
     argv = ["flow", "--config", str(INPUTS / "flow.json"), "--out", out.format(dir=tmp_path)]
     code = cli.run(argv)
     assert code == 1
@@ -736,8 +742,75 @@ class TestEntryPoint:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "unrecognized arguments: --bogus" in err
 
+    def test_cli_import_binds_every_module_and_loads_no_numpy(self):
+        """Importing the CLI and building its parser loads no numpy, yet
+        binds every package module in sys.modules, where the benchmark's
+        per-layer trace looks them up."""
+        probe = (
+            "import sys\n"
+            "import chronon_lab.cli as cli\n"
+            "cli.build_parser()\n"
+            "print('numpy' in sys.modules)\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('chronon_lab.')))\n"
+        )
+        done = _python("-c", probe)
+        assert done.returncode == 0, done.stderr
+        numpy_loaded, bound = done.stdout.decode().splitlines()
+        assert numpy_loaded == "False"
+        package = Path(chronon_lab.__file__).parent
+        modules = {f"chronon_lab.{m.name}" for m in pkgutil.iter_modules([str(package)])}
+        assert set(bound.split()) == modules
 
-_THETAS = ["--theta1", "0", "--theta2", "1"]
+    def test_blas_thread_pinned_before_numpy_is_imported(self):
+        """The pin set at CLI import, before any numpy, holds once numpy
+        loads: both use the one OpenBLAS under numpy.libs."""
+        getter = _openblas_getter()
+        if getter is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        probe = (
+            "import ctypes, sys\n"
+            "import chronon_lab.cli\n"
+            "assert 'numpy' not in sys.modules\n"
+            "import numpy\n"
+            "print(getattr(ctypes.CDLL(sys.argv[1]), sys.argv[2])())\n"
+        )
+        done = _python("-c", probe, *getter)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) == 1
+
+    # runs the CLI as `python -m chronon_lab.cli` does, then reports on
+    # stderr whether numpy was loaded
+    _MAIN_REPORTING_NUMPY = (
+        "import sys\n"
+        "from chronon_lab import cli\n"
+        "try:\n"
+        "    cli.main()\n"
+        "finally:\n"
+        "    print('numpy' in sys.modules, file=sys.stderr)\n"
+    )
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize(
+        "case", ["lorentz", "simultaneity_theta", "simultaneity_counts", "flow_ratio"]
+    )
+    def test_math_only_subcommands_load_no_numpy(self, case, fmt):
+        """lorentz, simultaneity and flow --ratio compute with math alone:
+        a fresh run writes the golden and never loads numpy."""
+        done = _python("-c", self._MAIN_REPORTING_NUMPY, *CASES[case], "--format", fmt)
+        assert (done.returncode, done.stderr) == (0, b"False\n")
+        assert done.stdout == (GOLDEN / f"{case}.{fmt}").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--help"], 0), (["mlcheck", "--help"], 0), (["lorentz", "--v", "0.5", "--bogus"], 1)],
+    )
+    def test_help_and_usage_errors_load_no_numpy(self, argv, code):
+        done = _python("-c", self._MAIN_REPORTING_NUMPY, *argv)
+        assert done.returncode == code
+        assert done.stderr.endswith(b"False\n")
+
+
+_THETAS =["--theta1", "0", "--theta2", "1"]
 _COUNTS = ["--s1", "1", "--t1", "1", "--s2", "1", "--t2", "2"]
 
 
