@@ -810,7 +810,7 @@ class TestEntryPoint:
         assert done.stderr.endswith(b"False\n")
 
 
-_THETAS =["--theta1", "0", "--theta2", "1"]
+_THETAS = ["--theta1", "0", "--theta2", "1"]
 _COUNTS = ["--s1", "1", "--t1", "1", "--s2", "1", "--t2", "2"]
 
 

@@ -1,7 +1,7 @@
 """Per-subcommand start-up cost of two checkouts, as a user pays it: each
 run is a fresh ``python -m chronon_lab.cli ...`` process.
 
-    python3 tools/startup_times.py CHECKOUT_A CHECKOUT_B [--runs 15]
+    python3 tools/startup_times.py CHECKOUT_A CHECKOUT_B
 
 CHECKOUT_A and CHECKOUT_B are repository roots; each side imports the
 program from its own ``src/``.  Both sides read the same committed inputs,
@@ -9,7 +9,7 @@ program from its own ``src/``.  Both sides read the same committed inputs,
 command the runs alternate between the sides, A then B on even rounds and
 B then A on odd ones, so a drift of the host loads both sides alike.  Each
 run's wall time covers the whole process: interpreter start, imports,
-work and output.
+work and output.  Each side runs each command ``RUNS`` times.
 
 Prints one line per command: the median and interquartile range of each
 side in ms and the ratio of the medians, B/A.  A command whose exit code
@@ -26,6 +26,7 @@ import sys
 import time
 from pathlib import Path
 
+RUNS = 15
 INPUTS = Path(__file__).resolve().parent.parent / "tests" / "golden" / "inputs"
 
 COMMANDS = (
@@ -61,7 +62,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout_a", type=Path)
     parser.add_argument("checkout_b", type=Path)
-    parser.add_argument("--runs", type=int, default=15, help="runs per side and command")
     args = parser.parse_args()
     srcs = []
     for checkout in (args.checkout_a, args.checkout_b):
@@ -70,12 +70,12 @@ def main() -> None:
             sys.exit(f"error: no src/chronon_lab under {checkout}")
         srcs.append(src)
 
-    print(f"# {args.runs} alternating runs per side; A = {srcs[0]}, B = {srcs[1]}")
+    print(f"# {RUNS} alternating runs per side; A = {srcs[0]}, B = {srcs[1]}")
     print(f"{'command':<50} {'A median':>9} {'A IQR':>7} {'B median':>9} {'B IQR':>7} {'B/A':>6}")
     for argv in COMMANDS:
         times = ([], [])
         outputs = [set(), set()]
-        for i in range(args.runs):
+        for i in range(RUNS):
             for side in ((0, 1) if i % 2 == 0 else (1, 0)):
                 seconds, output = _run(srcs[side], argv)
                 times[side].append(seconds)
