@@ -2,8 +2,9 @@
 conditional-entropy numerics.
 
 Everything works on dense complex matrices at desk scale, in natural units
-h = k = 1: entropies are plain floats in nats, a time quantum at
-temperature T is 1/(4TS), and Hamiltonian dynamics take hbar = 1.
+h = k = c = 1: entropies are plain floats in nats, a time quantum at
+temperature T is 1/(4TS), a boost velocity is a fraction of light speed, and
+Hamiltonian dynamics take hbar = 1.
 
 The modules are the API; the package root re-exports nothing.  Import each
 operation from the module that defines it, as in

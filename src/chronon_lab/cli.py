@@ -214,13 +214,10 @@ def _json_chunks(payload: dict):
     """json.dumps(payload, indent=2, sort_keys=True) plus a newline, with
     each _Table written by the table itself at a placeholder."""
     tables = [payload[k] for k in sorted(payload) if isinstance(payload[k], _Table)]
-    if tables:
-        payload = {k: _SPLICE if isinstance(v, _Table) else v for k, v in payload.items()}
+    payload = {k: _SPLICE if isinstance(v, _Table) else v for k, v in payload.items()}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if not tables:
-        yield text
-        return
-    # sort_keys puts the placeholders in the order of the sorted table keys
+    # sort_keys puts the placeholders in the order of the sorted table keys;
+    # without a table the split yields the text whole
     head, *tails = text.split(json.dumps(_SPLICE))
     yield head
     for table, tail in zip(tables, tails):
@@ -278,6 +275,8 @@ def _cmd_entropy(args):
             raise InvalidState(f"{args.measure} is not a correlation-basis file")
         if not isinstance(state, states.StateVector):
             raise InvalidState("--measure needs a state_vector input")
+        if basis.dim != state.dim:
+            raise InvalidState(f"operator dim {basis.dim} != state dim {state.dim}")
         m = states.build_measurement_operator(basis)
         value = states.measurement_probability(state, m)
     elif args.reduce is not None:
@@ -404,10 +403,9 @@ def _frame(quantities) -> dict:
 
 def _cmd_lorentz(args):
     _require(args, "finite", math.isfinite, "temp_exponent", "length_exponent")
-    boost = relativity.Boost(v=args.v, c=args.c)
     report = relativity.check_bound_invariance(
         args.sigma_k0,
-        boost,
+        args.v,
         length_exponent=args.length_exponent,
         temp_exponent=args.temp_exponent,
     )
@@ -559,7 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lorentz", help="velocity-bound frame-invariance report")
     common(p, "json")
     p.add_argument("--v", type=float, required=True)
-    p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--temp-exponent", type=float, default=-1.0)
     p.add_argument("--length-exponent", type=float, default=-1.0)
     p.add_argument("--sigma-k0", type=float, default=1.0)

@@ -134,16 +134,6 @@ def support_log(
     return logm, proj
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; a dimension above MAX_DIM raises InvalidState."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    out_rows = a.shape[0] * b.shape[0]
-    out_cols = a.shape[1] * b.shape[1]
-    require_within_cap(max(out_rows, out_cols), "tensor product dimension")
-    return np.kron(a, b)
-
-
 def partial_trace(joint: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
     """Trace out one tensor factor of a (dim_a*dim_b)-dimensional operator.
 

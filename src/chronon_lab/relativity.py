@@ -5,9 +5,10 @@ The literature disagrees on how temperature (and length) should scale with
 the Lorentz factor, so the temperature transform and the check take their
 gamma exponents as explicit parameters.  The check defaults to the (-1, -1)
 length/temperature pair, the only one under which the boosted and rest-frame
-bound values agree exactly.  The rest frame is at T = 1 (natural units,
-h = k = 1).  Entropy is frame-invariant, so the time quantum 1/(4TS) of one
-frame follows from the other's by recomputing it at the transformed
+bound values agree exactly.  In natural units, h = k = c = 1, a boost
+velocity is a plain float with |v| < 1 and the rest frame is at T = 1.
+Entropy is frame-invariant, so the time quantum 1/(4TS) of one frame
+follows from the other's by recomputing it at the transformed
 temperature: dt = gamma^(-e) * dt_bar when T = gamma^e * T_bar.
 """
 
@@ -25,20 +26,6 @@ INVARIANCE_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class Boost:
-    """Pure boost of velocity v in a frame with light speed c."""
-
-    v: float
-    c: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.v) and math.isfinite(self.c) and self.c > 0.0):
-            raise InvalidState(f"invalid boost parameters v={self.v}, c={self.c}")
-        if abs(self.v) >= self.c:
-            raise InvalidState(f"|v| = {abs(self.v)} must be < c = {self.c}")
-
-
-@dataclass(frozen=True)
 class FrameQuantities:
     """Temperature, entropy, length and time quantum as seen in one frame."""
 
@@ -51,13 +38,18 @@ class FrameQuantities:
         return self.r / self.dt_min
 
 
-def gamma(b: Boost) -> float:
-    """Lorentz factor 1/sqrt(1 - v^2/c^2) >= 1."""
-    return 1.0 / math.sqrt(1.0 - (b.v / b.c) ** 2)
+def gamma(v: float) -> float:
+    """Lorentz factor 1/sqrt(1 - v^2) >= 1 of a boost of velocity v; v not
+    finite, or |v| >= 1, raises InvalidState."""
+    if not math.isfinite(v):
+        raise InvalidState(f"invalid boost parameters v={v}, c=1.0")
+    if abs(v) >= 1.0:
+        raise InvalidState(f"|v| = {abs(v)} must be < c = 1.0")
+    return 1.0 / math.sqrt(1.0 - v ** 2)
 
 
-def transform_temperature(b: Boost, exponent: float) -> float:
-    """The temperature gamma^exponent in our frame of a frame at T = 1.
+def transform_temperature(v: float, exponent: float) -> float:
+    """The temperature gamma(v)^exponent in our frame of a frame at T = 1.
 
     Evaluated as 1 / gamma^(-exponent).  :func:`check_bound_invariance`
     calls it with its temperature exponent negated to get the boosted
@@ -65,7 +57,7 @@ def transform_temperature(b: Boost, exponent: float) -> float:
     the float range raises InvalidState.
     """
     try:
-        return 1.0 / gamma(b) ** (-exponent)
+        return 1.0 / gamma(v) ** (-exponent)
     except (OverflowError, ZeroDivisionError):
         raise InvalidState(f"temperature factor gamma^{exponent} is out of range") from None
 
@@ -84,11 +76,12 @@ class InvarianceReport:
 
 def check_bound_invariance(
     sigma_k0: float,
-    b: Boost,
+    v: float,
     length_exponent: float = -1.0,
     temp_exponent: float = PLANCK_TEMPERATURE_EXPONENT,
 ) -> InvarianceReport:
-    """Compare the bound-attaining velocity r/dt_min across frames.
+    """Compare the bound-attaining velocity r/dt_min across frames boosted
+    by v relative to each other.
 
     The rest frame, at T = 1, evaluates the classical bound of a packet
     of width parameter sigma_k0 (positive and finite, else InvalidState)
@@ -100,13 +93,13 @@ def check_bound_invariance(
     pair (-1, -1) cancels exactly and is the certified one.  A power of
     gamma outside the float range raises InvalidState.
     """
-    g = gamma(b)
+    g = gamma(v)
     x_star, _ = max_H()
     s_star = partition_entropy_G(x_star)  # frame-invariant
     r_rest = x_star * require_positive("sigma_k0", sigma_k0)
     rest = FrameQuantities(T=1.0, S=s_star, r=r_rest, dt_min=time_quantum(s_star, 1.0))
 
-    t_boost = transform_temperature(b, -temp_exponent)
+    t_boost = transform_temperature(v, -temp_exponent)
     dt_boost = time_quantum(s_star, t_boost)
     try:
         r_boost = g**length_exponent * r_rest

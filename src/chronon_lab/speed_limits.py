@@ -3,7 +3,7 @@ velocities.
 
 Unit conventions
 ----------------
-Natural units, h = k = 1: the thermal time quantum h/(4kTS) is 1/(4TS)
+Natural units, h = k = c = 1: the thermal time quantum h/(4kTS) is 1/(4TS)
 and the process velocity 4kTS/h is 4TS.  Only :func:`time_quantum` takes a
 temperature, since only flow configs and a Lorentz check's boosted frame
 vary it; every other thermal formula is at T = 1.  Dynamics evolve as

@@ -154,7 +154,12 @@ class BipartiteState:
 
 @dataclass(frozen=True)
 class CorrelationBasis:
-    """Paired orthonormal bases of system and apparatus over one index set."""
+    """Paired orthonormal bases of system and apparatus over one index set.
+
+    The system (x) apparatus space that the measurement operator acts on
+    has dimension ``dim``; above ``linalg.MAX_DIM`` it raises InvalidState,
+    so no operator too large to build is ever asked for.
+    """
 
     system_basis: tuple
     apparatus_basis: tuple
@@ -181,6 +186,11 @@ class CorrelationBasis:
                         )
         object.__setattr__(self, "system_basis", sys_b)
         object.__setattr__(self, "apparatus_basis", app_b)
+        linalg.require_within_cap(self.dim, "tensor product dimension")
+
+    @property
+    def dim(self) -> int:
+        return self.system_basis[0].dim * self.apparatus_basis[0].dim
 
 
 def build_measurement_operator(basis: CorrelationBasis) -> np.ndarray:
@@ -192,8 +202,7 @@ def build_measurement_operator(basis: CorrelationBasis) -> np.ndarray:
         np.kron(psi.amplitudes, app.amplitudes)
         for psi, app in zip(basis.system_basis, basis.apparatus_basis)
     ]
-    d = vecs[0].size
-    m = np.zeros((d, d), dtype=np.complex128)
+    m = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
     for v in vecs:
         m += np.outer(v, v.conj())
     return m
@@ -230,13 +239,14 @@ def cq_embed(cq: ClassicalQuantumState) -> BipartiteState:
     generalized conditional entropy of the embedding (conditioning on the
     second factor) equals the branch-averaged entropy.  The joint is
     block-diagonal across register sectors; tracing out the register
-    returns the mixture sum_i p_i Psi_i.  Each term goes through
-    :func:`linalg.tensor`, so a joint dimension above ``linalg.MAX_DIM``
-    raises InvalidState before the joint is allocated.
+    returns the mixture sum_i p_i Psi_i.  A joint dimension above
+    ``linalg.MAX_DIM`` raises InvalidState before the joint is allocated.
     """
     n = len(cq.branches)
-    joint = sum(
-        p * linalg.tensor(state.mat, np.diag(e_i))
-        for (p, state), e_i in zip(cq.branches, np.eye(n, dtype=np.complex128))
-    )
+    linalg.require_within_cap(cq.dim * n, "tensor product dimension")
+    joint = np.zeros((cq.dim * n, cq.dim * n), dtype=np.complex128)
+    for i, (p, state) in enumerate(cq.branches):
+        # entry ((s, i), (t, i)) sits at (s*n + i, t*n + i); adding onto the
+        # zeros turns a -0.0 into +0.0, bit for bit sum_i p_i Psi_i (x) |i><i|
+        joint[i::n, i::n] += p * state.mat
     return BipartiteState(joint=DensityMatrix(joint), dim_a=cq.dim, dim_b=n)

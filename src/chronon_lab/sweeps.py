@@ -38,18 +38,12 @@ def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MlTrial:
-    dim: int
-    kind: str          # "random" | "eigenpair"
-    t_orth: float | None
-    bound: float
-    slack: float | None
-
-
-@dataclass(frozen=True)
 class MlSweepResult:
-    """The trials of one sweep in draw order; every count is read from them.
+    """The trials of one sweep in draw order, each a ``(t_orth, slack)``
+    pair; every count is read from them.
 
+    t_orth is the found orthogonalization time, None when the scan found
+    none; slack is t_orth - bound, None without a t_orth or a finite bound.
     A violation is a trial whose slack is below -SLACK_TOL; min_slack is
     the smallest slack, None when no trial has one.
     """
@@ -58,15 +52,15 @@ class MlSweepResult:
 
     @property
     def found(self) -> int:
-        return sum(1 for t in self.trials if t.t_orth is not None)
+        return sum(1 for t_orth, _ in self.trials if t_orth is not None)
 
     @property
     def violations(self) -> int:
-        return sum(1 for t in self.trials if t.slack is not None and t.slack < -SLACK_TOL)
+        return sum(1 for _, slack in self.trials if slack is not None and slack < -SLACK_TOL)
 
     @property
     def min_slack(self) -> float | None:
-        return min((t.slack for t in self.trials if t.slack is not None), default=None)
+        return min((slack for _, slack in self.trials if slack is not None), default=None)
 
 
 # Minimum eigenvalue gap accepted when building an equal eigenpair
@@ -119,20 +113,11 @@ def ml_bound_sweep(dims: list[int], trials_per_dim: int, seed: int) -> MlSweepRe
         for trial in range(trials_per_dim):
             spectrum = linalg.eig_hermitian(random_hermitian(dim, rng))
             psi = _eigenpair_state(spectrum, rng) if trial % 2 else None
-            kind = "random" if psi is None else "eigenpair"
             if psi is None:
                 psi = random_state_vector(dim, rng)
             result = orthogonalization_time(spectrum, StateVector(psi), t_max=_SCAN_WINDOW)
             slack = None
             if result.t_orth is not None and math.isfinite(result.bound):
                 slack = result.t_orth - result.bound
-            records.append(
-                MlTrial(
-                    dim=dim,
-                    kind=kind,
-                    t_orth=result.t_orth,
-                    bound=result.bound,
-                    slack=slack,
-                )
-            )
+            records.append((result.t_orth, slack))
     return MlSweepResult(trials=tuple(records))

@@ -15,6 +15,7 @@ import pkgutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,36 @@ class TestEntropyCommand:
         )
         assert code == 0
         assert float(out.strip()) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "dim_s, dim_a, size, message",
+        [
+            (4096, 4096, 1, "tensor product dimension 16777216 is above the cap of 4096"),
+            (64, 64, 64, "operator dim 4096 != state dim 4"),
+        ],
+    )
+    def test_measure_dimensions_checked_before_the_operator(self, dim_s, dim_a, size, message,
+                                                             tmp_path, capsys):
+        # the 4096^2 operator alone takes 256 MiB; nothing near it may be
+        # allocated before the dimensions are found wrong
+        def vectors(dim):
+            return [{"rows": dim, "cols": 1,
+                     "data": [[float(i == k), 0.0] for i in range(dim)]} for k in range(size)]
+
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text(json.dumps(
+            {"kind": "correlation_basis", "system": vectors(dim_s), "apparatus": vectors(dim_a)}
+        ))
+        tracemalloc.start()
+        try:
+            code = cli.run(["entropy", "--state", _in("xi.json"), "--measure", str(basis_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert peak < 32 * 2**20
 
     def test_json_format(self, bell_file, capsys):
         code, out = run_capture(
@@ -665,6 +696,8 @@ def test_seed_accepted_only_by_mlcheck(argv, capsys):
         (["lorentz", "--v", "0.5", "--bogus"], "unrecognized arguments: --bogus"),
         (["gaussian", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
         ([], "the following arguments are required: subcommand"),
+        # c = 1 is the unit of velocity, not a flag
+        (["lorentz", "--v", "0.5", "--c", "1"], "unrecognized arguments: --c 1"),
     ],
 )
 def test_usage_error_exit_one(argv, message, capsys):
@@ -999,7 +1032,7 @@ def test_mutated_input_never_raises(mutation):
 
 # Zero, huge, tiny and subnormal magnitudes of both signs, and +-1000.
 _EXTREMES = (0.0, 1e-300, -1e-300, 1e300, -1e300, 1e308, -1e308, 5e-324, -5e-324, 1000.0, -1000.0)
-# Boost velocities against the default c = 1; 0.99999999 gives gamma = 7071.
+# Boost velocities in units of c; 0.99999999 gives gamma = 7071.
 _SPEEDS = (0.0, 0.6, 0.99999999, -0.99999999, 5e-324, 1e-300, 1000.0)
 
 
@@ -1021,7 +1054,7 @@ def test_extreme_numbers_never_raise(cmd, data):
         argv = data.draw(st.sampled_from(sorted(_FLOW_MODES.values()))) + ["--format", fmt]
     else:
         if cmd == "lorentz":
-            flags = ["--c", "--temp-exponent", "--length-exponent", "--sigma-k0"]
+            flags = ["--temp-exponent", "--length-exponent", "--sigma-k0"]
             flags = [f for f in flags if data.draw(st.booleans())]
             argv = ["--v", repr(data.draw(st.sampled_from(_SPEEDS)))]
         elif cmd == "gaussian":

@@ -16,7 +16,7 @@ from chronon_lab.gaussian import (
     scaled_function_H,
     tabulate,
 )
-from chronon_lab.relativity import Boost, check_bound_invariance
+from chronon_lab.relativity import check_bound_invariance
 from chronon_lab.speed_limits import process_velocity
 
 LN2 = math.log(2.0)
@@ -223,4 +223,4 @@ class TestVelocityBounds:
         with pytest.raises(InvalidState, match="sigma_k0 must be positive and finite"):
             bound_classical_velocity(-1.0)
         with pytest.raises(InvalidState, match="sigma_k0 must be positive and finite"):
-            check_bound_invariance(-1.0, Boost(0.5))
+            check_bound_invariance(-1.0, 0.5)

@@ -120,41 +120,6 @@ class TestSupportLog:
             linalg.support_log(np.diag([1.0, -1e-6]).astype(complex))
 
 
-class TestTensor:
-    def test_identities(self):
-        assert np.allclose(linalg.tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal(self):
-        out = linalg.tensor(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-        assert np.allclose(out, np.diag([3.0, 4.0, 6.0, 8.0]))
-
-    def test_projector_index_bookkeeping(self):
-        # |0><0| x |1><1| puts the single 1 at flat index 0*2+1 = 1
-        p0 = np.diag([1.0, 0.0])
-        p1 = np.diag([0.0, 1.0])
-        out = linalg.tensor(p0, p1)
-        expected = np.zeros((4, 4))
-        expected[1, 1] = 1.0
-        assert np.allclose(out, expected)
-
-    def test_trace_multiplicative(self, rng):
-        for _ in range(10):
-            a = random_hermitian(3, rng)
-            b = random_hermitian(2, rng)
-            lhs = np.trace(linalg.tensor(a, b))
-            rhs = np.trace(a) * np.trace(b)
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-
-    def test_size_cap(self, monkeypatch):
-        monkeypatch.setattr(linalg, "MAX_DIM", 3)
-        with pytest.raises(InvalidState, match="tensor product dimension 4 is above the cap of 3"):
-            linalg.tensor(np.eye(2), np.eye(2))
-
-    def test_dimension_equal_to_cap_passes(self, monkeypatch):
-        monkeypatch.setattr(linalg, "MAX_DIM", 8)
-        assert linalg.tensor(np.eye(2), np.eye(4)).shape == (8, 8)
-
-
 class TestPartialTrace:
     def test_product_recovery(self, rng):
         for _ in range(10):

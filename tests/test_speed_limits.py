@@ -433,12 +433,12 @@ class TestMlBoundSweep:
     def test_no_found_time_beats_the_bound(self, dims, trials, seed):
         result = sweeps.ml_bound_sweep(dims, trials, seed)
         assert result.violations == 0
-        assert all(t.slack >= -sweeps.SLACK_TOL for t in result.trials if t.slack is not None)
+        assert all(slack >= -sweeps.SLACK_TOL for _, slack in result.trials if slack is not None)
 
     def test_counts_read_from_trials(self):
         def trial(slack):
             t_orth = None if slack is None else 1.0 + slack
-            return sweeps.MlTrial(dim=2, kind="eigenpair", t_orth=t_orth, bound=1.0, slack=slack)
+            return t_orth, slack
 
         result = sweeps.MlSweepResult(
             trials=(trial(None), trial(0.25), trial(-2e-9), trial(-0.5e-9), trial(-3e-9))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chronon_lab import linalg
 from chronon_lab.errors import InvalidState
 from chronon_lab.linalg import frobenius, partial_trace
 from chronon_lab.states import (
@@ -65,6 +66,14 @@ class TestStateTypes:
         w = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2))
         with pytest.raises(InvalidState):
             CorrelationBasis((v, w), computational_basis(2))
+
+    def test_basis_operator_dimension_cap(self, monkeypatch):
+        # the operator acts on system (x) apparatus: 2 x 3 = 6 dimensions
+        monkeypatch.setattr(linalg, "MAX_DIM", 6)
+        assert CorrelationBasis(computational_basis(2), computational_basis(3, 2)).dim == 6
+        monkeypatch.setattr(linalg, "MAX_DIM", 5)
+        with pytest.raises(InvalidState, match="tensor product dimension 6 is above the cap of 5"):
+            CorrelationBasis(computational_basis(2), computational_basis(3, 2))
 
 
 class TestMeasurementOperator:
@@ -210,6 +219,18 @@ class TestCqEmbed:
             bi = cq_embed(cq)
             marg = partial_trace(bi.joint.mat, bi.dim_a, bi.dim_b, keep="A")
             assert frobenius(marg - cq.mixture().mat) <= 1e-12
+
+    def test_joint_dimension_cap(self, rng, monkeypatch):
+        monkeypatch.setattr(linalg, "MAX_DIM", 3)
+        cq = ClassicalQuantumState(((0.5, random_density(2, rng)), (0.5, random_density(2, rng))))
+        with pytest.raises(InvalidState, match="tensor product dimension 4 is above the cap of 3"):
+            cq_embed(cq)
+
+    def test_joint_dimension_equal_to_cap_passes(self, rng, monkeypatch):
+        monkeypatch.setattr(linalg, "MAX_DIM", 8)
+        cq = ClassicalQuantumState(((0.5, random_density(2, rng)), (0.5, random_density(2, rng)),
+                                    (0.0, random_density(2, rng)), (0.0, random_density(2, rng))))
+        assert cq_embed(cq).joint.dim == 8
 
     def test_register_sectors_are_diagonal(self, rng):
         cq = ClassicalQuantumState(
