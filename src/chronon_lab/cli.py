@@ -20,12 +20,14 @@ only strings read from input that reach a cell are system ids, which
 holds a long table as numpy columns: the floats that vary by row, and the
 cells that stay constant within a group of rows (a flow system's quantum
 and id).  It formats each group's constant cells once, into one row
-template per group, then fills the templates CHUNK_ROWS rows per chunk:
-a CSV header line plus one line per row, or a JSON list of records that
-it writes itself.  The rest of a JSON payload goes through one
-``json.dumps(..., indent=2, sort_keys=True)`` call, with each table's
-records spliced in at a placeholder, so the text is byte for byte what
-that call would give for the whole payload.
+template per group.  Each chunk of CHUNK_ROWS rows is then one %-format:
+its rows' templates joined into one string, filled with its values in
+row-major order.  The text is a CSV header line plus one line per row,
+or a JSON list of records that the table writes itself.  The rest of a
+JSON payload goes through one ``json.dumps(..., indent=2,
+sort_keys=True)`` call, with each table's records spliced in at a
+placeholder, so the text is byte for byte what that call would give for
+the whole payload.
 
 Exit codes: 0 success, 1 invalid input (message names the violated
 invariant), 2 numerical failure.  A usage error (unknown flag, bad flag
@@ -37,9 +39,11 @@ sys.modules (``_lazy``) and runs each module's code on its first use, so
 a subcommand loads only what it calls: lorentz, simultaneity and flow
 --ratio compute with math alone, and --help or a usage error loads none of
 them.  Importing it also runs numpy's bundled OpenBLAS on one thread for
-the whole process, numpy imported or not (the library is found beside the
-numpy package without importing it): at the d <= 64 the subcommands
-decompose, a second thread doubles the CPU time and gains no wall time.
+the whole process, numpy imported or not: before numpy loads, through
+OPENBLAS_NUM_THREADS, so that no OpenBLAS thread starts for a subcommand
+that never loads it; after, through the library's own setter.  At the
+d <= 64 the subcommands decompose, a second thread doubles the CPU time
+and gains no wall time.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ import functools
 import importlib.util
 import json
 import math
-import operator
 import os
 import sys
 from collections.abc import Iterator
@@ -98,13 +101,15 @@ _SPLICE = "\x00table"
 
 
 def _one_blas_thread() -> None:
-    """Set numpy's bundled OpenBLAS (under numpy.libs, beside the numpy
-    package, which is located but not imported) to one thread; without
-    numpy, that library or a setter, do nothing."""
-    spec = importlib.util.find_spec("numpy")
-    if spec is None:
+    """Run numpy's bundled OpenBLAS on one thread.  Before numpy loads, set
+    OPENBLAS_NUM_THREADS, which OpenBLAS reads when numpy loads it; loading
+    the library here would start its thread pool.  After, call the
+    library's setter: it lies under numpy.libs, beside the numpy package.
+    Without that library or a setter, do nothing."""
+    if "numpy" not in sys.modules:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
         return
-    libs = os.path.join(os.path.dirname(spec.submodule_search_locations[0]), "numpy.libs")
+    libs = os.path.join(os.path.dirname(sys.modules["numpy"].__path__[0]), "numpy.libs")
     setters = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
                "openblas_set_num_threads")
     try:
@@ -150,14 +155,16 @@ class _Table:
     cells formatted once (a ``%`` in them escaped) and a placeholder for
     each varying cell: ``%.9g`` in CSV, the ``_cell`` rule for a float;
     ``%r`` in JSON, which is ``float.__repr__``.  A chunk of at most
-    CHUNK_ROWS rows is written by filling its rows' templates with the
-    chunk's ``.tolist()`` values, Python floats.  The JSON records come out
-    byte for byte as ``json.dumps(..., indent=2, sort_keys=True)`` writes
-    the list: keys in sorted order and constant cells through
-    ``json.dumps``.  That needs finite floats, which json would spell
-    ``NaN`` or ``Infinity``; flow ticks and the gaussian grid are finite by
-    construction (a tick time is at most the finite horizon and its quantum
-    is checked finite; the grid has x <= 6 and 0 <= G <= ln 2).
+    CHUNK_ROWS rows is one %-format: its rows' templates joined, CSV lines
+    end to end and JSON records with a comma and a newline between them,
+    filled with the chunk's varying cells in row-major order as Python
+    floats.  The JSON records come out byte for byte as
+    ``json.dumps(..., indent=2, sort_keys=True)`` writes the list: keys in
+    sorted order and constant cells through ``json.dumps``.  That needs
+    finite floats, which json would spell ``NaN`` or ``Infinity``; flow
+    ticks and the gaussian grid are finite by construction (a tick time is
+    at most the finite horizon and its quantum is checked finite; the grid
+    has x <= 6 and 0 <= G <= ln 2).
     """
 
     columns: tuple
@@ -165,19 +172,22 @@ class _Table:
     groups: tuple = ((),)
     group: np.ndarray | None = None
 
-    def _rows(self, templates: list, order) -> Iterator:
-        """Per chunk, the text of each row through its group's template;
-        order lists the varying columns in placeholder order."""
-        for start in range(0, len(self.values[0]), CHUNK_ROWS):
+    def _rows(self, templates: list, order, separator: str) -> Iterator[str]:
+        """Per chunk, the text of its rows: their groups' templates joined
+        by separator, filled by one % with the chunk's varying cells in
+        row-major order; order lists the varying columns in placeholder
+        order."""
+        import numpy as np
+
+        n = len(self.values[0])
+        for start in range(0, n, CHUNK_ROWS):
             rows = slice(start, start + CHUNK_ROWS)
-            cells = [self.values[i][rows].tolist() for i in order]
-            # % formats a bare float faster than a 1-tuple holding it
-            cells = cells[0] if len(cells) == 1 else zip(*cells)
             if self.group is None:
-                yield map(templates[0].__mod__, cells)
+                text = separator.join([templates[0]] * min(CHUNK_ROWS, n - start))
             else:
-                yield map(operator.mod, map(templates.__getitem__, self.group[rows].tolist()),
-                          cells)
+                text = separator.join(map(templates.__getitem__, self.group[rows].tolist()))
+            cells = np.stack([self.values[i][rows] for i in order], axis=1)
+            yield text % tuple(cells.ravel().tolist())
 
     def csv_chunks(self):
         """The header line, then the rows, one line each."""
@@ -187,8 +197,7 @@ class _Table:
             ",".join(["%.9g"] * k + [_literal(_cell(c)) for c in cells]) + "\n"
             for cells in self.groups
         ]
-        for lines in self._rows(templates, range(k)):
-            yield "".join(lines)
+        yield from self._rows(templates, range(k), "")
 
     def json_chunks(self):
         """The list of records, indented as the value of a top-level key."""
@@ -204,8 +213,8 @@ class _Table:
             for cells in self.groups
         ]
         separator = "[\n"
-        for records in self._rows(templates, [i for i in order if i < k]):
-            yield separator + ",\n".join(records)
+        for records in self._rows(templates, [i for i in order if i < k], ",\n"):
+            yield separator + records
             separator = ",\n"
         yield "[]" if separator == "[\n" else "\n  ]"
 

@@ -811,6 +811,22 @@ class TestEntryPoint:
         assert done.returncode == 0, done.stderr
         assert int(done.stdout) == 1
 
+    def test_math_only_subcommand_runs_on_one_thread(self):
+        """Importing the CLI and running lorentz starts no thread: the BLAS
+        pin loads no OpenBLAS, whose start-up would start its pool."""
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to count threads")
+        probe = (
+            "import contextlib, io, os\n"
+            "from chronon_lab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.run(['lorentz', '--v', '0.5']) == 0\n"
+            "print(len(os.listdir('/proc/self/task')))\n"
+        )
+        done = _python("-c", probe)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) == 1
+
     # runs the CLI as `python -m chronon_lab.cli` does, then reports on
     # stderr whether numpy was loaded
     _MAIN_REPORTING_NUMPY = (
@@ -1236,6 +1252,31 @@ class TestTableWriter:
         expected = ",".join(table.columns) + "\n" + "".join(lines)
         assert "".join(chunks).split("\n") == expected.split("\n")
         assert len(chunks) == 1 + math.ceil(len(lines) / cli.CHUNK_ROWS)
+
+    def test_three_columns_two_groups_over_three_chunks(self):
+        """Three varying columns, out of sorted order, and two groups whose
+        constant cells hold %-directives, over two whole chunks and one of
+        a single row, in both formats."""
+        n = 2 * cli.CHUNK_ROWS + 1
+        rng = np.random.default_rng(20)
+        values = tuple(rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+                       for _ in range(3))
+        groups = (("%s", 0.1), ("%%", "%r%%"))
+        table = cli._Table(("z", "%d", "m", "b", "a"), values, groups, rng.integers(0, 2, n))
+        rows = _table_rows(table)
+        assert {row[3] for row in rows} == {"%s", "%%"}
+
+        chunks = list(cli.render(({"t": table}, [table]), "json"))
+        records = [dict(zip(table.columns, row)) for row in rows]
+        expected = json.dumps({"t": records}, indent=2, sort_keys=True) + "\n"
+        assert "".join(chunks).split("\n") == expected.split("\n")
+        assert [chunk.count("\n    {\n") for chunk in chunks[1:4]] == [cli.CHUNK_ROWS] * 2 + [1]
+
+        chunks = list(cli.render(({}, [table]), "csv"))
+        lines = [",".join(map(cli._cell, row)) + "\n" for row in rows]
+        assert chunks[0] == "z,%d,m,b,a\n"
+        assert "".join(chunks[1:]).split("\n") == "".join(lines).split("\n")
+        assert [chunk.count("\n") for chunk in chunks[1:]] == [cli.CHUNK_ROWS] * 2 + [1]
 
     def test_zero_tick_flow(self, tmp_path, capsys):
         # the horizon is shorter than the one quantum 1/(4 T S) = 0.25
