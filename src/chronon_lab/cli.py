@@ -20,14 +20,12 @@ only strings read from input that reach a cell are system ids, which
 holds a long table as numpy columns: the floats that vary by row, and the
 cells that stay constant within a group of rows (a flow system's quantum
 and id).  It formats each group's constant cells once, into one row
-template per group.  Each chunk of CHUNK_ROWS rows is then one %-format:
-its rows' templates joined into one string, filled with its values in
-row-major order.  The text is a CSV header line plus one line per row,
-or a JSON list of records that the table writes itself.  The rest of a
-JSON payload goes through one ``json.dumps(..., indent=2,
-sort_keys=True)`` call, with each table's records spliced in at a
-placeholder, so the text is byte for byte what that call would give for
-the whole payload.
+template per group, and writes each chunk of CHUNK_ROWS rows with one
+%-format over its rows' joined templates: a CSV header line plus one line
+per row, or a JSON list of records that it writes itself.  The rest of a
+JSON payload goes through one ``json.dumps(..., indent=2, sort_keys=True)``
+call, with each table's records spliced in at a placeholder, so the text
+is byte for byte what that call would give for the whole payload.
 
 Exit codes: 0 success, 1 invalid input (message names the violated
 invariant), 2 numerical failure.  A usage error (unknown flag, bad flag
@@ -39,11 +37,9 @@ sys.modules (``_lazy``) and runs each module's code on its first use, so
 a subcommand loads only what it calls: lorentz, simultaneity and flow
 --ratio compute with math alone, and --help or a usage error loads none of
 them.  Importing it also runs numpy's bundled OpenBLAS on one thread for
-the whole process, numpy imported or not: before numpy loads, through
-OPENBLAS_NUM_THREADS, so that no OpenBLAS thread starts for a subcommand
-that never loads it; after, through the library's own setter.  At the
-d <= 64 the subcommands decompose, a second thread doubles the CPU time
-and gains no wall time.
+the whole process, numpy imported or not, without starting an OpenBLAS
+thread where numpy never loads: at the d <= 64 the subcommands
+decompose, a second thread doubles the CPU time and gains no wall time.
 """
 
 from __future__ import annotations
@@ -101,11 +97,9 @@ _SPLICE = "\x00table"
 
 
 def _one_blas_thread() -> None:
-    """Run numpy's bundled OpenBLAS on one thread.  Before numpy loads, set
-    OPENBLAS_NUM_THREADS, which OpenBLAS reads when numpy loads it; loading
-    the library here would start its thread pool.  After, call the
-    library's setter: it lies under numpy.libs, beside the numpy package.
-    Without that library or a setter, do nothing."""
+    """Run numpy's bundled OpenBLAS on one thread: before numpy loads, by
+    OPENBLAS_NUM_THREADS, which it reads then (loading it here would start
+    its pool); after, by its setter, if numpy.libs has one."""
     if "numpy" not in sys.modules:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
         return
@@ -155,16 +149,14 @@ class _Table:
     cells formatted once (a ``%`` in them escaped) and a placeholder for
     each varying cell: ``%.9g`` in CSV, the ``_cell`` rule for a float;
     ``%r`` in JSON, which is ``float.__repr__``.  A chunk of at most
-    CHUNK_ROWS rows is one %-format: its rows' templates joined, CSV lines
-    end to end and JSON records with a comma and a newline between them,
-    filled with the chunk's varying cells in row-major order as Python
-    floats.  The JSON records come out byte for byte as
-    ``json.dumps(..., indent=2, sort_keys=True)`` writes the list: keys in
-    sorted order and constant cells through ``json.dumps``.  That needs
-    finite floats, which json would spell ``NaN`` or ``Infinity``; flow
-    ticks and the gaussian grid are finite by construction (a tick time is
-    at most the finite horizon and its quantum is checked finite; the grid
-    has x <= 6 and 0 <= G <= ln 2).
+    CHUNK_ROWS rows is one %-format over its rows' joined templates, filled
+    with the chunk's values in row-major order.  The JSON records come out
+    byte for byte as ``json.dumps(..., indent=2, sort_keys=True)`` writes
+    the list: keys in sorted order and constant cells through
+    ``json.dumps``.  That needs finite floats, which json would spell
+    ``NaN`` or ``Infinity``; flow ticks and the gaussian grid are finite by
+    construction (a tick time is at most the finite horizon and its quantum
+    is checked finite; the grid has x <= 6 and 0 <= G <= ln 2).
     """
 
     columns: tuple
@@ -173,10 +165,8 @@ class _Table:
     group: np.ndarray | None = None
 
     def _rows(self, templates: list, order, separator: str) -> Iterator[str]:
-        """Per chunk, the text of its rows: their groups' templates joined
-        by separator, filled by one % with the chunk's varying cells in
-        row-major order; order lists the varying columns in placeholder
-        order."""
+        """Per chunk, its rows' templates joined by separator and filled by
+        one %; order lists the varying columns in placeholder order."""
         import numpy as np
 
         n = len(self.values[0])
