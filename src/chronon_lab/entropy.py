@@ -41,6 +41,11 @@ DUAL_PATH_TOL = 1e-8
 SUPPORT_CONTAINMENT_TOL = 1e-7
 
 
+def _id_kron(dim_a: int, x: np.ndarray) -> np.ndarray:
+    """id (x) x: bit for bit ``np.kron(np.eye(dim_a), x)``, as one broadcast product."""
+    return (np.eye(dim_a)[:, None, :, None] * x[:, None, :]).reshape((dim_a * len(x),) * 2)
+
+
 def von_neumann(rho: DensityMatrix) -> float:
     """-sum_i w_i ln w_i over the spectrum's support; in [0, ln dim]."""
     s = -sum(x * math.log(x) for x in rho.eigenvalues.tolist() if x > 0.0)
@@ -94,9 +99,7 @@ def trotter_conditional_density(
             "rank-deficient state; pass eps > 0 to regularize before the product"
         )
     root = linalg.matrix_func(rho, lambda x: x ** (1.0 / n))
-    inv_root_b = np.kron(
-        np.eye(bi.dim_a), linalg.matrix_func(rho_b, lambda x: x ** (-1.0 / n))
-    )
+    inv_root_b = _id_kron(bi.dim_a, linalg.matrix_func(rho_b, lambda x: x ** (-1.0 / n)))
     return np.linalg.matrix_power(root @ inv_root_b, n)
 
 
@@ -120,14 +123,14 @@ def conditional_state(bi: BipartiteState) -> ConditionalState:
     w, basis = linalg.support_spectrum(rho)
     log_b, proj_b = linalg.support_log(marginal.mat, scale=float(w[-1]))
     proj_joint = basis @ linalg.dag(basis)
-    embed_proj = np.kron(np.eye(bi.dim_a), proj_b)
+    embed_proj = _id_kron(bi.dim_a, proj_b)
     leak = linalg.frobenius(proj_joint - embed_proj @ proj_joint @ embed_proj)
     if leak > SUPPORT_CONTAINMENT_TOL:
         raise NumericalError(
             f"joint support leaks out of id (x) supp(rho_B) by {leak:.3e}"
         )
     log_joint = (basis * np.log(w)) @ linalg.dag(basis)
-    exponent = log_joint - np.kron(np.eye(bi.dim_a), log_b)
+    exponent = log_joint - _id_kron(bi.dim_a, log_b)
     compressed = linalg.dag(basis) @ exponent @ basis
     compressed = (compressed + linalg.dag(compressed)) / 2
     mu, u = np.linalg.eigh(compressed)

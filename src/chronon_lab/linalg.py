@@ -4,6 +4,12 @@ All operations are pure functions of ndarray inputs and are safe to call
 concurrently.  Matrices are complex128 throughout; Hermitian eigenproblems
 go through LAPACK's ``eigh``, which at these dimensions is as robust as a
 Jacobi sweep and ascending-sorted by contract.
+
+Each density is checked once, where it becomes a ``states.DensityMatrix``.
+:func:`eigh`, :func:`partial_trace`, :func:`support_spectrum` and
+:func:`support_log` trust their input to be such a finite Hermitian matrix;
+:func:`require_hermitian`, :func:`eig_hermitian` and :func:`matrix_func`
+check the raw arrays they are given.
 """
 
 from __future__ import annotations
@@ -25,25 +31,20 @@ def require_within_cap(dim: int, what: str) -> None:
         raise InvalidState(f"{what} {dim} is above the cap of {MAX_DIM}")
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite 2-D complex128 array."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise InvalidState(f"expected a matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise InvalidState("matrix contains NaN or Inf entries")
-    return m
-
-
 def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def require_square(a: np.ndarray) -> np.ndarray:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise InvalidState(f"matrix is {a.shape[0]}x{a.shape[1]}")
-    return a
+def require_square(a) -> np.ndarray:
+    """a as a finite square complex128 matrix, else InvalidState."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 2:
+        raise InvalidState(f"expected a matrix, got ndim={m.ndim}")
+    if not np.isfinite(m).all():
+        raise InvalidState("matrix contains NaN or Inf entries")
+    if m.shape[0] != m.shape[1]:
+        raise InvalidState(f"matrix is {m.shape[0]}x{m.shape[1]}")
+    return m
 
 
 def require_hermitian(a: np.ndarray) -> np.ndarray:
@@ -58,18 +59,20 @@ def dag(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition ``(w, v)``, as ``np.linalg.eigh`` returns
     it: real eigenvalues w ascending, and the matching orthonormal
-    eigenvectors as the columns of v.  A non-square or non-Hermitian
-    input raises InvalidState first, and an eigensolver that fails to
+    eigenvectors as the columns of v.  An eigensolver that fails to
     converge raises NumericalError."""
-    a = require_hermitian(a)
     try:
-        w, v = np.linalg.eigh(a)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
-    return w, v
+
+
+def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
+    """Checked :func:`eigh`: InvalidState first unless a is square and Hermitian."""
+    return eigh(require_hermitian(a))
 
 
 def matrix_func(a: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
@@ -110,7 +113,7 @@ def support_spectrum(
     ascending, from a single eigendecomposition.  Eigenvalues below
     ``-SUPPORT_CUTOFF`` raise InvalidState.
     """
-    w, v = eig_hermitian(rho)
+    w, v = eigh(rho)
     if w[0] < -SUPPORT_CUTOFF:
         raise InvalidState(f"eigenvalue {w[0]:.3e} below -cutoff")
     if scale is None:
@@ -129,9 +132,7 @@ def support_log(
     empty support.
     """
     w, vk = support_spectrum(rho, scale)
-    logm = (vk * np.log(w)) @ dag(vk)
-    proj = vk @ dag(vk)
-    return logm, proj
+    return (vk * np.log(w)) @ dag(vk), vk @ dag(vk)
 
 
 def partial_trace(joint: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
@@ -140,7 +141,6 @@ def partial_trace(joint: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.nd
     keep='A' returns the first factor's reduced operator, keep='B' the
     second's.  The total trace is preserved exactly.
     """
-    joint = require_hermitian(joint)
     if dim_a < 1 or dim_b < 1:
         raise InvalidState("factor dimensions must be positive")
     if joint.shape[0] != dim_a * dim_b:
@@ -153,7 +153,3 @@ def partial_trace(joint: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.nd
     if keep == "B":
         return np.einsum("ijil->jl", r)
     raise InvalidState(f"keep must be 'A' or 'B', got {keep!r}")
-
-
-def trace_real(a: np.ndarray) -> float:
-    return float(np.trace(a).real)

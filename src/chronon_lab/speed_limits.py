@@ -135,9 +135,9 @@ def orthogonalization_time(
 ) -> OrthogonalizationResult:
     """Earliest time at which exp(-iHt)|psi0> becomes orthogonal to |psi0>.
 
-    spectrum is H's ``(energies, vectors)`` from
-    :func:`chronon_lab.linalg.eig_hermitian`, which has already checked
-    that H is Hermitian; a caller that needs the pair for anything else
+    spectrum is H's ``(energies, vectors)`` pair as
+    :func:`chronon_lab.linalg.eigh` returns it, trusted as such and not
+    checked here; a caller that needs the pair for anything else
     decomposes H once and passes the same pair here.
 
     Scans A(t) = |sum_k w_k exp(-i E_k t)| on a grid ts of SCAN_GRID_POINTS

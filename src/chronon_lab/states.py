@@ -54,9 +54,10 @@ class StateVector:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator.
 
-    eigenvalues holds the ascending spectrum that the positivity check
-    computes, so consumers such as the von Neumann entropy need not
-    decompose the matrix again.
+    Construction is the one check of a density's invariants; the linalg
+    operations that take its mat check nothing again.  eigenvalues holds
+    the ascending spectrum that the positivity check computes, so
+    consumers such as the von Neumann entropy need not decompose it again.
     """
 
     mat: np.ndarray
@@ -67,13 +68,13 @@ class DensityMatrix:
         dev = linalg.frobenius(m - linalg.dag(m))
         if dev > VALIDATION_ATOL * max(1.0, linalg.frobenius(m)):
             raise InvalidState(f"density matrix not Hermitian (dev {dev:.3e})")
-        tr = linalg.trace_real(m)
+        tr = float(np.trace(m).real)
         if abs(tr - 1.0) > VALIDATION_ATOL:
             raise InvalidState(f"trace {tr} != 1")
         w = np.linalg.eigvalsh((m + linalg.dag(m)) / 2)
         if w[0] < -VALIDATION_ATOL:
             raise InvalidState(f"negative eigenvalue {w[0]:.3e}")
-        object.__setattr__(self, "mat", np.asarray(m, dtype=np.complex128))
+        object.__setattr__(self, "mat", m)
         object.__setattr__(self, "eigenvalues", w)
 
     @property

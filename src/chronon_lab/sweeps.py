@@ -111,7 +111,7 @@ def ml_bound_sweep(dims: list[int], trials_per_dim: int, seed: int) -> MlSweepRe
     records = []
     for dim in dims:
         for trial in range(trials_per_dim):
-            spectrum = linalg.eig_hermitian(random_hermitian(dim, rng))
+            spectrum = linalg.eigh(random_hermitian(dim, rng))
             psi = _eigenpair_state(spectrum, rng) if trial % 2 else None
             if psi is None:
                 psi = random_state_vector(dim, rng)

@@ -242,6 +242,54 @@ class TestConditionalCommand:
         assert code == 2
         assert err == "error: joint support leaks out of id (x) supp(rho_B) by 1.000e+00\n"
 
+    @staticmethod
+    def _diagonal_entries(values, planted=None) -> list:
+        n = len(values)
+        entries = [[values[i] if i == j else 0.0, 0.0] for i in range(n) for j in range(n)]
+        for at, entry in (planted or {}).items():
+            entries[at] = entry
+        return entries
+
+    @pytest.mark.parametrize("argv", [["conditional"], ["entropy", "--conditional"]])
+    @pytest.mark.parametrize(
+        "rows, cols, values, planted, message",
+        [
+            pytest.param(4, 4, [0.25] * 4, {1: [math.nan, 0.0]},
+                         "matrix contains NaN or Inf entries", id="nan"),
+            pytest.param(4, 4, [0.25] * 4, {0: [math.inf, 0.0]},
+                         "matrix contains NaN or Inf entries", id="infinity"),
+            pytest.param(4, 2, [0.25] * 4, None, "matrix is 4x2", id="non-square"),
+            pytest.param(4, 4, [0.25] * 4, {1: [0.1, 0.0]},
+                         "density matrix not Hermitian (dev 1.414e-01)", id="non-hermitian"),
+            pytest.param(4, 4, [0.5] * 4, None, "trace 2.0 != 1", id="trace-two"),
+            pytest.param(4, 4, [1.5, -0.5, 0.0, 0.0], None,
+                         "negative eigenvalue -5.000e-01", id="negative-eigenvalue"),
+        ],
+    )
+    def test_density_invariant_exit_one(
+        self, argv, rows, cols, values, planted, message, tmp_path, capsys
+    ):
+        # every invariant is checked where the joint becomes a DensityMatrix
+        entries = self._diagonal_entries(values, planted)[: rows * cols]
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps({"kind": "bipartite", "dimA": 2, "dimB": 2, "matrix": {
+            "rows": rows, "cols": cols, "data": entries}}))
+        code = cli.run(argv + ["--state", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [["conditional"], ["entropy", "--conditional"]])
+    @pytest.mark.parametrize("name", ["bell.json", "cq.json"])
+    def test_validated_density_not_checked_again(self, argv, name, monkeypatch, capsys):
+        calls = []
+        checked = linalg.require_hermitian
+        monkeypatch.setattr(linalg, "require_hermitian", lambda a: calls.append(a) or checked(a))
+        code = cli.run(argv + ["--state", str(INPUTS / name)])
+        assert code == 0, capsys.readouterr().err
+        assert calls == []
+
     def test_dimension_cap_applies_to_cq_embedding(self, monkeypatch, capsys):
         # the cq golden input embeds to a joint of dimension 4
         monkeypatch.setattr(linalg, "MAX_DIM", 3)
@@ -354,6 +402,16 @@ class TestMlcheckCommand:
     def test_bad_dims_exit_one(self, capsys):
         code, _ = run_capture(["mlcheck", "--dims", "1"], capsys)
         assert code == 1
+
+    def test_solver_failure_exit_two(self, monkeypatch, capsys):
+        # the sweep trusts its Hermitian draws but still maps a LAPACK failure
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        code = cli.run(["mlcheck", "--dims", "2", "--trials", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: eigensolver failed: Eigenvalues did not converge\n"
 
 
 class TestGaussianCommand:

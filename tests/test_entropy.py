@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronon_lab.entropy import (
+    _id_kron,
     conditional_state,
     cq_conditional,
     generalized_conditional,
@@ -98,6 +99,19 @@ class TestCqConditional:
         for _ in range(50):
             cq = random_cq(rng)
             assert cq_conditional(cq) <= von_neumann(cq.mixture()) + 1e-9
+
+
+@pytest.mark.parametrize("dim_a", range(1, 9))
+def test_id_kron_matches_kron_bit_for_bit(dim_a, rng):
+    # planted +0.0 and -0.0 in both parts: 0.0 * x takes the sign of x, so a
+    # product that skipped the zero blocks or reordered a sum would differ
+    for n in range(1, 9):
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        for part in (x.real, x.imag):
+            draw = rng.random((n, n))
+            part[draw < 0.25] = 0.0
+            part[draw > 0.75] = -0.0
+        assert _id_kron(dim_a, x).tobytes() == np.kron(np.eye(dim_a), x).tobytes()
 
 
 class TestConditionalDensity:

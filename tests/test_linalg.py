@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chronon_lab import linalg
-from chronon_lab.errors import InvalidState
+from chronon_lab.errors import InvalidState, NumericalError
 
 from conftest import dagger, partial_trace_oracle, random_density_mat, random_hermitian
 
@@ -42,6 +42,15 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvalidState, match="exceeds tolerance"):
             linalg.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("decompose", [linalg.eigh, linalg.eig_hermitian])
+    def test_solver_failure_is_numerical_error(self, decompose, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalError, match="^eigensolver failed: Eigenvalues did not converge$"):
+            decompose(np.eye(2, dtype=complex))
 
 
 class TestMatrixFunc:

@@ -38,12 +38,18 @@ class TestStateTypes:
             StateVector(np.array([1.0, 1.0]))
 
     def test_density_matrix_validation(self):
-        with pytest.raises(InvalidState):
-            DensityMatrix(np.diag([0.7, 0.7]).astype(complex))  # trace 1.4
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidState, match=r"^trace 1\.4 != 1$"):
+            DensityMatrix(np.diag([0.7, 0.7]).astype(complex))
+        with pytest.raises(InvalidState, match=r"^density matrix not Hermitian \(dev 1\.414e\+00\)$"):
             DensityMatrix(np.array([[0.5, 0.5], [-0.5, 0.5]], dtype=complex))
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidState, match=r"^negative eigenvalue -5\.000e-01$"):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+        with pytest.raises(InvalidState, match=r"^matrix contains NaN or Inf entries$"):
+            DensityMatrix(np.diag([1.0, complex(0.0, math.nan)]))
+        with pytest.raises(InvalidState, match=r"^matrix is 2x3$"):
+            DensityMatrix(np.zeros((2, 3)))
+        with pytest.raises(InvalidState, match=r"^expected a matrix, got ndim=1$"):
+            DensityMatrix(np.ones(2) / 2)
 
     def test_cq_probabilities_sum(self):
         good = ClassicalQuantumState(

@@ -17,13 +17,18 @@ the medians, the number of pairs in which B was better and whether the
 gap between the medians exceeds A's interquartile range.  It also holds
 every run's metrics, and the host's ``nproc``, Python and numpy versions,
 ``PYTHONDONTWRITEBYTECODE`` and each side's effective BLAS threads, commit
-and ``src/`` line count, as each run reported them.  A single pair gives
-the median as both quartiles.
+and ``src/`` line count, as each run reported them.  Each side also
+records, from before its first run, whether its work tree differed from
+that commit (``dirty``: ``git status --porcelain`` prints anything) and
+the sha256 of ``git diff HEAD`` (``diff_sha256``), so a side run on
+uncommitted code says so; both are None outside a git work tree.  A
+single pair gives the median as both quartiles.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -47,6 +52,17 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict
         sys.exit(f"error: {' '.join(argv)}: {result['failed']} jobs failed their check")
     report = checkout / "perfbench" / "out" / f"result-{workload}-seed{seed}-trace0.json"
     return result, json.loads(report.read_text())["meta"]
+
+
+def _tree_state(checkout: Path) -> dict:
+    """Whether checkout's work tree differs from its HEAD, and the sha256
+    of that difference."""
+    git = ["git", "-C", str(checkout)]
+    status = subprocess.run([*git, "status", "--porcelain"], capture_output=True)
+    diff = subprocess.run([*git, "diff", "HEAD"], capture_output=True)
+    if status.returncode or diff.returncode:
+        return {"dirty": None, "diff_sha256": None}
+    return {"dirty": bool(status.stdout), "diff_sha256": hashlib.sha256(diff.stdout).hexdigest()}
 
 
 def _spread(values: list) -> dict:
@@ -86,7 +102,7 @@ def main() -> None:
             sys.exit(f"error: no perfbench/run.py under {checkout}")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
-    sides = {side: {} for side in SIDES}
+    sides = {side: _tree_state(checkouts[side]) for side in SIDES}
     host = {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
     workloads = {}
     for workload in args.workloads.split(","):
