@@ -274,10 +274,7 @@ def _cmd_entropy(args):
             raise InvalidState(f"{args.measure} is not a correlation-basis file")
         if not isinstance(state, states.StateVector):
             raise InvalidState("--measure needs a state_vector input")
-        if basis.dim != state.dim:
-            raise InvalidState(f"operator dim {basis.dim} != state dim {state.dim}")
-        m = states.build_measurement_operator(basis)
-        value = states.measurement_probability(state, m)
+        value = states.measurement_probability(state, basis)
     elif args.reduce is not None:
         if not isinstance(state, states.StateVector):
             raise InvalidState("--reduce needs a state_vector input")

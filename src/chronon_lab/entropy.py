@@ -67,7 +67,7 @@ class ConditionalState:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.density)
+        return linalg.eigvalsh(self.density)
 
 
 def cq_conditional(cq: ClassicalQuantumState) -> float:
@@ -82,7 +82,9 @@ def trotter_conditional_density(
 
     Requires a full-rank joint (and marginal); pass eps > 0 to mix with
     eps * I/d first when the input is rank-deficient.  Converges to
-    ``conditional_state(bi).density`` as n grows.
+    ``conditional_state(bi).density`` as n grows.  rho and rho_B are each
+    decomposed once; the full-rank check reads those spectra, and each root
+    is V diag(w ** (+-1/n)) V^dag with Python's ``**`` on every eigenvalue.
     """
     if n < 1:
         raise InvalidState(f"n must be >= 1, got {n}")
@@ -91,16 +93,16 @@ def trotter_conditional_density(
     if eps > 0.0:
         rho = (1.0 - eps) * rho + eps * np.eye(d) / d
     rho_b = linalg.partial_trace(rho, bi.dim_a, bi.dim_b, keep="B")
-    w_joint = np.linalg.eigvalsh(rho)
-    w_b = np.linalg.eigvalsh(rho_b)
+    w, v = linalg.eigh(rho)
+    w_b, v_b = linalg.eigh(rho_b)
     thr = linalg.SUPPORT_CUTOFF
-    if w_joint[0] <= thr * w_joint[-1] or w_b[0] <= thr * w_b[-1]:
+    if w[0] <= thr * w[-1] or w_b[0] <= thr * w_b[-1]:
         raise NumericalError(
             "rank-deficient state; pass eps > 0 to regularize before the product"
         )
-    root = linalg.matrix_func(rho, lambda x: x ** (1.0 / n))
-    inv_root_b = _id_kron(bi.dim_a, linalg.matrix_func(rho_b, lambda x: x ** (-1.0 / n)))
-    return np.linalg.matrix_power(root @ inv_root_b, n)
+    root = (v * np.array([x ** (1.0 / n) for x in w.tolist()])) @ linalg.dag(v)
+    inv_root_b = (v_b * np.array([x ** (-1.0 / n) for x in w_b.tolist()])) @ linalg.dag(v_b)
+    return np.linalg.matrix_power(root @ _id_kron(bi.dim_a, inv_root_b), n)
 
 
 def conditional_state(bi: BipartiteState) -> ConditionalState:
@@ -133,7 +135,7 @@ def conditional_state(bi: BipartiteState) -> ConditionalState:
     exponent = log_joint - _id_kron(bi.dim_a, log_b)
     compressed = linalg.dag(basis) @ exponent @ basis
     compressed = (compressed + linalg.dag(compressed)) / 2
-    mu, u = np.linalg.eigh(compressed)
+    mu, u = linalg.eigh(compressed)
     vecs = basis @ u
     density = (vecs * np.exp(mu)) @ linalg.dag(vecs)
 

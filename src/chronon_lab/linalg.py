@@ -5,16 +5,16 @@ concurrently.  Matrices are complex128 throughout; Hermitian eigenproblems
 go through LAPACK's ``eigh``, which at these dimensions is as robust as a
 Jacobi sweep and ascending-sorted by contract.
 
-Each density is checked once, where it becomes a ``states.DensityMatrix``.
-:func:`eigh`, :func:`partial_trace`, :func:`support_spectrum` and
-:func:`support_log` trust their input to be such a finite Hermitian matrix;
-:func:`require_hermitian`, :func:`eig_hermitian` and :func:`matrix_func`
-check the raw arrays they are given.
+Inputs are checked once, at the boundary: a density where it becomes a
+``states.DensityMatrix``, a file's sizes where it is decoded.  No operation
+here re-checks the arrays it is given; :func:`partial_trace`,
+:func:`support_spectrum` and :func:`support_log` trust their input to be
+such a finite Hermitian matrix.  :func:`eigh` and :func:`eigvalsh` are the
+program's only entry points to the Hermitian eigensolvers, and both turn a
+solver that fails to converge into NumericalError.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .errors import InvalidState, NumericalError
 
 MAX_DIM = 4096  # largest matrix or tensor-product dimension accepted
 SUPPORT_CUTOFF = 1e-12  # support threshold, relative to a largest eigenvalue
-HERMITICITY_RTOL = 1e-9
 
 
 def require_within_cap(dim: int, what: str) -> None:
@@ -47,14 +46,6 @@ def require_square(a) -> np.ndarray:
     return m
 
 
-def require_hermitian(a: np.ndarray) -> np.ndarray:
-    a = require_square(a)
-    dev = frobenius(a - a.conj().T)
-    if dev > HERMITICITY_RTOL * max(1.0, frobenius(a)):
-        raise InvalidState(f"||A - A^dag||_F = {dev:.3e} exceeds tolerance")
-    return a
-
-
 def dag(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
@@ -70,36 +61,14 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
 
 
-def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
-    """Checked :func:`eigh`: InvalidState first unless a is square and Hermitian."""
-    return eigh(require_hermitian(a))
-
-
-def matrix_func(a: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
-    """Spectral application of a real scalar function: V diag(f(w)) V^dag.
-
-    Raises InvalidState if f is undefined at any eigenvalue: either f returns
-    a non-finite value there, or the call raises ValueError, OverflowError
-    or ZeroDivisionError, as ``math.log(0.0)``, ``math.exp(1000.0)`` and
-    ``0.0 ** -1.0`` do.  The message names the eigenvalue, and a raised
-    exception is chained as the cause.  Other exceptions from f propagate
-    unchanged; a non-real result such as ``(-1e-17) ** 0.5`` ends as the
-    TypeError numpy raises when converting it to float.
-    """
-    w, v = eig_hermitian(a)
-    values = []
-    for x in w.tolist():
-        try:
-            values.append(f(x))
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise InvalidState(
-                f"scalar function undefined at eigenvalue {x!r}: {exc}"
-            ) from exc
-    fw = np.array(values, dtype=float)
-    if not np.all(np.isfinite(fw)):
-        bad = w[~np.isfinite(fw)]
-        raise InvalidState(f"scalar function undefined at eigenvalue(s) {bad}")
-    return (v * fw) @ dag(v)
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, ascending, as ``np.linalg.eigvalsh``
+    returns them.  An eigensolver that fails to converge raises
+    NumericalError."""
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed: {exc}") from exc
 
 
 def support_spectrum(

@@ -1,6 +1,6 @@
-"""JSON encodings for matrices and state files.
+"""Decoding of the JSON state files the CLI reads.
 
-Matrix encoding (used everywhere):
+Matrix encoding:
 
     {"rows": n, "cols": m, "data": [[re, im], ...]}   # row-major
 
@@ -28,14 +28,6 @@ from .errors import InvalidState
 # numpy loads inside the matrix codec, so read_json loads without it
 if TYPE_CHECKING:
     import numpy as np
-
-
-def encode_matrix(m: np.ndarray) -> dict:
-    import numpy as np
-
-    m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
-    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
 def decode_matrix(obj: dict) -> np.ndarray:
@@ -78,31 +70,6 @@ def _decode_vector(obj: dict) -> np.ndarray:
     if m.shape[1] != 1:
         raise InvalidState(f"expected a column vector, got {m.shape}")
     return m.reshape(-1)
-
-
-def encode_state(state) -> dict:
-    if isinstance(state, states.StateVector):
-        return {
-            "kind": "state_vector",
-            "matrix": encode_matrix(state.amplitudes.reshape(-1, 1)),
-        }
-    if isinstance(state, states.DensityMatrix):
-        return {"kind": "density", "matrix": encode_matrix(state.mat)}
-    if isinstance(state, states.ClassicalQuantumState):
-        return {
-            "kind": "cq",
-            "branches": [
-                {"p": p, "matrix": encode_matrix(s.mat)} for p, s in state.branches
-            ],
-        }
-    if isinstance(state, states.BipartiteState):
-        return {
-            "kind": "bipartite",
-            "dimA": state.dim_a,
-            "dimB": state.dim_b,
-            "matrix": encode_matrix(state.joint.mat),
-        }
-    raise InvalidState(f"cannot encode object of type {type(state).__name__}")
 
 
 def _field(obj: dict, name: str, convert):
@@ -179,8 +146,3 @@ def read_json(path: str):
 def load_state(path: str):
     return decode_state(read_json(path))
 
-
-def save_state(path: str, state) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(encode_state(state), fh, indent=2, sort_keys=True)
-        fh.write("\n")

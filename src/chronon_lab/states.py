@@ -2,10 +2,12 @@
 
 The value types here are immutable carriers validated on construction:
 state vectors, density matrices, classical-quantum mixtures and bipartite
-joints.  The measurement-completion projector M is built from a pair of
-correlated orthonormal bases (system factor first, apparatus second), so
-that ``<Xi|M|Xi>`` is the probability that the pointer indicates the
-correct value.
+joints.  The measurement-completion projector M onto span{psi_I (x) A_I}
+is defined by a pair of correlated orthonormal bases (system factor first,
+apparatus second), so that ``<Xi|M|Xi>`` is the probability that the
+pointer indicates the correct value.  M is never built: with V the d x k
+matrix whose columns are the product vectors, M = V V^dag and
+``<Xi|M|Xi> = ||V^dag Xi||^2``.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ class DensityMatrix:
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > VALIDATION_ATOL:
             raise InvalidState(f"trace {tr} != 1")
-        w = np.linalg.eigvalsh((m + linalg.dag(m)) / 2)
+        w = linalg.eigvalsh((m + linalg.dag(m)) / 2)
         if w[0] < -VALIDATION_ATOL:
             raise InvalidState(f"negative eigenvalue {w[0]:.3e}")
         object.__setattr__(self, "mat", m)
@@ -158,8 +160,7 @@ class CorrelationBasis:
     """Paired orthonormal bases of system and apparatus over one index set.
 
     The system (x) apparatus space that the measurement operator acts on
-    has dimension ``dim``; above ``linalg.MAX_DIM`` it raises InvalidState,
-    so no operator too large to build is ever asked for.
+    has dimension ``dim``; above ``linalg.MAX_DIM`` it raises InvalidState.
     """
 
     system_basis: tuple
@@ -194,29 +195,27 @@ class CorrelationBasis:
         return self.system_basis[0].dim * self.apparatus_basis[0].dim
 
 
-def build_measurement_operator(basis: CorrelationBasis) -> np.ndarray:
-    """Projector onto span{psi_I (x) A_I}: the measurement-completion observable.
+def measurement_probability(xi: StateVector, basis: CorrelationBasis) -> float:
+    """P = <Xi|M|Xi> = ||V^dag Xi||^2 for the projector M = V V^dag onto
+    span{psi_I (x) A_I}; lies in [0, 1].
 
-    Idempotent and Hermitian by construction; rank equals the basis size.
+    V is d x k, so neither M nor any other d x d matrix is formed.  Columns
+    too far from orthonormal for M to be a projector raise InvalidState.
     """
-    vecs = [
-        np.kron(psi.amplitudes, app.amplitudes)
-        for psi, app in zip(basis.system_basis, basis.apparatus_basis)
-    ]
-    m = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
-    for v in vecs:
-        m += np.outer(v, v.conj())
-    return m
-
-
-def measurement_probability(xi: StateVector, m: np.ndarray) -> float:
-    """P = <Xi|M|Xi> for a projector M; lies in [0, 1]."""
-    m = linalg.require_hermitian(m)
-    if m.shape[0] != xi.dim:
-        raise InvalidState(f"operator dim {m.shape[0]} != state dim {xi.dim}")
-    if linalg.frobenius(m @ m - m) > VALIDATION_ATOL * max(1.0, linalg.frobenius(m)):
+    if basis.dim != xi.dim:
+        raise InvalidState(f"operator dim {basis.dim} != state dim {xi.dim}")
+    v = np.stack(
+        [
+            np.kron(psi.amplitudes, app.amplitudes)
+            for psi, app in zip(basis.system_basis, basis.apparatus_basis)
+        ],
+        axis=1,
+    )
+    gram_dev = linalg.frobenius(linalg.dag(v) @ v - np.eye(v.shape[1]))
+    if gram_dev > VALIDATION_ATOL * max(1.0, linalg.frobenius(v)):
         raise InvalidState("operator is not a projector")
-    p = float(np.real(np.vdot(xi.amplitudes, m @ xi.amplitudes)))
+    c = linalg.dag(v) @ xi.amplitudes
+    p = float(np.real(np.vdot(c, c)))
     if p < -VALIDATION_ATOL or p > 1.0 + VALIDATION_ATOL:
         raise InvalidState(f"probability {p} outside [0,1]")
     return min(max(p, 0.0), 1.0)

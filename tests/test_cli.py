@@ -28,11 +28,10 @@ from chronon_lab import cli, entropy, errors, linalg
 from chronon_lab.entropy import generalized_conditional
 from chronon_lab.errors import NumericalError
 from chronon_lab.flow import SystemSpec
-from chronon_lab.serialization import save_state
 from chronon_lab.speed_limits import time_quantum
 from chronon_lab.states import BipartiteState, ClassicalQuantumState, DensityMatrix, StateVector
 
-from conftest import bell_state
+from conftest import bell_state, save_state
 from test_flow import reference_ticks
 from test_golden import CASES, FORMATS, GOLDEN, INPUTS, _in, render_case
 
@@ -75,6 +74,25 @@ def flow_config(tmp_path):
 def run_capture(args, capsys):
     code = cli.run(args)
     return code, capsys.readouterr().out
+
+
+def _eig_calls(monkeypatch, fail_at=None) -> list:
+    """Names of the np.linalg.eigh / eigvalsh calls made from now on, in
+    order; the call with index fail_at raises LinAlgError instead."""
+    calls = []
+
+    def counted(name, solve):
+        def call(a):
+            calls.append(name)
+            if len(calls) - 1 == fail_at:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return solve(a)
+
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return calls
 
 
 class TestEntropyCommand:
@@ -150,6 +168,36 @@ class TestEntropyCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert err == f"error: {message}\n"
+        assert peak < 32 * 2**20
+
+    def test_measure_at_the_dimension_cap(self, tmp_path, capsys):
+        # 64 system and 64 apparatus vectors of dimension 64: d = 4096, where
+        # the projector M alone would take 256 MiB; P is read without it
+        rng = np.random.default_rng(3)
+        u_s, u_a = (np.linalg.qr(rng.normal(size=(64, 64)))[0] for _ in range(2))
+
+        def columns(u):
+            return [{"rows": 64, "cols": 1, "data": [[x, 0.0] for x in col]}
+                    for col in u.T.tolist()]
+
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text(json.dumps(
+            {"kind": "correlation_basis", "system": columns(u_s), "apparatus": columns(u_a)}
+        ))
+        # one term inside span{psi_I (x) A_I}, one orthogonal to it
+        xi = (np.kron(u_s[:, 0], u_a[:, 0]) + np.kron(u_s[:, 1], u_a[:, 2])) / math.sqrt(2)
+        state_path = tmp_path / "xi.json"
+        save_state(str(state_path), StateVector(xi))
+        tracemalloc.start()
+        try:
+            code, out = run_capture(
+                ["entropy", "--state", str(state_path), "--measure", str(basis_path)], capsys
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert float(out) == pytest.approx(0.5, abs=1e-9)
         assert peak < 32 * 2**20
 
     def test_json_format(self, bell_file, capsys):
@@ -280,15 +328,41 @@ class TestConditionalCommand:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("argv", [["conditional"], ["entropy", "--conditional"]])
-    @pytest.mark.parametrize("name", ["bell.json", "cq.json"])
-    def test_validated_density_not_checked_again(self, argv, name, monkeypatch, capsys):
-        calls = []
-        checked = linalg.require_hermitian
-        monkeypatch.setattr(linalg, "require_hermitian", lambda a: calls.append(a) or checked(a))
-        code = cli.run(argv + ["--state", str(INPUTS / name)])
+    @pytest.mark.parametrize(
+        "argv, counts",
+        [
+            pytest.param(["conditional", "--state", _in("bell.json")], (3, 3), id="conditional-bell"),
+            pytest.param(["conditional", "--state", _in("cq.json")], (3, 5), id="conditional-cq"),
+            pytest.param(["entropy", "--conditional", "--state", _in("bell.json")], (3, 2),
+                         id="entropy-bell"),
+            pytest.param(["entropy", "--conditional", "--state", _in("cq.json")], (0, 2),
+                         id="entropy-cq"),
+            pytest.param(CASES["conditional_trotter"], (5, 5), id="conditional-trotter"),
+        ],
+    )
+    def test_eigendecompositions_per_job(self, argv, counts, monkeypatch, capsys):
+        # (eigh, eigvalsh) calls.  On bell: the joint's and rho_B's
+        # validation (eigvalsh) and supports (eigh), the compressed exponent
+        # (eigh) and the conditional spectrum (eigvalsh); cq validates its
+        # two branches too.  The Trotter product decomposes the regularized
+        # joint and its rho_B once each (eigh), and checks nothing again.
+        calls = _eig_calls(monkeypatch)
+        code = cli.run(argv)
         assert code == 0, capsys.readouterr().err
-        assert calls == []
+        assert (calls.count("eigh"), calls.count("eigvalsh")) == counts
+
+    @pytest.mark.parametrize(
+        "command, fail_at",
+        [("conditional", n) for n in range(6)] + [("entropy", 0)],
+    )
+    def test_solver_failure_exit_two(self, command, fail_at, monkeypatch, capsys):
+        # every eigensolver call, whichever layer makes it, maps a LAPACK
+        # failure to exit 2
+        calls = _eig_calls(monkeypatch, fail_at=fail_at)
+        code = cli.run([command, "--state", _in("bell.json")])
+        assert len(calls) == fail_at + 1
+        assert code == 2
+        assert capsys.readouterr().err == "error: eigensolver failed: Eigenvalues did not converge\n"
 
     def test_dimension_cap_applies_to_cq_embedding(self, monkeypatch, capsys):
         # the cq golden input embeds to a joint of dimension 4
@@ -1358,14 +1432,6 @@ class TestTableWriter:
         assert out == json.dumps({"ticks": ticks}, indent=2, sort_keys=True) + "\n"
 
 
-# The writer half of the state-file codec: no subcommand writes state files;
-# the tests build their fixtures with it and use it as decode's round-trip
-# reference.
-AUDIT_EXEMPT = frozenset(
-    {"serialization.encode_matrix", "serialization.encode_state", "serialization.save_state"}
-)
-
-
 def _member_function(member):
     """The function behind a class attribute, or None if it holds none."""
     if isinstance(member, (classmethod, staticmethod)):
@@ -1429,12 +1495,27 @@ def test_errors_are_one_type_per_exit_code():
     assert not stray, f"raises of other classes: {stray}"
 
 
+def test_eigensolvers_called_only_through_linalg():
+    """linalg.eigh and linalg.eigvalsh are the only eigensolver calls, so
+    every solver failure maps to NumericalError (exit 2) in one place."""
+    stray = []
+    for path in sorted(Path(chronon_lab.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("eig"):
+                if ast.unparse(node.value) in ("np.linalg", "numpy.linalg"):
+                    stray.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                stray.append(f"{path.name}:{node.lineno}: from numpy.linalg import")
+    assert not stray, f"eigensolver calls outside linalg: {stray}"
+
+
 def test_every_operation_reachable_from_a_subcommand(tmp_path):
     """Coverage audit: every golden case runs in both formats under a
     profiler, and each public operation of the layer modules must be
     called by at least one of them."""
     ops = _public_operations()
-    assert AUDIT_EXEMPT <= set(ops.values())
     reached = set()
 
     def profile(frame, event, arg):
@@ -1449,7 +1530,5 @@ def test_every_operation_reachable_from_a_subcommand(tmp_path):
                 render_case(case, fmt, tmp_path / "out")
     finally:
         sys.setprofile(previous)
-    unreached = sorted(
-        name for code, name in ops.items() if code not in reached and name not in AUDIT_EXEMPT
-    )
+    unreached = sorted(name for code, name in ops.items() if code not in reached)
     assert not unreached, f"public operations no golden case reaches: {unreached}"

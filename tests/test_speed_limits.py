@@ -5,10 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chronon_lab import speed_limits, sweeps
+from chronon_lab import linalg, speed_limits, sweeps
 from chronon_lab.entropy import conditional_state
 from chronon_lab.errors import InvalidState
-from chronon_lab.linalg import eig_hermitian
 from chronon_lab.speed_limits import (
     REFINE_TIME_RESOLUTION,
     SCAN_GRID_POINTS,
@@ -151,14 +150,14 @@ class TestOrthogonalizationTime:
         # overlap (1 + exp(-it))/2 vanishes first at t = pi; bound attained
         h_op = np.diag([0.0, 1.0]).astype(complex)
         psi0 = StateVector(np.array([1.0, 1.0]) / math.sqrt(2))
-        res = orthogonalization_time(eig_hermitian(h_op), psi0, t_max=8.0)
+        res = orthogonalization_time(linalg.eigh(h_op), psi0, t_max=8.0)
         assert res.t_orth == pytest.approx(math.pi, rel=1e-6)
         assert res.bound == pytest.approx(math.pi, rel=1e-12)
 
     def test_eigenvector_never_orthogonalizes(self):
         h_op = np.diag([0.0, 1.0]).astype(complex)
         res = orthogonalization_time(
-            eig_hermitian(h_op), StateVector(np.array([1.0, 0.0])), t_max=50.0
+            linalg.eigh(h_op), StateVector(np.array([1.0, 0.0])), t_max=50.0
         )
         assert res.t_orth is None
         assert res.bound == math.inf
@@ -173,7 +172,7 @@ class TestOrthogonalizationTime:
             if w[j] - w[i] < 0.2:
                 continue
             psi = (v[:, i] + v[:, j]) / math.sqrt(2)
-            res = orthogonalization_time(eig_hermitian(h_op), StateVector(psi), t_max=40.0)
+            res = orthogonalization_time(linalg.eigh(h_op), StateVector(psi), t_max=40.0)
             if res.t_orth is None:
                 continue
             checked += 1
@@ -185,7 +184,7 @@ class TestOrthogonalizationTime:
     def test_dim_mismatch(self):
         with pytest.raises(InvalidState, match="Hamiltonian dim 3 != state dim 2"):
             orthogonalization_time(
-                eig_hermitian(np.eye(3, dtype=complex)), StateVector(np.array([1.0, 0.0])), 1.0
+                linalg.eigh(np.eye(3, dtype=complex)), StateVector(np.array([1.0, 0.0])), 1.0
             )
 
 
@@ -229,7 +228,7 @@ def sweep_trial(dim, seed, eigenpair):
     """Hamiltonian and initial state drawn as one ml_bound_sweep trial."""
     rng = rng_for(seed)
     h_op = sweeps.random_hermitian(dim, rng)
-    psi = _eigenpair_state(eig_hermitian(h_op), rng) if eigenpair else None
+    psi = _eigenpair_state(linalg.eigh(h_op), rng) if eigenpair else None
     if psi is None:
         psi = random_state_vector(dim, rng)
     return h_op, StateVector(psi)
@@ -237,7 +236,7 @@ def sweep_trial(dim, seed, eigenpair):
 
 def assert_matches_reference(h_op, psi0, t_max):
     """The scan's (t_orth, bound) equal the unpruned reference's, bit for bit."""
-    res = orthogonalization_time(eig_hermitian(h_op), psi0, t_max=t_max)
+    res = orthogonalization_time(linalg.eigh(h_op), psi0, t_max=t_max)
     t_ref, bound_ref, _ = reference_orthogonalization(h_op, psi0, t_max)
     assert res.t_orth == t_ref
     assert res.bound == bound_ref
@@ -325,7 +324,7 @@ class TestScanPruning:
             return _golden_min(*args)
 
         monkeypatch.setattr(speed_limits, "_golden_min", counting)
-        res = orthogonalization_time(eig_hermitian(h_op), psi0, t_max=60.0)
+        res = orthogonalization_time(linalg.eigh(h_op), psi0, t_max=60.0)
         assert (res.t_orth, res.bound) == (t_ref, bound_ref)
         assert reference_refinements >= 90
         assert 10 * calls <= reference_refinements
@@ -344,7 +343,7 @@ class TestScanPruning:
             return overlap_rows(weights, energies, ts)
 
         monkeypatch.setattr(speed_limits, "_overlap_rows", counting)
-        res = orthogonalization_time(eig_hermitian(h_op), psi0, t_max=60.0)
+        res = orthogonalization_time(linalg.eigh(h_op), psi0, t_max=60.0)
         assert (res.t_orth, res.bound) == (t_ref, bound_ref)
         assert 0 < rows < SCAN_GRID_POINTS / 4
 
@@ -361,7 +360,7 @@ class TestAnalyticOracles:
     def test_eigenpair_time_is_pi_over_the_gap(self, dim, seed):
         # |<psi0|psi(t)>| = |cos((E_j - E_i) t / 2)| first vanishes at pi/(E_j - E_i)
         rng = rng_for(seed)
-        w, v = eig_hermitian(sweeps.random_hermitian(dim, rng))
+        w, v = linalg.eigh(sweeps.random_hermitian(dim, rng))
         psi = _eigenpair_state((w, v), rng)
         assume(psi is not None)
         i, j = sorted(np.argsort(np.abs(v.conj().T @ psi) ** 2)[-2:])
@@ -374,7 +373,7 @@ class TestAnalyticOracles:
         # a found time is orthogonal to tolerance, and no earlier than
         # arccos|a(t)| / dE with dE the energy spread (Mandelstam-Tamm)
         h_op, psi0 = sweep_trial(dim, seed, eigenpair)
-        w, v = eig_hermitian(h_op)
+        w, v = linalg.eigh(h_op)
         res = orthogonalization_time((w, v), psi0, t_max=60.0)
         if res.t_orth is not None:
             weights = np.abs(v.conj().T @ psi0.amplitudes) ** 2

@@ -12,7 +12,6 @@ from chronon_lab.states import (
     CorrelationBasis,
     DensityMatrix,
     StateVector,
-    build_measurement_operator,
     cq_embed,
     measurement_probability,
     reduce_over_apparatus,
@@ -82,32 +81,48 @@ class TestStateTypes:
             CorrelationBasis(computational_basis(2), computational_basis(3, 2))
 
 
+def outer_product_oracle(basis):
+    """Brute-force sum of outer products: the projector M, built entry by entry."""
+    d = basis.dim
+    oracle = np.zeros((d, d), dtype=complex)
+    for psi, a in zip(basis.system_basis, basis.apparatus_basis):
+        v = np.kron(psi.amplitudes, a.amplitudes)
+        for i in range(d):
+            for j in range(d):
+                oracle[i, j] += v[i] * v[j].conjugate()
+    return oracle
+
+
+def random_vector(dim, rng):
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return StateVector(v / np.linalg.norm(v))
+
+
 class TestMeasurementOperator:
+    """M = sum_I |psi_I A_I><psi_I A_I| is never built; its properties are
+    read through P(xi) = <xi|M|xi>."""
+
     def test_computational_pair_projector(self):
         basis = CorrelationBasis(computational_basis(2), computational_basis(2))
-        m = build_measurement_operator(basis)
-        expected = np.zeros((4, 4))
-        expected[0, 0] = expected[3, 3] = 1.0  # (0,0) and (1,1) pairs
-        assert np.allclose(m, expected)
+        probs = [measurement_probability(basis_vec(4, k), basis) for k in range(4)]
+        assert probs == [1.0, 0.0, 0.0, 1.0]  # (0,0) and (1,1) pairs
 
-    def test_single_pair_rank_one(self):
+    def test_single_pair_rank_one(self, rng):
+        # sum_k <u_k|M|u_k> over any orthonormal basis of the space is tr M
         basis = CorrelationBasis(computational_basis(2, 1), computational_basis(2, 1))
-        m = build_measurement_operator(basis)
-        assert abs(np.trace(m).real - 1.0) < 1e-12
+        u = random_unitary(4, rng)
+        trace = sum(measurement_probability(StateVector(u[:, k]), basis) for k in range(4))
+        assert abs(trace - 1.0) < 1e-12
 
-    def test_rotated_basis_against_outer_product_oracle(self):
+    def test_rotated_basis_against_outer_product_oracle(self, rng):
         h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2)
-        sys_b = tuple(StateVector(h[:, i]) for i in range(2))
-        app_b = computational_basis(2)
-        m = build_measurement_operator(CorrelationBasis(sys_b, app_b))
-        # independent brute-force sum of outer products
-        oracle = np.zeros((4, 4), dtype=complex)
-        for psi, a in zip(sys_b, app_b):
-            v = np.kron(psi.amplitudes, a.amplitudes)
-            for i in range(4):
-                for j in range(4):
-                    oracle[i, j] += v[i] * v[j].conjugate()
-        assert frobenius(m - oracle) < 1e-12
+        basis = CorrelationBasis(tuple(StateVector(h[:, i]) for i in range(2)),
+                                 computational_basis(2))
+        oracle = outer_product_oracle(basis)
+        for _ in range(10):
+            xi = random_vector(4, rng)
+            expected = np.vdot(xi.amplitudes, oracle @ xi.amplitudes).real
+            assert abs(measurement_probability(xi, basis) - expected) < 1e-12
 
     def test_projector_properties_random_bases(self, rng):
         for _ in range(20):
@@ -118,56 +133,70 @@ class TestMeasurementOperator:
                 tuple(StateVector(u_s[:, i]) for i in range(size)),
                 tuple(StateVector(u_a[:, i]) for i in range(size)),
             )
-            m = build_measurement_operator(basis)
-            assert frobenius(m @ m - m) <= 1e-10
-            assert frobenius(m - m.conj().T) <= 1e-10
+            # M fixes each pair's product vector, and its trace is its rank
+            for psi, a in zip(basis.system_basis, basis.apparatus_basis):
+                pair = StateVector(np.kron(psi.amplitudes, a.amplitudes))
+                assert abs(measurement_probability(pair, basis) - 1.0) <= 1e-10
+            u = random_unitary(9, rng)
+            trace = sum(measurement_probability(StateVector(u[:, k]), basis) for k in range(9))
+            assert abs(trace - size) <= 1e-10
 
 
 class TestMeasurementProbability:
     @pytest.fixture
-    def m_op(self):
-        return build_measurement_operator(
-            CorrelationBasis(computational_basis(2), computational_basis(2))
-        )
+    def basis(self):
+        return CorrelationBasis(computational_basis(2), computational_basis(2))
 
-    def test_correct_pointer_reads_one(self, m_op):
+    def test_correct_pointer_reads_one(self, basis):
         xi = StateVector(np.kron([0, 1], [0, 1]).astype(complex))
-        assert measurement_probability(xi, m_op) == pytest.approx(1.0, abs=1e-12)
+        assert measurement_probability(xi, basis) == pytest.approx(1.0, abs=1e-12)
 
-    def test_wrong_pointer_reads_zero(self, m_op):
+    def test_wrong_pointer_reads_zero(self, basis):
         xi = StateVector(np.kron([0, 1], [1, 0]).astype(complex))
-        assert measurement_probability(xi, m_op) == pytest.approx(0.0, abs=1e-12)
+        assert measurement_probability(xi, basis) == pytest.approx(0.0, abs=1e-12)
 
-    def test_half_weight_superposition(self, m_op):
+    def test_half_weight_superposition(self, basis):
         # (psi_1 x A_1 + psi_1 x A_2)/sqrt(2): only the first term lies in M
         xi = StateVector((np.kron([1, 0], [1, 0]) + np.kron([1, 0], [0, 1])).astype(complex) / math.sqrt(2))
-        assert measurement_probability(xi, m_op) == pytest.approx(0.5, abs=1e-12)
+        assert measurement_probability(xi, basis) == pytest.approx(0.5, abs=1e-12)
 
-    def test_global_phase_invariance(self, m_op, rng):
+    def test_global_phase_invariance(self, basis, rng):
         xi = np.kron([1, 0], [1, 0]).astype(complex)
         for _ in range(10):
             phase = math.tau * rng.random()
             rotated = StateVector(np.exp(1j * phase) * xi)
-            assert measurement_probability(rotated, m_op) == pytest.approx(1.0, abs=1e-10)
+            assert measurement_probability(rotated, basis) == pytest.approx(1.0, abs=1e-10)
 
-    def test_joint_unitary_invariance(self, m_op, rng):
-        # relational invariance: <U xi | U M U^dag | U xi> = <xi|M|xi>
+    def test_local_unitary_invariance(self, basis, rng):
+        # relational invariance: rotating system and apparatus frames, the
+        # bases with them, leaves <xi|M|xi> unchanged
         for _ in range(10):
-            v = rng.normal(size=4) + 1j * rng.normal(size=4)
-            v /= np.linalg.norm(v)
-            u = random_unitary(4, rng)
-            p0 = measurement_probability(StateVector(v), m_op)
-            p1 = measurement_probability(StateVector(u @ v), u @ m_op @ u.conj().T)
+            xi = random_vector(4, rng)
+            u_s, u_a = random_unitary(2, rng), random_unitary(2, rng)
+            rotated = CorrelationBasis(
+                tuple(StateVector(u_s @ v.amplitudes) for v in basis.system_basis),
+                tuple(StateVector(u_a @ v.amplitudes) for v in basis.apparatus_basis),
+            )
+            p0 = measurement_probability(xi, basis)
+            p1 = measurement_probability(StateVector(np.kron(u_s, u_a) @ xi.amplitudes), rotated)
             assert abs(p0 - p1) <= 1e-10
 
-    def test_dim_mismatch(self, m_op):
+    def test_dim_mismatch(self, basis):
         with pytest.raises(InvalidState, match="operator dim 4 != state dim 2"):
-            measurement_probability(StateVector(np.array([1.0, 0.0])), m_op)
+            measurement_probability(StateVector(np.array([1.0, 0.0])), basis)
 
     def test_non_projector_rejected(self):
-        xi = StateVector(np.array([1.0, 0.0], dtype=complex))
-        with pytest.raises(InvalidState):
-            measurement_probability(xi, 2.0 * np.eye(2, dtype=complex))
+        # each factor's vectors pass as unit vectors (|norm - 1| <= 1e-10),
+        # but their products sum to M with M^2 != M at 5e-11 and not at 2e-11
+        xi = basis_vec(4, 0)
+        for delta, ok in ((2e-11, True), (5e-11, False)):
+            scaled = tuple(StateVector((1.0 + delta) * v.amplitudes) for v in computational_basis(2))
+            basis = CorrelationBasis(scaled, scaled)
+            if ok:
+                assert measurement_probability(xi, basis) == 1.0
+            else:
+                with pytest.raises(InvalidState, match="^operator is not a projector$"):
+                    measurement_probability(xi, basis)
 
 
 class TestReduceOverApparatus:
