@@ -308,15 +308,14 @@ def _cmd_conditional(args):
         raise InvalidState("--eps applies only with --trotter-n")
     state = serialization.load_state(args.state)
     if isinstance(state, states.ClassicalQuantumState):
-        bi = states.cq_embed(state)
+        cs = entropy.cq_conditional_state(state)
         branch_value = entropy.cq_conditional(state)
     elif isinstance(state, states.BipartiteState):
-        bi = state
+        cs = entropy.conditional_state(state)
         branch_value = None
     else:
         raise InvalidState("conditional needs a cq or bipartite input")
 
-    cs = entropy.conditional_state(bi)
     spectrum = [float(w) for w in cs.spectrum]
     payload = {
         "conditionalEntropy": cs.entropy,
@@ -330,8 +329,11 @@ def _cmd_conditional(args):
     rows.append(("antiqubitVelocity", payload["antiqubitVelocity"]))
     rows += [(f"conditionalEigenvalue{i}", w) for i, w in enumerate(spectrum)]
     if args.trotter_n is not None:
-        approx = entropy.trotter_conditional_density(bi, args.trotter_n, eps=args.eps)
-        distance = linalg.frobenius(approx - cs.density)
+        if isinstance(state, states.ClassicalQuantumState):
+            distance = entropy.cq_trotter_distance(state, cs, args.trotter_n, eps=args.eps)
+        else:
+            approx = entropy.trotter_conditional_density(state, args.trotter_n, eps=args.eps)
+            distance = linalg.frobenius(approx - cs.density)
         payload["trotter"] = {"n": args.trotter_n, "eps": args.eps, "distance": distance}
         rows.append(("trotterDistance", distance))
     return payload, rows

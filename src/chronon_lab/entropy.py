@@ -16,13 +16,24 @@ For rank-deficient joints the limit degenerates to the exponential of the
 within the support of rho; this is the form implemented here, and it is the
 one that preserves the identity S(A|B) = S(joint) - S(B) exactly.
 
-:func:`conditional_state` is the only place that builds rho_{A|B}.  One
+:func:`conditional_state` builds rho_{A|B} for a bipartite joint.  One
 pass decomposes the joint and rho_B once each, diagonalizes the compressed
 exponent once, and returns the entropy and the density together as a
 :class:`ConditionalState`, which decomposes the density only when its
 spectrum is asked for; every consumer reads that record instead of
 rebuilding the pipeline.  The entropies of the joint and of rho_B come from
 the spectra their DensityMatrix validation already computed.
+
+A classical-quantum state is conditioned on its register, as the joint
+sum_i p_i Psi_i (x) |i><i|, but that (d*n)-dim embedding is never built.
+It is block-diagonal over the register with eigenvalues p_i w_ij, the
+branch spectra scaled, and its rho_B = diag(p_i tr Psi_i) is a multiple of
+the identity on each block.  So log rho - id (x) log rho_B is
+block-diagonal too, and rho_{A|B} is the direct sum of Psi_i / tr Psi_i
+on the support: :func:`cq_conditional_state` reads the entropy, both
+supports and the dual path off the validated branch spectra, with no
+eigendecomposition of its own, and :func:`cq_trotter_distance` forms the
+product approximant one d x d block at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidState, NumericalError
-from .states import BipartiteState, ClassicalQuantumState, DensityMatrix
+from .states import VALIDATION_ATOL, BipartiteState, ClassicalQuantumState, DensityMatrix
 
 DUAL_PATH_TOL = 1e-8
 SUPPORT_CONTAINMENT_TOL = 1e-7
@@ -46,10 +57,15 @@ def _id_kron(dim_a: int, x: np.ndarray) -> np.ndarray:
     return (np.eye(dim_a)[:, None, :, None] * x[:, None, :]).reshape((dim_a * len(x),) * 2)
 
 
+def _entropy(weights: np.ndarray) -> float:
+    """-sum w ln w over the positive weights, in their order; never negative."""
+    s = -sum(x * math.log(x) for x in weights.tolist() if x > 0.0)
+    return max(s, 0.0)
+
+
 def von_neumann(rho: DensityMatrix) -> float:
     """-sum_i w_i ln w_i over the spectrum's support; in [0, ln dim]."""
-    s = -sum(x * math.log(x) for x in rho.eigenvalues.tolist() if x > 0.0)
-    return max(s, 0.0)
+    return _entropy(rho.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -70,9 +86,101 @@ class ConditionalState:
         return linalg.eigvalsh(self.density)
 
 
+@dataclass(frozen=True)
+class BlockConditionalState:
+    """One pass of the conditional-entropy pipeline for a cq state, held
+    register block by register block.
+
+    entropy is S(A|B) of the embedding; values[i] holds the eigenvalues of
+    rho_{A|B}'s i-th block, in the ascending order of branch i's spectrum:
+    w_ij / tr Psi_i on the joint's support, 0.0 off it.  spectrum holds all
+    d*n of them, ascending.
+    """
+
+    entropy: float
+    values: np.ndarray
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        return np.sort(self.values, axis=None)
+
+
 def cq_conditional(cq: ClassicalQuantumState) -> float:
     """Branch-averaged entropy sum_i p_i S(Psi_i); never negative."""
     return sum(p * von_neumann(state) for p, state in cq.branches)
+
+
+def cq_conditional_state(cq: ClassicalQuantumState) -> BlockConditionalState:
+    """:func:`conditional_state` of a cq state's embedding, read off the
+    validated branch spectra w_ij: the joint's eigenvalues are p_i w_ij and
+    rho_B = diag(p_i tr Psi_i).  The supports and both cross-checks are
+    those of :func:`conditional_state`.  Like the embedding, a dimension
+    d*n above linalg.MAX_DIM and a joint trace sum_i p_i tr Psi_i more
+    than VALIDATION_ATOL from 1 raise InvalidState.
+    """
+    n = len(cq.branches)
+    linalg.require_within_cap(cq.dim * n, "tensor product dimension")
+    p = np.array([p for p, _ in cq.branches])
+    diagonals = np.array([np.diagonal(state.mat) for _, state in cq.branches])
+    # summed as the joint's own diagonal, entry (s, i) at s*n + i
+    tr = float((p[:, None] * diagonals).T.ravel().sum().real)
+    if abs(tr - 1.0) > VALIDATION_ATOL:
+        raise InvalidState(f"trace {tr} != 1")
+    w = np.array([state.eigenvalues for _, state in cq.branches])
+    lam = p[:, None] * w
+    tau = diagonals.sum(axis=1).real
+    t = p * tau
+    keep = linalg.support(lam)
+    keep_b = linalg.support(t, scale=float(lam.max()))
+    # a block the joint's support reaches but rho_B's does not leaks whole
+    lost = int(keep[~keep_b].sum())
+    if lost:
+        raise NumericalError(
+            f"joint support leaks out of id (x) supp(rho_B) by {math.sqrt(lost):.3e}"
+        )
+    values = np.where(keep, w / tau[:, None], 0.0)
+
+    primary = _entropy(np.sort(lam, axis=None)) - _entropy(np.sort(t))
+    dual = -float(np.sum(lam[keep] * np.log(values[keep])))
+    if abs(primary - dual) > DUAL_PATH_TOL:
+        raise NumericalError(
+            f"conditional-entropy paths disagree: {primary} vs {dual}"
+        )
+    return BlockConditionalState(entropy=primary, values=values)
+
+
+def cq_trotter_distance(
+    cq: ClassicalQuantumState, cs: BlockConditionalState, n: int, eps: float = 0.0
+) -> float:
+    """Frobenius distance from :func:`trotter_conditional_density` of a cq
+    state's embedding to its conditional density cs, one d x d block at a
+    time: rho_B is diagonal over the blocks, so block i of the product is
+    (rho_i^(1/n) b_i^(-1/n))^n, with rho_i = p_i Psi_i and b_i = p_i tr Psi_i
+    after the same eps mixing and full-rank check.  One stacked
+    eigendecomposition of the branches gives every block's eigenvectors.
+    """
+    if n < 1:
+        raise InvalidState(f"n must be >= 1, got {n}")
+    p = np.array([p for p, _ in cq.branches])
+    mats = np.array([state.mat for _, state in cq.branches])
+    w, v = linalg.eigh(mats)
+    lam = p[:, None] * w
+    b = p * np.trace(mats, axis1=1, axis2=2).real
+    if eps > 0.0:
+        # eps * I/(d*n) puts eps/(d*n) on each eigenvalue and eps/n on each b_i
+        lam = (1.0 - eps) * lam + eps / lam.size
+        b = (1.0 - eps) * b + eps / b.size
+    thr = linalg.SUPPORT_CUTOFF
+    if lam.min() <= thr * lam.max() or b.min() <= thr * b.max():
+        raise NumericalError(
+            "rank-deficient state; pass eps > 0 to regularize before the product"
+        )
+    roots = np.array([x ** (1.0 / n) for x in lam.ravel().tolist()]).reshape(lam.shape)
+    inv_roots_b = np.array([x ** (-1.0 / n) for x in b.tolist()])
+    v_dag = np.swapaxes(v, 1, 2).conj()
+    product = ((v * roots[:, None, :]) @ v_dag) * inv_roots_b[:, None, None]
+    density = (v * cs.values[:, None, :]) @ v_dag
+    return linalg.frobenius(np.linalg.matrix_power(product, n) - density)
 
 
 def trotter_conditional_density(

@@ -71,23 +71,30 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
 
 
+def support(w: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """Mask of the support within the spectrum w of a PSD Hermitian matrix.
+
+    Eigenvalues above SUPPORT_CUTOFF times scale form the support; scale
+    defaults to the largest eigenvalue.  Eigenvalues below
+    ``-SUPPORT_CUTOFF`` raise InvalidState.
+    """
+    low = w.min()
+    if low < -SUPPORT_CUTOFF:
+        raise InvalidState(f"eigenvalue {low:.3e} below -cutoff")
+    if scale is None:
+        scale = max(float(w.max()), 0.0)
+    return w > SUPPORT_CUTOFF * scale
+
+
 def support_spectrum(
     rho: np.ndarray, scale: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors spanning the support of a PSD Hermitian
-    matrix.
-
-    Eigenvalues above SUPPORT_CUTOFF times scale form the support; scale
-    defaults to the largest eigenvalue.  Returns ``(values, columns)``,
-    ascending, from a single eigendecomposition.  Eigenvalues below
-    ``-SUPPORT_CUTOFF`` raise InvalidState.
+    """Eigenvalues and eigenvectors spanning the :func:`support` of a PSD
+    Hermitian matrix at scale.  Returns ``(values, columns)``, ascending,
+    from a single eigendecomposition.
     """
     w, v = eigh(rho)
-    if w[0] < -SUPPORT_CUTOFF:
-        raise InvalidState(f"eigenvalue {w[0]:.3e} below -cutoff")
-    if scale is None:
-        scale = max(float(w[-1]), 0.0)
-    keep = w > SUPPORT_CUTOFF * scale
+    keep = support(w, scale)
     return w[keep], v[:, keep]
 
 

@@ -28,7 +28,7 @@ from .errors import InvalidState
 if TYPE_CHECKING:
     import numpy as np
 
-    from .entropy import ConditionalState
+    from .entropy import BlockConditionalState, ConditionalState
     from .states import StateVector
 
 ORTHOGONALITY_TOL = 1e-9
@@ -250,9 +250,10 @@ def orthogonalization_time(
     return OrthogonalizationResult(t_orth=t_orth, bound=bound)
 
 
-def antiqubit_process_velocity(cs: ConditionalState) -> float:
-    """Process velocity 4 (S(A|B) - E0) at T = 1 for a bipartite joint's
-    conditional state (see :func:`chronon_lab.entropy.conditional_state`).
+def antiqubit_process_velocity(cs: ConditionalState | BlockConditionalState) -> float:
+    """Process velocity 4 (S(A|B) - E0) at T = 1 for a conditional state
+    (see :func:`chronon_lab.entropy.conditional_state` and
+    :func:`chronon_lab.entropy.cq_conditional_state`).
 
     E0 is the smallest eigenvalue of -log rho_{A|B} on its support, i.e.
     -ln of the conditional density's largest eigenvalue.  The shift keeps

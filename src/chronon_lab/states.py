@@ -2,7 +2,9 @@
 
 The value types here are immutable carriers validated on construction:
 state vectors, density matrices, classical-quantum mixtures and bipartite
-joints.  The measurement-completion projector M onto span{psi_I (x) A_I}
+joints.  A classical-quantum state is validated branch by branch and never
+embedded as one bipartite joint: :mod:`chronon_lab.entropy` conditions on
+its register one branch block at a time.  The measurement-completion projector M onto span{psi_I (x) A_I}
 is defined by a pair of correlated orthonormal bases (system factor first,
 apparatus second), so that ``<Xi|M|Xi>`` is the probability that the
 pointer indicates the correct value.  M is never built: with V the d x k
@@ -230,23 +232,3 @@ def reduce_over_apparatus(xi: StateVector, dim_s: int, dim_a: int) -> DensityMat
     joint = np.outer(xi.amplitudes, xi.amplitudes.conj())
     return DensityMatrix(linalg.partial_trace(joint, dim_s, dim_a, keep="A"))
 
-
-def cq_embed(cq: ClassicalQuantumState) -> BipartiteState:
-    """Embed a classical-quantum state as a bipartite joint.
-
-    The classical register becomes the second tensor factor, realized as
-    diagonal projectors |i><i| in the computational basis, so that the
-    generalized conditional entropy of the embedding (conditioning on the
-    second factor) equals the branch-averaged entropy.  The joint is
-    block-diagonal across register sectors; tracing out the register
-    returns the mixture sum_i p_i Psi_i.  A joint dimension above
-    ``linalg.MAX_DIM`` raises InvalidState before the joint is allocated.
-    """
-    n = len(cq.branches)
-    linalg.require_within_cap(cq.dim * n, "tensor product dimension")
-    joint = np.zeros((cq.dim * n, cq.dim * n), dtype=np.complex128)
-    for i, (p, state) in enumerate(cq.branches):
-        # entry ((s, i), (t, i)) sits at (s*n + i, t*n + i); adding onto the
-        # zeros turns a -0.0 into +0.0, bit for bit sum_i p_i Psi_i (x) |i><i|
-        joint[i::n, i::n] += p * state.mat
-    return BipartiteState(joint=DensityMatrix(joint), dim_a=cq.dim, dim_b=n)

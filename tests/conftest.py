@@ -3,7 +3,9 @@
 The helpers here deliberately avoid the library's own code paths where they
 serve as oracles: partial traces are index-summed by explicit loops, and
 expected entropies come straight from scalar arithmetic.  save_state is
-the one writer of state files: the program only reads them.
+the one writer of state files: the program only reads them.  cq_embed is
+the reference for the program's block-by-block cq route: it builds the
+whole embedded joint, which the program never does.
 """
 
 import json
@@ -12,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from chronon_lab import linalg
 from chronon_lab.states import (
     BipartiteState,
     ClassicalQuantumState,
@@ -136,3 +139,24 @@ def save_state(path, state):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def cq_embed(cq):
+    """Embed a classical-quantum state as a bipartite joint.
+
+    The classical register becomes the second tensor factor, realized as
+    diagonal projectors |i><i| in the computational basis, so that the
+    generalized conditional entropy of the embedding (conditioning on the
+    second factor) equals the branch-averaged entropy.  The joint is
+    block-diagonal across register sectors; tracing out the register
+    returns the mixture sum_i p_i Psi_i.  A joint dimension above
+    ``linalg.MAX_DIM`` raises InvalidState before the joint is allocated.
+    """
+    n = len(cq.branches)
+    linalg.require_within_cap(cq.dim * n, "tensor product dimension")
+    joint = np.zeros((cq.dim * n, cq.dim * n), dtype=np.complex128)
+    for i, (p, state) in enumerate(cq.branches):
+        # entry ((s, i), (t, i)) sits at (s*n + i, t*n + i); adding onto the
+        # zeros turns a -0.0 into +0.0, bit for bit sum_i p_i Psi_i (x) |i><i|
+        joint[i::n, i::n] += p * state.mat
+    return BipartiteState(joint=DensityMatrix(joint), dim_a=cq.dim, dim_b=n)

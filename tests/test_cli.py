@@ -26,12 +26,12 @@ from hypothesis import strategies as st
 import chronon_lab
 from chronon_lab import cli, entropy, errors, linalg
 from chronon_lab.entropy import generalized_conditional
-from chronon_lab.errors import NumericalError
+from chronon_lab.errors import InvalidState, NumericalError
 from chronon_lab.flow import SystemSpec
 from chronon_lab.speed_limits import time_quantum
 from chronon_lab.states import BipartiteState, ClassicalQuantumState, DensityMatrix, StateVector
 
-from conftest import bell_state, save_state
+from conftest import bell_state, cq_embed, save_state
 from test_flow import reference_ticks
 from test_golden import CASES, FORMATS, GOLDEN, INPUTS, _in, render_case
 
@@ -332,20 +332,20 @@ class TestConditionalCommand:
         "argv, counts",
         [
             pytest.param(["conditional", "--state", _in("bell.json")], (3, 3), id="conditional-bell"),
-            pytest.param(["conditional", "--state", _in("cq.json")], (3, 5), id="conditional-cq"),
+            pytest.param(["conditional", "--state", _in("cq.json")], (0, 2), id="conditional-cq"),
             pytest.param(["entropy", "--conditional", "--state", _in("bell.json")], (3, 2),
                          id="entropy-bell"),
             pytest.param(["entropy", "--conditional", "--state", _in("cq.json")], (0, 2),
                          id="entropy-cq"),
-            pytest.param(CASES["conditional_trotter"], (5, 5), id="conditional-trotter"),
+            pytest.param(CASES["conditional_trotter"], (1, 2), id="conditional-trotter"),
         ],
     )
     def test_eigendecompositions_per_job(self, argv, counts, monkeypatch, capsys):
         # (eigh, eigvalsh) calls.  On bell: the joint's and rho_B's
         # validation (eigvalsh) and supports (eigh), the compressed exponent
-        # (eigh) and the conditional spectrum (eigvalsh); cq validates its
-        # two branches too.  The Trotter product decomposes the regularized
-        # joint and its rho_B once each (eigh), and checks nothing again.
+        # (eigh) and the conditional spectrum (eigvalsh).  cq validates its
+        # two branches and reads everything else off those spectra, block by
+        # block; its Trotter product adds one stacked eigh of the branches.
         calls = _eig_calls(monkeypatch)
         code = cli.run(argv)
         assert code == 0, capsys.readouterr().err
@@ -372,6 +372,73 @@ class TestConditionalCommand:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "tensor product dimension 4 is above the cap of 3" in err
+
+    @staticmethod
+    def _cq(*branches) -> ClassicalQuantumState:
+        return ClassicalQuantumState(
+            tuple((p, DensityMatrix(np.diag(w).astype(complex))) for p, w in branches)
+        )
+
+    @pytest.mark.parametrize(
+        "branches, trotter, code, message",
+        [
+            # each branch has trace 1 + 9e-11 and the weights sum to 1 + 9e-11,
+            # both inside 1e-10; the embedded joint's trace is not
+            pytest.param([(0.5 + 4.5e-11, [0.5 + 4.5e-11] * 2)] * 2, [], 1,
+                         "trace 1.00000000018 != 1", id="joint-trace"),
+            pytest.param([(1 + 1e-11, [0.5, 0.5]), (-1e-11, [1.0, 0.0])], [], 1,
+                         "eigenvalue -1.000e-11 below -cutoff", id="negative-weight"),
+            # p_1 (1 + 2^-34) is above the cutoff 1e-12 * 1.0 and rho_B's
+            # p_1 tr Psi_1 = 1e-12 is not, so the whole block leaks
+            pytest.param([(1.0, [1.0, 0.0]), (1e-12, [1 + 2.0**-34, -(2.0**-34)])], [], 2,
+                         "joint support leaks out of id (x) supp(rho_B) by 1.000e+00",
+                         id="support-leak"),
+            pytest.param([(0.5, [1.0, 0.0]), (0.5, [0.25, 0.75])], ["--trotter-n", "4"], 2,
+                         "rank-deficient state; pass eps > 0 to regularize before the product",
+                         id="rank-deficient-trotter"),
+        ],
+    )
+    def test_cq_rejections_of_the_embedded_joint(self, branches, trotter, code, message,
+                                                  tmp_path, capsys):
+        # the block-by-block route rejects what the embedded joint rejected,
+        # with the same exit code and error line; the reference embedding
+        # (cq_embed, then the bipartite pipeline) raises the same text
+        cq = self._cq(*branches)
+        path = tmp_path / "cq.json"
+        save_state(str(path), cq)
+        assert cli.run(["conditional", "--state", str(path), *trotter]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        with pytest.raises((InvalidState, NumericalError)) as raised:
+            bi = cq_embed(cq)
+            entropy.conditional_state(bi)
+            entropy.trotter_conditional_density(bi, 4)
+        assert str(raised.value) == message
+
+    def test_cq_at_the_dimension_cap(self, tmp_path, capsys):
+        # 1024 branches of 4 x 4: the embedded joint would be 4096 x 4096,
+        # 256 MiB for the matrix alone; block by block nothing is that large
+        rng = np.random.default_rng(5)
+        k = rng.normal(size=(1024, 4, 4)) + 1j * rng.normal(size=(1024, 4, 4))
+        mats = k @ np.swapaxes(k, 1, 2).conj()
+        p = rng.uniform(0.5, 1.0, size=1024)
+        cq = ClassicalQuantumState(tuple(
+            (float(q), DensityMatrix(m / np.trace(m).real)) for q, m in zip(p / p.sum(), mats)))
+        path = tmp_path / "cq.json"
+        save_state(str(path), cq)
+        tracemalloc.start()
+        try:
+            code = cli.run(["conditional", "--state", str(path), "--trotter-n", "4"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert len(report["conditionalSpectrum"]) == 4096
+        assert report["conditionalEntropy"] == pytest.approx(report["branchConditional"], abs=1e-8)
+        assert report["trotter"]["distance"] < 1e-12
+        assert peak < 32 * 2**20
 
 
 class TestMalformedStateFiles:

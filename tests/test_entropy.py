@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chronon_lab import linalg
 from chronon_lab.entropy import (
     _id_kron,
     conditional_state,
     cq_conditional,
+    cq_conditional_state,
+    cq_trotter_distance,
     generalized_conditional,
     trotter_conditional_density,
     von_neumann,
@@ -19,11 +22,11 @@ from chronon_lab.states import (
     BipartiteState,
     ClassicalQuantumState,
     DensityMatrix,
-    cq_embed,
 )
 
 from conftest import (
     bell_state,
+    cq_embed,
     entropy_oracle,
     random_cq,
     random_density,
@@ -146,6 +149,94 @@ class TestConditionalDensity:
             for t in range(2):
                 assert abs(cond[s * 2 + 0, t * 2 + 1]) < 1e-10
                 assert abs(cond[s * 2 + 1, t * 2 + 0]) < 1e-10
+
+
+def _rank_density(dim, rank, rng) -> DensityMatrix:
+    k = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    m = k @ k.conj().T
+    return DensityMatrix(m / np.trace(m).real)
+
+
+def _outcome(compute):
+    """compute()'s value, or the type and text of the error it raised."""
+    try:
+        return compute()
+    except (InvalidState, NumericalError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestBlockConditionalState:
+    """The block-by-block cq route against the embedded joint it replaces
+    (``cq_embed`` in conftest, then the bipartite pipeline)."""
+
+    # derandomized: on the Trotter distance the reference's own rounding,
+    # from one eigh of the whole regularized joint, reaches ~1e-12 when
+    # eps I/(d n) is the smallest eigenvalue; the block route stays within
+    # 2e-16 of the closed form there
+    @given(st.integers(min_value=1, max_value=4), st.data())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_matches_the_embedded_joint(self, dim, data):
+        ranks = data.draw(st.lists(st.integers(1, dim), min_size=1, max_size=6), label="ranks")
+        zero = data.draw(st.sampled_from([None, *range(len(ranks))]), label="p = 0 branch")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        p = rng.uniform(0.05, 1.0, size=len(ranks))
+        if zero is not None and len(ranks) > 1:
+            p[zero] = 0.0
+        p /= p.sum()
+        cq = ClassicalQuantumState(
+            tuple((float(q), _rank_density(dim, r, rng)) for q, r in zip(p, ranks))
+        )
+        ref = conditional_state(cq_embed(cq))
+        cs = cq_conditional_state(cq)
+        assert abs(cs.entropy - ref.entropy) <= 1e-12
+        assert cs.spectrum.shape == (dim * len(ranks),)
+        assert np.abs(cs.spectrum - ref.spectrum).max() <= 1e-12
+        for n in (1, 2, 4):
+            for eps in (0.0, 1e-3):
+                expected = _outcome(lambda: frobenius(
+                    trotter_conditional_density(cq_embed(cq), n, eps) - ref.density))
+                got = _outcome(lambda: cq_trotter_distance(cq, cs, n, eps))
+                if isinstance(expected, tuple) or isinstance(got, tuple):
+                    assert got == expected, (n, eps)
+                else:
+                    assert abs(got - expected) <= 1e-12, (n, eps)
+
+    def test_spectrum_is_the_branch_spectra_on_the_support(self):
+        # the golden cq input: Psi_0 = |0><0| (rank 1) and Psi_1 with
+        # eigenvalues 1/8 and 7/8; Psi_0's null direction is exactly 0.0
+        psi0 = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+        psi1 = DensityMatrix(np.array([[0.75, 0.25 + 0.125j], [0.25 - 0.125j, 0.25]]))
+        cs = cq_conditional_state(ClassicalQuantumState(((0.5, psi0), (0.5, psi1))))
+        assert cs.values.tolist() == [[0.0, 1.0], psi1.eigenvalues.tolist()]
+        assert cs.spectrum.tolist() == sorted([0.0, 1.0, *psi1.eigenvalues.tolist()])
+
+    def test_trotter_block_is_the_regularized_branch_over_its_weight(self, rng):
+        # rho_B commutes with the embedding, so every n gives the block
+        # rho_i / b_i: the product is exact up to rounding
+        cq = random_cq(rng, dim=3, branches=4)
+        cs = cq_conditional_state(cq)
+        eps, n_total = 1e-3, 12
+        closed = 0.0
+        for (p, psi), values in zip(cq.branches, cs.values):
+            _, v = np.linalg.eigh(psi.mat)
+            reg = (1 - eps) * p * psi.mat + eps / n_total * np.eye(3)
+            b = (1 - eps) * p * np.trace(psi.mat).real + eps / 4
+            closed += frobenius(reg / b - (v * values) @ v.conj().T) ** 2
+        for n in (1, 3, 16):
+            assert cq_trotter_distance(cq, cs, n, eps) == pytest.approx(math.sqrt(closed), abs=1e-14)
+
+    def test_dimension_cap(self, rng, monkeypatch):
+        monkeypatch.setattr(linalg, "MAX_DIM", 8)
+        branches = tuple((0.25, random_density(2, rng)) for _ in range(4))
+        assert cq_conditional_state(ClassicalQuantumState(branches)).spectrum.size == 8
+        monkeypatch.setattr(linalg, "MAX_DIM", 7)
+        with pytest.raises(InvalidState, match="tensor product dimension 8 is above the cap of 7"):
+            cq_conditional_state(ClassicalQuantumState(branches))
+
+    def test_rejects_nonpositive_n(self, rng):
+        cq = random_cq(rng)
+        with pytest.raises(InvalidState, match="n must be >= 1"):
+            cq_trotter_distance(cq, cq_conditional_state(cq), 0)
 
 
 class TestTrotterConditionalDensity:

@@ -29,6 +29,9 @@ CASES = {
     "conditional_trotter": [
         "conditional", "--state", _in("cq.json"), "--trotter-n", "16", "--eps", "1e-6",
     ],
+    "conditional_trotter_rank2": [
+        "conditional", "--state", _in("rank2.json"), "--trotter-n", "8", "--eps", "1e-6",
+    ],
     "entropy_plain": ["entropy", "--state", _in("rank2.json")],
     "entropy_conditional": ["entropy", "--state", _in("rank2.json"), "--conditional"],
     "entropy_conditional_cq": ["entropy", "--state", _in("cq.json"), "--conditional"],

@@ -12,12 +12,11 @@ from chronon_lab.states import (
     CorrelationBasis,
     DensityMatrix,
     StateVector,
-    cq_embed,
     measurement_probability,
     reduce_over_apparatus,
 )
 
-from conftest import partial_trace_oracle, random_density, random_unitary
+from conftest import cq_embed, partial_trace_oracle, random_density, random_unitary
 
 
 def basis_vec(dim, idx):

@@ -3,13 +3,16 @@ byte-identical.
 
 Builds the jobs of the spectral, scan and ticks workloads for seeds 1 and
 2 with ``perfbench/inputs.build_jobs``, runs each once in this process
-through ``chronon_lab.cli.run``, and prints one line: the job count, the
-count of nonzero exits, and one sha256 over every job's argv (its input
-directory masked), exit code, stdout and stderr, in job order.
+through ``chronon_lab.cli.run``, and prints one line per workload, then
+one line for all of them: the job count, the count of nonzero exits, and
+one sha256 over every job's argv (its input directory masked), exit code,
+stdout and stderr, in job order.
 
     python3 tools/job_digest.py
 
-Run it on two checkouts: equal digests mean equal outputs.
+Run it on two checkouts: equal digests mean equal outputs, and the
+workload lines show which workload's outputs moved.  Only the last line
+contains ", N nonzero, ".
 """
 
 from __future__ import annotations
@@ -47,15 +50,21 @@ def main() -> None:
     digest = hashlib.sha256()
     jobs = nonzero = 0
     for workload in WORKLOADS:
+        part = hashlib.sha256()
+        part_jobs, part_nonzero = jobs, nonzero
         for seed in SEEDS:
             with tempfile.TemporaryDirectory() as workdir:
                 for job in inputs.build_jobs(workload, seed, workdir):
                     code, out, err = _run(list(job.argv))
                     record = [[a.replace(workdir, "{workdir}") for a in job.argv],
                               code, out, err.replace(workdir, "{workdir}")]
-                    digest.update(json.dumps(record).encode() + b"\n")
+                    line = json.dumps(record).encode() + b"\n"
+                    digest.update(line)
+                    part.update(line)
                     jobs += 1
                     nonzero += code != 0
+        print(f"{workload}: {jobs - part_jobs} jobs, nonzero {nonzero - part_nonzero}, "
+              f"sha256 {part.hexdigest()}")
     print(f"{jobs} jobs, {nonzero} nonzero, sha256 {digest.hexdigest()}")
 
 
