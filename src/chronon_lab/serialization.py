@@ -14,6 +14,9 @@ State files carry a "kind" discriminator:
 Correlation bases for the measurement operator:
 
     {"kind": "correlation_basis", "system": [matrix, ...], "apparatus": [matrix, ...]}
+
+A matrix's rows and cols, and a cq file's embedding dimension d*n, are
+checked against ``linalg.MAX_DIM`` before the work they size.
 """
 
 from __future__ import annotations
@@ -112,11 +115,12 @@ def decode_state(obj: dict):
     if kind == "density":
         return states.DensityMatrix(_field(obj, "matrix", decode_matrix))
     if kind == "cq":
-        branches = [
-            (_field(b, "p", _number), states.DensityMatrix(_field(b, "matrix", decode_matrix)))
-            for b in _field(obj, "branches", list)
-        ]
-        return states.ClassicalQuantumState(tuple(branches))
+        branches = [(_field(b, "p", _number), _field(b, "matrix", decode_matrix))
+                    for b in _field(obj, "branches", list)]
+        # the embedding's dimension d*n, capped before any branch is validated
+        linalg.require_within_cap(sum(len(m) for _, m in branches), "tensor product dimension")
+        return states.ClassicalQuantumState(
+            tuple((p, states.DensityMatrix(m)) for p, m in branches))
     if kind == "bipartite":
         return states.BipartiteState(
             joint=states.DensityMatrix(_field(obj, "matrix", decode_matrix)),

@@ -2,9 +2,10 @@
 
 The value types here are immutable carriers validated on construction:
 state vectors, density matrices, classical-quantum mixtures and bipartite
-joints.  A classical-quantum state is validated branch by branch and never
-embedded as one bipartite joint: :mod:`chronon_lab.entropy` conditions on
-its register one branch block at a time.  The measurement-completion projector M onto span{psi_I (x) A_I}
+joints.  A classical-quantum state is validated branch by branch, and by
+its embedded joint's trace, but never embedded as one bipartite joint:
+:mod:`chronon_lab.entropy` conditions on its register one branch block at
+a time.  The measurement-completion projector M onto span{psi_I (x) A_I}
 is defined by a pair of correlated orthonormal bases (system factor first,
 apparatus second), so that ``<Xi|M|Xi>`` is the probability that the
 pointer indicates the correct value.  M is never built: with V the d x k
@@ -95,7 +96,9 @@ class ClassicalQuantumState:
     """Mixture of quantum branches labelled by classical probabilities.
 
     branches is a tuple of (probability, DensityMatrix) pairs sharing one
-    dimension; probabilities are finite and sum to one.
+    dimension; probabilities are finite and sum to one, and so does the
+    embedded joint's trace sum_i p_i tr Psi_i, which the branch checks bound
+    only to about twice VALIDATION_ATOL.
     """
 
     branches: tuple
@@ -115,6 +118,11 @@ class ClassicalQuantumState:
             raise InvalidState(f"negative branch probability {probs.min()}")
         if abs(probs.sum() - 1.0) > VALIDATION_ATOL:
             raise InvalidState(f"branch probabilities sum to {probs.sum()}")
+        diagonals = np.array([np.diagonal(state.mat) for _, state in br])
+        # summed as the joint's own diagonal, entry (s, i) at s*n + i
+        tr = float((probs[:, None] * diagonals).T.ravel().sum().real)
+        if abs(tr - 1.0) > VALIDATION_ATOL:
+            raise InvalidState(f"trace {tr} != 1")
         object.__setattr__(
             self, "branches", tuple((float(p), s) for p, s in br)
         )
@@ -162,7 +170,8 @@ class CorrelationBasis:
     """Paired orthonormal bases of system and apparatus over one index set.
 
     The system (x) apparatus space that the measurement operator acts on
-    has dimension ``dim``; above ``linalg.MAX_DIM`` it raises InvalidState.
+    has dimension ``dim``; above ``linalg.MAX_DIM`` it raises InvalidState
+    before the pairwise orthogonality checks.
     """
 
     system_basis: tuple
@@ -177,6 +186,7 @@ class CorrelationBasis:
             )
         if not sys_b:
             raise InvalidState("empty correlation basis")
+        linalg.require_within_cap(sys_b[0].dim * app_b[0].dim, "tensor product dimension")
         for name, vecs in (("system", sys_b), ("apparatus", app_b)):
             dim = vecs[0].dim
             for i, u in enumerate(vecs):
@@ -190,7 +200,6 @@ class CorrelationBasis:
                         )
         object.__setattr__(self, "system_basis", sys_b)
         object.__setattr__(self, "apparatus_basis", app_b)
-        linalg.require_within_cap(self.dim, "tensor product dimension")
 
     @property
     def dim(self) -> int:

@@ -2,8 +2,9 @@
 
 The helpers here deliberately avoid the library's own code paths where they
 serve as oracles: partial traces are index-summed by explicit loops, and
-expected entropies come straight from scalar arithmetic.  save_state is
-the one writer of state files: the program only reads them.  cq_embed is
+expected entropies come straight from scalar arithmetic.  save_state and
+its encode_matrix are the one writer of state files: the program only
+reads them.  cq_embed is
 the reference for the program's block-by-block cq route: it builds the
 whole embedded joint, which the program never does.
 """
@@ -117,25 +118,26 @@ def entropy_oracle(eigenvalues):
     return -sum(w * math.log(w) for w in eigenvalues if w > 1e-15)
 
 
+def encode_matrix(m):
+    """The JSON matrix object of a number, vector or matrix."""
+    m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
+    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
+
+
 def save_state(path, state):
     """Write a state vector, density, cq or bipartite state to path as the
     JSON state file that ``serialization.load_state`` reads."""
-
-    def matrix(m):
-        m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
-        data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
-        return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
-
     if isinstance(state, StateVector):
-        obj = {"kind": "state_vector", "matrix": matrix(state.amplitudes.reshape(-1, 1))}
+        obj = {"kind": "state_vector", "matrix": encode_matrix(state.amplitudes.reshape(-1, 1))}
     elif isinstance(state, DensityMatrix):
-        obj = {"kind": "density", "matrix": matrix(state.mat)}
+        obj = {"kind": "density", "matrix": encode_matrix(state.mat)}
     elif isinstance(state, ClassicalQuantumState):
-        branches = [{"p": p, "matrix": matrix(s.mat)} for p, s in state.branches]
+        branches = [{"p": p, "matrix": encode_matrix(s.mat)} for p, s in state.branches]
         obj = {"kind": "cq", "branches": branches}
     else:
         obj = {"kind": "bipartite", "dimA": state.dim_a, "dimB": state.dim_b,
-               "matrix": matrix(state.joint.mat)}
+               "matrix": encode_matrix(state.joint.mat)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")

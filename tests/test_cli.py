@@ -17,6 +17,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,11 +32,24 @@ from chronon_lab.flow import SystemSpec
 from chronon_lab.speed_limits import time_quantum
 from chronon_lab.states import BipartiteState, ClassicalQuantumState, DensityMatrix, StateVector
 
-from conftest import bell_state, cq_embed, save_state
+from conftest import bell_state, cq_embed, encode_matrix, save_state
 from test_flow import reference_ticks
 from test_golden import CASES, FORMATS, GOLDEN, INPUTS, _in, render_case
 
 LN2 = math.log(2.0)
+
+# Every mode that reads a state file, with the file's path as {f}.
+_STATE_MODES = {
+    "entropy": ["entropy", "--state", "{f}"],
+    "entropy-conditional": ["entropy", "--state", "{f}", "--conditional"],
+    "entropy-reduce": ["entropy", "--state", "{f}", "--reduce", "2", "2"],
+    "entropy-measure-state": ["entropy", "--state", "{f}", "--measure", _in("basis.json")],
+    "entropy-measure-basis": ["entropy", "--state", _in("xi.json"), "--measure", "{f}"],
+    "conditional": ["conditional", "--state", "{f}"],
+    "flow-dilation": ["flow", "--config", _in("flow.json"), "--dilation", "{f}"],
+}
+# the modes that read a cq file as one
+_CQ_MODES = ("conditional", "entropy", "entropy-conditional", "flow-dilation")
 
 
 @pytest.fixture
@@ -168,36 +182,6 @@ class TestEntropyCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert err == f"error: {message}\n"
-        assert peak < 32 * 2**20
-
-    def test_measure_at_the_dimension_cap(self, tmp_path, capsys):
-        # 64 system and 64 apparatus vectors of dimension 64: d = 4096, where
-        # the projector M alone would take 256 MiB; P is read without it
-        rng = np.random.default_rng(3)
-        u_s, u_a = (np.linalg.qr(rng.normal(size=(64, 64)))[0] for _ in range(2))
-
-        def columns(u):
-            return [{"rows": 64, "cols": 1, "data": [[x, 0.0] for x in col]}
-                    for col in u.T.tolist()]
-
-        basis_path = tmp_path / "basis.json"
-        basis_path.write_text(json.dumps(
-            {"kind": "correlation_basis", "system": columns(u_s), "apparatus": columns(u_a)}
-        ))
-        # one term inside span{psi_I (x) A_I}, one orthogonal to it
-        xi = (np.kron(u_s[:, 0], u_a[:, 0]) + np.kron(u_s[:, 1], u_a[:, 2])) / math.sqrt(2)
-        state_path = tmp_path / "xi.json"
-        save_state(str(state_path), StateVector(xi))
-        tracemalloc.start()
-        try:
-            code, out = run_capture(
-                ["entropy", "--state", str(state_path), "--measure", str(basis_path)], capsys
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert float(out) == pytest.approx(0.5, abs=1e-9)
         assert peak < 32 * 2**20
 
     def test_json_format(self, bell_file, capsys):
@@ -373,72 +357,60 @@ class TestConditionalCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "tensor product dimension 4 is above the cap of 3" in err
 
-    @staticmethod
-    def _cq(*branches) -> ClassicalQuantumState:
-        return ClassicalQuantumState(
-            tuple((p, DensityMatrix(np.diag(w).astype(complex))) for p, w in branches)
-        )
+    @pytest.mark.parametrize("mode", _CQ_MODES)
+    def test_cq_cap_checked_before_any_branch(self, mode, tmp_path, monkeypatch, capsys):
+        # 4097 branches of 1 x 1 embed one dimension above the cap: every
+        # reader rejects the file before a branch is decomposed
+        one = {"p": 1 / 4097, "matrix": encode_matrix(1.0)}
+        path = tmp_path / "cq.json"
+        path.write_text(json.dumps({"kind": "cq", "branches": [one] * 4097}))
+        calls = _eig_calls(monkeypatch)
+        code = cli.run([a.format(f=path) for a in _STATE_MODES[mode]])
+        assert (code, *capsys.readouterr()) == (
+            1, "", "error: tensor product dimension 4097 is above the cap of 4096\n")
+        assert calls == []
 
     @pytest.mark.parametrize(
-        "branches, trotter, code, message",
+        "branches, readers, code, message",
         [
             # each branch has trace 1 + 9e-11 and the weights sum to 1 + 9e-11,
             # both inside 1e-10; the embedded joint's trace is not
-            pytest.param([(0.5 + 4.5e-11, [0.5 + 4.5e-11] * 2)] * 2, [], 1,
+            pytest.param([(0.5 + 4.5e-11, [0.5 + 4.5e-11] * 2)] * 2,
+                         [_STATE_MODES[mode] for mode in _CQ_MODES], 1,
                          "trace 1.00000000018 != 1", id="joint-trace"),
-            pytest.param([(1 + 1e-11, [0.5, 0.5]), (-1e-11, [1.0, 0.0])], [], 1,
+            pytest.param([(1 + 1e-11, [0.5, 0.5]), (-1e-11, [1.0, 0.0])],
+                         [_STATE_MODES["conditional"]], 1,
                          "eigenvalue -1.000e-11 below -cutoff", id="negative-weight"),
             # p_1 (1 + 2^-34) is above the cutoff 1e-12 * 1.0 and rho_B's
             # p_1 tr Psi_1 = 1e-12 is not, so the whole block leaks
-            pytest.param([(1.0, [1.0, 0.0]), (1e-12, [1 + 2.0**-34, -(2.0**-34)])], [], 2,
+            pytest.param([(1.0, [1.0, 0.0]), (1e-12, [1 + 2.0**-34, -(2.0**-34)])],
+                         [_STATE_MODES["conditional"]], 2,
                          "joint support leaks out of id (x) supp(rho_B) by 1.000e+00",
                          id="support-leak"),
-            pytest.param([(0.5, [1.0, 0.0]), (0.5, [0.25, 0.75])], ["--trotter-n", "4"], 2,
+            pytest.param([(0.5, [1.0, 0.0]), (0.5, [0.25, 0.75])],
+                         [_STATE_MODES["conditional"] + ["--trotter-n", "4"]], 2,
                          "rank-deficient state; pass eps > 0 to regularize before the product",
                          id="rank-deficient-trotter"),
         ],
     )
-    def test_cq_rejections_of_the_embedded_joint(self, branches, trotter, code, message,
+    def test_cq_rejections_of_the_embedded_joint(self, branches, readers, code, message,
                                                   tmp_path, capsys):
-        # the block-by-block route rejects what the embedded joint rejected,
+        # every reader given rejects what the embedded joint rejected,
         # with the same exit code and error line; the reference embedding
-        # (cq_embed, then the bipartite pipeline) raises the same text
-        cq = self._cq(*branches)
+        # (cq_embed, then the bipartite pipeline) raises the same text.  The
+        # file is written directly: the joint-trace one is no valid cq state
         path = tmp_path / "cq.json"
-        save_state(str(path), cq)
-        assert cli.run(["conditional", "--state", str(path), *trotter]) == code
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        path.write_text(json.dumps({"kind": "cq", "branches": [
+            {"p": p, "matrix": encode_matrix(np.diag(w))} for p, w in branches]}))
+        for argv in readers:
+            exit_code = cli.run([a.format(f=path) for a in argv])
+            assert (exit_code, *capsys.readouterr()) == (code, "", f"error: {message}\n"), argv
+        branch_states = [(p, DensityMatrix(np.diag(w).astype(complex))) for p, w in branches]
         with pytest.raises((InvalidState, NumericalError)) as raised:
-            bi = cq_embed(cq)
+            bi = cq_embed(SimpleNamespace(dim=len(branches[0][1]), branches=branch_states))
             entropy.conditional_state(bi)
             entropy.trotter_conditional_density(bi, 4)
         assert str(raised.value) == message
-
-    def test_cq_at_the_dimension_cap(self, tmp_path, capsys):
-        # 1024 branches of 4 x 4: the embedded joint would be 4096 x 4096,
-        # 256 MiB for the matrix alone; block by block nothing is that large
-        rng = np.random.default_rng(5)
-        k = rng.normal(size=(1024, 4, 4)) + 1j * rng.normal(size=(1024, 4, 4))
-        mats = k @ np.swapaxes(k, 1, 2).conj()
-        p = rng.uniform(0.5, 1.0, size=1024)
-        cq = ClassicalQuantumState(tuple(
-            (float(q), DensityMatrix(m / np.trace(m).real)) for q, m in zip(p / p.sum(), mats)))
-        path = tmp_path / "cq.json"
-        save_state(str(path), cq)
-        tracemalloc.start()
-        try:
-            code = cli.run(["conditional", "--state", str(path), "--trotter-n", "4"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        report = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert len(report["conditionalSpectrum"]) == 4096
-        assert report["conditionalEntropy"] == pytest.approx(report["branchConditional"], abs=1e-8)
-        assert report["trotter"]["distance"] < 1e-12
-        assert peak < 32 * 2**20
 
 
 class TestMalformedStateFiles:
@@ -491,6 +463,27 @@ class TestMalformedStateFiles:
                          '{"p": NaN, "matrix": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}, '
                          '{"p": 1.0, "matrix": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}]}',
                          "branch probability must be finite, got nan", id="p-nan"),
+            # a cq state has one or more branches of one dimension, none of negative weight
+            pytest.param({"kind": "cq", "branches": []},
+                         "classical-quantum state needs at least one branch", id="cq-empty"),
+            pytest.param({"kind": "cq", "branches": [
+                             {"p": 0.5, "matrix": encode_matrix(np.eye(2) / 2)},
+                             {"p": 0.5, "matrix": encode_matrix(np.eye(3) / 3)}]},
+                         "branch dimensions differ: [2, 3]", id="cq-mixed-dimensions"),
+            pytest.param({"kind": "cq", "branches": [
+                             {"p": 1 + 1e-9, "matrix": encode_matrix(1.0)},
+                             {"p": -1e-9, "matrix": encode_matrix(1.0)}]},
+                         "negative branch probability -1e-09", id="cq-negative-p"),
+            # a correlation basis has one or more vectors per side, of one dimension
+            pytest.param({"kind": "correlation_basis", "system": [], "apparatus": []},
+                         "empty correlation basis", id="basis-empty"),
+            pytest.param({"kind": "correlation_basis",
+                          "system": [encode_matrix([[1.0], [0.0]]),
+                                     encode_matrix([[0.0], [1.0], [0.0]])],
+                          "apparatus": [encode_matrix([[1.0], [0.0]]),
+                                        encode_matrix([[0.0], [1.0]])]},
+                         "system basis vectors have mixed dimensions",
+                         id="basis-mixed-dimensions"),
             # a matrix entry is a [re, im] pair of numbers, nothing converted
             pytest.param({"kind": "density", "matrix": {"rows": 1, "cols": 1,
                                                         "data": [[True, False]]}},
@@ -1096,16 +1089,6 @@ def test_dropped_flag_combination_exit_one(argv, message, capsys):
     assert message in err
 
 
-# Every mode that reads a state file, with the file's path as {f}.
-_STATE_MODES = {
-    "entropy": ["entropy", "--state", "{f}"],
-    "entropy-conditional": ["entropy", "--state", "{f}", "--conditional"],
-    "entropy-reduce": ["entropy", "--state", "{f}", "--reduce", "2", "2"],
-    "entropy-measure-state": ["entropy", "--state", "{f}", "--measure", _in("basis.json")],
-    "entropy-measure-basis": ["entropy", "--state", _in("xi.json"), "--measure", "{f}"],
-    "conditional": ["conditional", "--state", "{f}"],
-    "flow-dilation": ["flow", "--config", _in("flow.json"), "--dilation", "{f}"],
-}
 _FLOW_MODES = {
     "flow": ["flow", "--config", "{f}"],
     "flow-ratio": ["flow", "--config", "{f}", "--ratio", "a", "b"],
@@ -1146,10 +1129,12 @@ def _run_quietly(argv) -> tuple[int, str]:
         ("systems", [{"id": "a", "entropyNats": 1}, {"id": "a", "entropyNats": 2},
                      {"id": "b", "entropyNats": 1}],
          {"flow-ratio": "--ratio id 'a' names 2 configured systems"}),
+        # with system a renamed, --ratio a b names an id that is not configured
+        ("id", "z", {"flow-ratio": "--ratio ids must name configured systems"}),
     ],
     ids=["horizon-negative", "horizon-overflow", "id-null", "id-list", "id-comma", "id-lf",
          "id-quote", "id-cr", "entropy-bool", "entropy-string", "T-bool", "horizon-string",
-         "T-zero", "entropy-overflow", "entropy-before-id", "id-shared"],
+         "T-zero", "entropy-overflow", "entropy-before-id", "id-shared", "id-unknown"],
 )
 def test_flow_config_checked_in_every_mode(mode, key, value, invariant, tmp_path):
     """Every mode rejects what plain flow rejects, whether or not it reads

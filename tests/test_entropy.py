@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronon_lab import linalg
 from chronon_lab.entropy import (
     _id_kron,
     conditional_state,
@@ -224,14 +223,6 @@ class TestBlockConditionalState:
             closed += frobenius(reg / b - (v * values) @ v.conj().T) ** 2
         for n in (1, 3, 16):
             assert cq_trotter_distance(cq, cs, n, eps) == pytest.approx(math.sqrt(closed), abs=1e-14)
-
-    def test_dimension_cap(self, rng, monkeypatch):
-        monkeypatch.setattr(linalg, "MAX_DIM", 8)
-        branches = tuple((0.25, random_density(2, rng)) for _ in range(4))
-        assert cq_conditional_state(ClassicalQuantumState(branches)).spectrum.size == 8
-        monkeypatch.setattr(linalg, "MAX_DIM", 7)
-        with pytest.raises(InvalidState, match="tensor product dimension 8 is above the cap of 7"):
-            cq_conditional_state(ClassicalQuantumState(branches))
 
     def test_rejects_nonpositive_n(self, rng):
         cq = random_cq(rng)

@@ -90,6 +90,17 @@ class TestStateFiles:
         assert isinstance(back, ClassicalQuantumState)
         assert [p for p, _ in back.branches] == [0.25, 0.75]
 
+    def test_cq_dimension_cap(self, tmp_path, rng, monkeypatch):
+        # four 2 x 2 branches embed to a joint of dimension 8
+        cq = ClassicalQuantumState(tuple((0.25, random_density(2, rng)) for _ in range(4)))
+        path = tmp_path / "cq.json"
+        save_state(str(path), cq)
+        monkeypatch.setattr(linalg, "MAX_DIM", 8)
+        assert len(load_state(str(path)).branches) == 4
+        monkeypatch.setattr(linalg, "MAX_DIM", 7)
+        with pytest.raises(InvalidState, match="tensor product dimension 8 is above the cap of 7"):
+            load_state(str(path))
+
     def test_bipartite_round_trip(self, tmp_path):
         bi = bell_state()
         path = tmp_path / "bi.json"

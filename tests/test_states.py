@@ -76,8 +76,12 @@ class TestStateTypes:
         monkeypatch.setattr(linalg, "MAX_DIM", 6)
         assert CorrelationBasis(computational_basis(2), computational_basis(3, 2)).dim == 6
         monkeypatch.setattr(linalg, "MAX_DIM", 5)
-        with pytest.raises(InvalidState, match="tensor product dimension 6 is above the cap of 5"):
-            CorrelationBasis(computational_basis(2), computational_basis(3, 2))
+        # the second pair repeats one vector per side: the cap fires before
+        # the pairwise orthogonality checks
+        for system, apparatus in [(computational_basis(2), computational_basis(3, 2)),
+                                  (computational_basis(2, 1) * 2, computational_basis(3, 1) * 2)]:
+            with pytest.raises(InvalidState, match="tensor product dimension 6 is above the cap of 5"):
+                CorrelationBasis(system, apparatus)
 
 
 def outer_product_oracle(basis):
