@@ -32,30 +32,32 @@ invariant), 2 numerical failure.  A usage error (unknown flag, bad flag
 value, missing argument, or flags that exclude each other) is invalid
 input too: exit 1 with one ``error:`` line.  --help exits 0.
 
-Importing this module loads no numpy.  It binds every library module in
-sys.modules (``_lazy``) and runs each module's code on its first use, so
-a subcommand loads only what it calls: lorentz, simultaneity and flow
---ratio compute with math alone, and --help or a usage error loads none of
-them.  Importing it also runs numpy's bundled OpenBLAS on one thread for
-the whole process, numpy imported or not, without starting an OpenBLAS
-thread where numpy never loads: at the d <= 64 the subcommands
-decompose, a second thread doubles the CPU time and gains no wall time.
+Importing this module loads no numpy, dataclasses (nor the inspect it
+pulls in), ctypes or json.  It binds every library module in sys.modules
+(``_lazy``) and runs each module's code on its first use, so a subcommand
+loads only what it calls.  lorentz, simultaneity and flow --ratio compute
+with math alone and keep their records in NamedTuples: none of them loads
+numpy, dataclasses, inspect or ctypes, and json loads only for JSON output
+or a JSON input file.  --help or a usage error runs no lazily bound module
+and loads none of the five.  ctypes loads only to pin the threads of a
+numpy imported before this module.  Importing it also runs numpy's bundled
+OpenBLAS on one thread for the whole process, numpy imported or not,
+without starting an OpenBLAS thread where numpy never loads: at the
+d <= 64 the subcommands decompose, a second thread doubles the CPU time
+and gains no wall time.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import functools
 import importlib.util
-import json
 import math
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidState, NumericalError
 
@@ -103,6 +105,8 @@ def _one_blas_thread() -> None:
     if "numpy" not in sys.modules:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
         return
+    import ctypes
+
     libs = os.path.join(os.path.dirname(sys.modules["numpy"].__path__[0]), "numpy.libs")
     setters = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
                "openblas_set_num_threads")
@@ -134,8 +138,7 @@ def _literal(text: str) -> str:
     return text.replace("%", "%%")
 
 
-@dataclass(frozen=True)
-class _Table:
+class _Table(NamedTuple):
     """Rows under named columns, a top-level payload value, held as columns.
 
     The first ``len(values)`` columns vary by row: ``values`` holds each as
@@ -191,6 +194,8 @@ class _Table:
 
     def json_chunks(self):
         """The list of records, indented as the value of a top-level key."""
+        import json
+
         k = len(self.values)
         order = sorted(range(len(self.columns)), key=self.columns.__getitem__)
 
@@ -212,6 +217,8 @@ class _Table:
 def _json_chunks(payload: dict):
     """json.dumps(payload, indent=2, sort_keys=True) plus a newline, with
     each _Table written by the table itself at a placeholder."""
+    import json
+
     tables = [payload[k] for k in sorted(payload) if isinstance(payload[k], _Table)]
     payload = {k: _SPLICE if isinstance(v, _Table) else v for k, v in payload.items()}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

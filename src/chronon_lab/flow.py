@@ -13,8 +13,7 @@ horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import entropy
 from .errors import InvalidState
@@ -31,30 +30,29 @@ MAX_TICKS = 10**6  # largest merged flow simulate_flow will build
 _CSV_UNSAFE = frozenset(',"\r\n')
 
 
-@dataclass(frozen=True)
-class SystemSpec:
-    """A repeatedly measured system: id plus its per-measurement entropy
-    in nats, checked finite before the id is checked."""
-
+class _SystemFields(NamedTuple):
     id: str
     entropy: float
 
-    def __post_init__(self):
-        require_entropy(self.entropy)
-        if not isinstance(self.id, str):
-            raise InvalidState(f"system id must be a string, got {self.id!r}")
-        if not _CSV_UNSAFE.isdisjoint(self.id):
-            raise InvalidState(
-                f"system id {self.id!r} holds a comma, quote, CR or LF"
-            )
-        if self.entropy < 0.0:
-            raise InvalidState(
-                f"system {self.id!r}: per-measurement entropy must be >= 0"
-            )
+
+class SystemSpec(_SystemFields):
+    """A repeatedly measured system: id plus its per-measurement entropy
+    in nats, checked finite before the id is checked."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, entropy: float):
+        require_entropy(entropy)
+        if not isinstance(id, str):
+            raise InvalidState(f"system id must be a string, got {id!r}")
+        if not _CSV_UNSAFE.isdisjoint(id):
+            raise InvalidState(f"system id {id!r} holds a comma, quote, CR or LF")
+        if entropy < 0.0:
+            raise InvalidState(f"system {id!r}: per-measurement entropy must be >= 0")
+        return super().__new__(cls, id, entropy)
 
 
-@dataclass(frozen=True)
-class ThermalFlow:
+class ThermalFlow(NamedTuple):
     """Merged tick series as columns, ordered by time with id tie-break.
 
     ``ticks`` holds the tick times, non-decreasing overall (identical

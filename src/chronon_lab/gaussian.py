@@ -27,28 +27,22 @@ BRACKET_TOL = 1e-10
 MAX_GRID = 100_000  # most grid points a gaussian report may tabulate
 
 
-def _xlnx(x: float) -> float:
-    """x * ln(x) with the continuous extension 0 * ln 0 := 0."""
-    return x * math.log(x) if x > 0.0 else 0.0
-
-
-def _binary_entropy(p: float) -> float:
-    # The leading 0.0 keeps h2(1) at +0.0 rather than -0.0.
-    return 0.0 - _xlnx(p) - _xlnx(1.0 - p)
-
-
 def partition_entropy_G(x: float) -> float:
-    """Binary entropy (nats) of the in-interval weight erf(x); at most ln 2."""
+    """Binary entropy (nats) of the in-interval weight erf(x); at most ln 2.
+
+    Each term p ln p takes the continuous extension 0 ln 0 := 0, and the
+    leading 0.0 keeps G at +0.0 rather than -0.0 where erf(x) = 1.
+    """
     if x < 0.0:
         raise InvalidState(f"x must be >= 0, got {x}")
-    return _binary_entropy(math.erf(x))
+    p = math.erf(x)
+    q = 1.0 - p
+    return 0.0 - (p * math.log(p) if p > 0.0 else 0.0) - (q * math.log(q) if q > 0.0 else 0.0)
 
 
 def scaled_function_H(x: float) -> float:
     """Product G(x) * x driving the classical-velocity bound."""
-    if x < 0.0:
-        raise InvalidState(f"x must be >= 0, got {x}")
-    return _binary_entropy(math.erf(x)) * x
+    return partition_entropy_G(x) * x
 
 
 def tabulate(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

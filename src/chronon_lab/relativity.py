@@ -15,7 +15,7 @@ temperature: dt = gamma^(-e) * dt_bar when T = gamma^e * T_bar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidState
 from .gaussian import max_H, partition_entropy_G
@@ -25,8 +25,7 @@ PLANCK_TEMPERATURE_EXPONENT = -1.0   # moving bodies appear cooler by 1/gamma
 INVARIANCE_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FrameQuantities:
+class FrameQuantities(NamedTuple):
     """Temperature, entropy, length and time quantum as seen in one frame."""
 
     T: float
@@ -62,8 +61,7 @@ def transform_temperature(v: float, exponent: float) -> float:
         raise InvalidState(f"temperature factor gamma^{exponent} is out of range") from None
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     """Rest- and boosted-frame quantities with their velocity mismatch."""
 
     rest: FrameQuantities

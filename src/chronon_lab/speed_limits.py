@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import InvalidState
 
@@ -39,8 +38,7 @@ _EPS = sys.float_info.epsilon
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class OrthogonalizationResult:
+class OrthogonalizationResult(NamedTuple):
     """Outcome of a first-orthogonalization search.
 
     t_orth is the earliest time with |<psi0|psi(t)>| <= tolerance, or None

@@ -1019,16 +1019,23 @@ class TestEntryPoint:
         assert done.returncode == 0, done.stderr
         assert int(done.stdout) == 1
 
-    # runs the CLI as `python -m chronon_lab.cli` does, then reports on
-    # stderr whether numpy was loaded
-    _MAIN_REPORTING_NUMPY = (
+    # runs the CLI as `python -m chronon_lab.cli` does, then reports on the
+    # last stderr line which of these modules it loaded; one the interpreter
+    # had loaded before the CLI (a site .pth may preload some) is left out
+    _MAIN_REPORTING_IMPORTS = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "from chronon_lab import cli\n"
         "try:\n"
         "    cli.main()\n"
         "finally:\n"
-        "    print('numpy' in sys.modules, file=sys.stderr)\n"
+        "    watched = ('numpy', 'dataclasses', 'inspect', 'ctypes', 'json')\n"
+        "    print(*[m for m in watched if m in sys.modules and m not in before],\n"
+        "          file=sys.stderr)\n"
     )
+
+    def _loaded(self, done) -> set:
+        return set(done.stderr.decode().splitlines()[-1].split())
 
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize(
@@ -1036,9 +1043,12 @@ class TestEntryPoint:
     )
     def test_math_only_subcommands_load_no_numpy(self, case, fmt):
         """lorentz, simultaneity and flow --ratio compute with math alone:
-        a fresh run writes the golden and never loads numpy."""
-        done = _python("-c", self._MAIN_REPORTING_NUMPY, *CASES[case], "--format", fmt)
-        assert (done.returncode, done.stderr) == (0, b"False\n")
+        a fresh run writes the golden and never loads numpy, dataclasses,
+        inspect or ctypes; only JSON output or a JSON config loads json."""
+        done = _python("-c", self._MAIN_REPORTING_IMPORTS, *CASES[case], "--format", fmt)
+        assert done.returncode == 0 and done.stderr.count(b"\n") == 1, done.stderr
+        reads_json = fmt == "json" or case == "flow_ratio"
+        assert self._loaded(done) <= ({"json"} if reads_json else set())
         assert done.stdout == (GOLDEN / f"{case}.{fmt}").read_bytes()
 
     @pytest.mark.parametrize(
@@ -1046,9 +1056,11 @@ class TestEntryPoint:
         [(["--help"], 0), (["mlcheck", "--help"], 0), (["lorentz", "--v", "0.5", "--bogus"], 1)],
     )
     def test_help_and_usage_errors_load_no_numpy(self, argv, code):
-        done = _python("-c", self._MAIN_REPORTING_NUMPY, *argv)
+        """--help and a usage error load none of numpy, dataclasses,
+        inspect, ctypes or json."""
+        done = _python("-c", self._MAIN_REPORTING_IMPORTS, *argv)
         assert done.returncode == code
-        assert done.stderr.endswith(b"False\n")
+        assert self._loaded(done) == set()
 
 
 _THETAS = ["--theta1", "0", "--theta2", "1"]

@@ -11,9 +11,13 @@ B then A on odd ones, so a drift of the host loads both sides alike.  Each
 run's wall time covers the whole process: interpreter start, imports,
 work and output.  Each side runs each command ``RUNS`` times.
 
-Prints one line per command: the median and interquartile range of each
-side in ms and the ratio of the medians, B/A.  A command whose exit code
-or stdout differs between the sides is marked ``OUTPUT DIFFERS``.
+The header line gives ``PYTHONDONTWRITEBYTECODE`` and whether each side's
+``src/chronon_lab/__pycache__`` holds ``.pyc`` files before the first run:
+with the variable set and no cache, every start compiles each module
+again.  Then it prints one line per command: the median and interquartile
+range of each side in ms and the ratio of the medians, B/A.  A command
+whose exit code or stdout differs between the sides is marked
+``OUTPUT DIFFERS``.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ INPUTS = Path(__file__).resolve().parent.parent / "tests" / "golden" / "inputs"
 COMMANDS = (
     ("--help",),
     ("lorentz", "--v", "0.5"),
+    ("lorentz", "--v", "0.5", "--format", "csv"),
     ("simultaneity", "--theta1", "0", "--theta2", "1", "--entropy", "0.5"),
     ("flow", "--config", str(INPUTS / "flow.json"), "--ratio", "a", "b"),
     ("flow", "--config", str(INPUTS / "flow.json")),
@@ -70,7 +75,11 @@ def main() -> None:
             sys.exit(f"error: no src/chronon_lab under {checkout}")
         srcs.append(src)
 
-    print(f"# {RUNS} alternating runs per side; A = {srcs[0]}, B = {srcs[1]}")
+    env = os.environ.get("PYTHONDONTWRITEBYTECODE", "")
+    cached = ["yes" if any((src / "chronon_lab" / "__pycache__").glob("*.pyc")) else "no"
+              for src in srcs]
+    print(f"# {RUNS} alternating runs per side; PYTHONDONTWRITEBYTECODE={env!r}; "
+          f"A = {srcs[0]} (.pyc cache: {cached[0]}), B = {srcs[1]} (.pyc cache: {cached[1]})")
     print(f"{'command':<50} {'A median':>9} {'A IQR':>7} {'B median':>9} {'B IQR':>7} {'B/A':>6}")
     for argv in COMMANDS:
         times = ([], [])
