@@ -2,11 +2,12 @@
 
 A row runs the CLI as ``python -m chronon_lab.cli`` does, stdout to a file,
 and must exit 0 within its time limit, peak at <= 200 MiB RSS and pass its
-output check; the measure and cq rows must also trace < 32 MiB.  The
-``slow`` row is left out of tier-1 (``addopts`` in pyproject.toml) and runs
-in a CI step of its own: ``python -m pytest -q -m slow tests/test_caps.py``.  The RSS
+output check; the measure and cq rows must also trace < 32 MiB.  The RSS
 is the child's VmHWM: ``ru_maxrss``, of RUSAGE_SELF in the child or of
 ``os.wait4`` in the parent, starts from the peak of the test process.
+
+The ``slow`` row is left out of tier-1 (``addopts`` in pyproject.toml) and
+runs in a CI step of its own: ``python -m pytest -q -m slow tests/test_caps.py``.
 """
 
 import json

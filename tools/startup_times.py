@@ -75,10 +75,10 @@ def main() -> None:
             sys.exit(f"error: no src/chronon_lab under {checkout}")
         srcs.append(src)
 
-    env = os.environ.get("PYTHONDONTWRITEBYTECODE", "")
+    no_write = os.environ.get("PYTHONDONTWRITEBYTECODE", "")
     cached = ["yes" if any((src / "chronon_lab" / "__pycache__").glob("*.pyc")) else "no"
               for src in srcs]
-    print(f"# {RUNS} alternating runs per side; PYTHONDONTWRITEBYTECODE={env!r}; "
+    print(f"# {RUNS} alternating runs per side; PYTHONDONTWRITEBYTECODE={no_write!r}; "
           f"A = {srcs[0]} (.pyc cache: {cached[0]}), B = {srcs[1]} (.pyc cache: {cached[1]})")
     print(f"{'command':<50} {'A median':>9} {'A IQR':>7} {'B median':>9} {'B IQR':>7} {'B/A':>6}")
     for argv in COMMANDS:
