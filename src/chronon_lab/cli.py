@@ -84,6 +84,8 @@ def _lazy(name: str):
 entropy = _lazy("entropy")
 flow = _lazy("flow")
 gaussian = _lazy("gaussian")
+# cli calls nothing in linalg; bound here, it is what serialization's
+# ``from . import linalg`` takes, so flow --ratio stays numpy-free
 linalg = _lazy("linalg")
 relativity = _lazy("relativity")
 serialization = _lazy("serialization")
@@ -336,11 +338,7 @@ def _cmd_conditional(args):
     rows.append(("antiqubitVelocity", payload["antiqubitVelocity"]))
     rows += [(f"conditionalEigenvalue{i}", w) for i, w in enumerate(spectrum)]
     if args.trotter_n is not None:
-        if isinstance(state, states.ClassicalQuantumState):
-            distance = entropy.cq_trotter_distance(state, cs, args.trotter_n, eps=args.eps)
-        else:
-            approx = entropy.trotter_conditional_density(state, args.trotter_n, eps=args.eps)
-            distance = linalg.frobenius(approx - cs.density)
+        distance = cs.trotter_distance(args.trotter_n, args.eps)
         payload["trotter"] = {"n": args.trotter_n, "eps": args.eps, "distance": distance}
         rows.append(("trotterDistance", distance))
     return payload, rows

@@ -32,10 +32,11 @@ the identity on each block.  So log rho - id (x) log rho_B is
 block-diagonal too, and rho_{A|B} is the direct sum of Psi_i / tr Psi_i
 on the support: :func:`cq_conditional_state` reads the entropy, both
 supports and the dual path off the validated branch spectra, with no
-eigendecomposition of its own, and :func:`cq_trotter_distance` forms the
-product approximant one d x d block at a time.  The embedding's own
-invariants are checked before either runs: its trace by the
-ClassicalQuantumState type, its dimension d*n where the file is decoded.
+eigendecomposition of its own, and its :class:`BlockConditionalState`
+keeps the cq state, so its ``trotter_distance`` forms the product
+approximant one d x d block at a time.  The embedding's own invariants are
+checked before either runs: its trace by the ClassicalQuantumState type,
+its dimension d*n where the file is decoded.
 """
 
 from __future__ import annotations
@@ -77,15 +78,23 @@ class ConditionalState:
     entropy is S(A|B) = S(joint) - S(B); density is rho_{A|B} on the
     joint's support (Hermitian, eigenvalues may exceed 1, which is what
     makes the entropy negative); spectrum holds its eigenvalues, ascending,
-    and is computed on first use only.
+    and is computed on first use only.  joint is the state conditioned.
     """
 
     entropy: float
     density: np.ndarray
+    joint: BipartiteState
 
     @cached_property
     def spectrum(self) -> np.ndarray:
         return linalg.eigvalsh(self.density)
+
+    def trotter_distance(self, n: int, eps: float = 0.0) -> float:
+        """Frobenius distance from :func:`trotter_conditional_density` of
+        the joint to density; inf or nan past the float range."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            approx = trotter_conditional_density(self.joint, n, eps)
+            return linalg.frobenius(approx - self.density)
 
 
 @dataclass(frozen=True)
@@ -96,15 +105,68 @@ class BlockConditionalState:
     entropy is S(A|B) of the embedding; values[i] holds the eigenvalues of
     rho_{A|B}'s i-th block, in the ascending order of branch i's spectrum:
     w_ij / tr Psi_i on the joint's support, 0.0 off it.  spectrum holds all
-    d*n of them, ascending.
+    d*n of them, ascending.  cq is the state conditioned.
     """
 
     entropy: float
     values: np.ndarray
+    cq: ClassicalQuantumState
 
     @cached_property
     def spectrum(self) -> np.ndarray:
         return np.sort(self.values, axis=None)
+
+    def trotter_distance(self, n: int, eps: float = 0.0) -> float:
+        """The distance of ConditionalState.trotter_distance for the
+        embedding, one d x d block at a time: rho_B is diagonal over the
+        blocks, so block i of the product is (rho_i^(1/n) b_i^(-1/n))^n,
+        with rho_i = p_i Psi_i and b_i = p_i tr Psi_i after the same eps
+        mixing.  One stacked eigh of the branches gives every block's
+        eigenvectors.
+        """
+        p = np.array([p for p, _ in self.cq.branches])
+        mats = np.array([state.mat for _, state in self.cq.branches])
+        w, v = linalg.eigh(mats)
+        lam = p[:, None] * w
+        b = p * np.trace(mats, axis1=1, axis2=2).real
+        if eps > 0.0:
+            # eps * I/(d*n) puts eps/(d*n) on each eigenvalue and eps/n on each b_i
+            lam = (1.0 - eps) * lam + eps / lam.size
+            b = (1.0 - eps) * b + eps / b.size
+        roots, inv_roots_b = _trotter_roots(lam, b, n)
+        v_dag = np.swapaxes(v, 1, 2).conj()
+        product = ((v * roots[:, None, :]) @ v_dag) * inv_roots_b[:, None, None]
+        density = (v * self.values[:, None, :]) @ v_dag
+        with np.errstate(over="ignore", invalid="ignore"):
+            return linalg.frobenius(np.linalg.matrix_power(product, n) - density)
+
+
+def _require_contained(leak: float) -> None:
+    """NumericalError for a leak out of id (x) supp(rho_B) above tolerance."""
+    if leak > SUPPORT_CONTAINMENT_TOL:
+        raise NumericalError(f"joint support leaks out of id (x) supp(rho_B) by {leak:.3e}")
+
+
+def _require_paths_agree(primary: float, dual: float) -> None:
+    """NumericalError for entropy paths that disagree beyond tolerance."""
+    if abs(primary - dual) > DUAL_PATH_TOL:
+        raise NumericalError(f"conditional-entropy paths disagree: {primary} vs {dual}")
+
+
+def _trotter_roots(lam: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """lam ** (1/n) and b ** (-1/n) by Python's ``**`` on each value, for the
+    spectra lam of a full-rank joint and b of its rho_B."""
+    if n < 1:
+        raise InvalidState(f"n must be >= 1, got {n}")
+    thr = linalg.SUPPORT_CUTOFF
+    if lam.min() <= thr * lam.max() or b.min() <= thr * b.max():
+        raise NumericalError(
+            "rank-deficient state; pass eps > 0 to regularize before the product"
+        )
+    # int by int division is correctly rounded for any n; 1.0 / n raises
+    # OverflowError once n is past the float range
+    roots = np.array([x ** (1 / n) for x in lam.ravel().tolist()]).reshape(lam.shape)
+    return roots, np.array([x ** (-1 / n) for x in b.tolist()])
 
 
 def cq_conditional(cq: ClassicalQuantumState) -> float:
@@ -128,54 +190,12 @@ def cq_conditional_state(cq: ClassicalQuantumState) -> BlockConditionalState:
     keep = linalg.support(lam)
     keep_b = linalg.support(t, scale=float(lam.max()))
     # a block the joint's support reaches but rho_B's does not leaks whole
-    lost = int(keep[~keep_b].sum())
-    if lost:
-        raise NumericalError(
-            f"joint support leaks out of id (x) supp(rho_B) by {math.sqrt(lost):.3e}"
-        )
+    _require_contained(math.sqrt(keep[~keep_b].sum()))
     values = np.where(keep, w / tau[:, None], 0.0)
 
     primary = _entropy(np.sort(lam, axis=None)) - _entropy(np.sort(t))
-    dual = -float(np.sum(lam[keep] * np.log(values[keep])))
-    if abs(primary - dual) > DUAL_PATH_TOL:
-        raise NumericalError(
-            f"conditional-entropy paths disagree: {primary} vs {dual}"
-        )
-    return BlockConditionalState(entropy=primary, values=values)
-
-
-def cq_trotter_distance(
-    cq: ClassicalQuantumState, cs: BlockConditionalState, n: int, eps: float = 0.0
-) -> float:
-    """Frobenius distance from :func:`trotter_conditional_density` of a cq
-    state's embedding to its conditional density cs, one d x d block at a
-    time: rho_B is diagonal over the blocks, so block i of the product is
-    (rho_i^(1/n) b_i^(-1/n))^n, with rho_i = p_i Psi_i and b_i = p_i tr Psi_i
-    after the same eps mixing and full-rank check.  One stacked
-    eigendecomposition of the branches gives every block's eigenvectors.
-    """
-    if n < 1:
-        raise InvalidState(f"n must be >= 1, got {n}")
-    p = np.array([p for p, _ in cq.branches])
-    mats = np.array([state.mat for _, state in cq.branches])
-    w, v = linalg.eigh(mats)
-    lam = p[:, None] * w
-    b = p * np.trace(mats, axis1=1, axis2=2).real
-    if eps > 0.0:
-        # eps * I/(d*n) puts eps/(d*n) on each eigenvalue and eps/n on each b_i
-        lam = (1.0 - eps) * lam + eps / lam.size
-        b = (1.0 - eps) * b + eps / b.size
-    thr = linalg.SUPPORT_CUTOFF
-    if lam.min() <= thr * lam.max() or b.min() <= thr * b.max():
-        raise NumericalError(
-            "rank-deficient state; pass eps > 0 to regularize before the product"
-        )
-    roots = np.array([x ** (1.0 / n) for x in lam.ravel().tolist()]).reshape(lam.shape)
-    inv_roots_b = np.array([x ** (-1.0 / n) for x in b.tolist()])
-    v_dag = np.swapaxes(v, 1, 2).conj()
-    product = ((v * roots[:, None, :]) @ v_dag) * inv_roots_b[:, None, None]
-    density = (v * cs.values[:, None, :]) @ v_dag
-    return linalg.frobenius(np.linalg.matrix_power(product, n) - density)
+    _require_paths_agree(primary, -float(np.sum(lam[keep] * np.log(values[keep]))))
+    return BlockConditionalState(entropy=primary, values=values, cq=cq)
 
 
 def trotter_conditional_density(
@@ -189,8 +209,6 @@ def trotter_conditional_density(
     decomposed once; the full-rank check reads those spectra, and each root
     is V diag(w ** (+-1/n)) V^dag with Python's ``**`` on every eigenvalue.
     """
-    if n < 1:
-        raise InvalidState(f"n must be >= 1, got {n}")
     rho = bi.joint.mat
     d = rho.shape[0]
     if eps > 0.0:
@@ -198,13 +216,9 @@ def trotter_conditional_density(
     rho_b = linalg.partial_trace(rho, bi.dim_a, bi.dim_b, keep="B")
     w, v = linalg.eigh(rho)
     w_b, v_b = linalg.eigh(rho_b)
-    thr = linalg.SUPPORT_CUTOFF
-    if w[0] <= thr * w[-1] or w_b[0] <= thr * w_b[-1]:
-        raise NumericalError(
-            "rank-deficient state; pass eps > 0 to regularize before the product"
-        )
-    root = (v * np.array([x ** (1.0 / n) for x in w.tolist()])) @ linalg.dag(v)
-    inv_root_b = (v_b * np.array([x ** (-1.0 / n) for x in w_b.tolist()])) @ linalg.dag(v_b)
+    roots, inv_roots_b = _trotter_roots(w, w_b, n)
+    root = (v * roots) @ linalg.dag(v)
+    inv_root_b = (v_b * inv_roots_b) @ linalg.dag(v_b)
     return np.linalg.matrix_power(root @ _id_kron(bi.dim_a, inv_root_b), n)
 
 
@@ -224,16 +238,14 @@ def conditional_state(bi: BipartiteState) -> ConditionalState:
     NumericalError too.
     """
     rho = bi.joint.mat
-    marginal = bi.marginal_b()
-    w, basis = linalg.support_spectrum(rho)
+    marginal = DensityMatrix(linalg.partial_trace(rho, bi.dim_a, bi.dim_b, keep="B"))
+    w, v = linalg.eigh(rho)
+    keep = linalg.support(w)
+    w, basis = w[keep], v[:, keep]
     log_b, proj_b = linalg.support_log(marginal.mat, scale=float(w[-1]))
     proj_joint = basis @ linalg.dag(basis)
     embed_proj = _id_kron(bi.dim_a, proj_b)
-    leak = linalg.frobenius(proj_joint - embed_proj @ proj_joint @ embed_proj)
-    if leak > SUPPORT_CONTAINMENT_TOL:
-        raise NumericalError(
-            f"joint support leaks out of id (x) supp(rho_B) by {leak:.3e}"
-        )
+    _require_contained(linalg.frobenius(proj_joint - embed_proj @ proj_joint @ embed_proj))
     log_joint = (basis * np.log(w)) @ linalg.dag(basis)
     exponent = log_joint - _id_kron(bi.dim_a, log_b)
     compressed = linalg.dag(basis) @ exponent @ basis
@@ -243,12 +255,8 @@ def conditional_state(bi: BipartiteState) -> ConditionalState:
     density = (vecs * np.exp(mu)) @ linalg.dag(vecs)
 
     primary = von_neumann(bi.joint) - von_neumann(marginal)
-    dual = -float(np.trace(rho @ ((vecs * mu) @ linalg.dag(vecs))).real)
-    if abs(primary - dual) > DUAL_PATH_TOL:
-        raise NumericalError(
-            f"conditional-entropy paths disagree: {primary} vs {dual}"
-        )
-    return ConditionalState(entropy=primary, density=density)
+    _require_paths_agree(primary, -float(np.trace(rho @ ((vecs * mu) @ linalg.dag(vecs))).real))
+    return ConditionalState(entropy=primary, density=density, joint=bi)
 
 
 def generalized_conditional(bi: BipartiteState) -> float:

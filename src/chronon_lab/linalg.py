@@ -1,17 +1,16 @@
-"""Dense complex linear algebra at desk scale (d <= ~64).
+"""Dense complex linear algebra, up to dimension MAX_DIM (4096).
 
 All operations are pure functions of ndarray inputs and are safe to call
 concurrently.  Matrices are complex128 throughout; Hermitian eigenproblems
-go through LAPACK's ``eigh``, which at these dimensions is as robust as a
-Jacobi sweep and ascending-sorted by contract.
+go through LAPACK's ``eigh``, ascending-sorted by contract.
 
 Inputs are checked once, at the boundary: a density where it becomes a
 ``states.DensityMatrix``, a file's sizes where it is decoded.  No operation
-here re-checks the arrays it is given; :func:`partial_trace`,
-:func:`support_spectrum` and :func:`support_log` trust their input to be
-such a finite Hermitian matrix.  :func:`eigh` and :func:`eigvalsh` are the
-program's only entry points to the Hermitian eigensolvers, and both turn a
-solver that fails to converge into NumericalError.
+here re-checks the arrays it is given; :func:`partial_trace` and
+:func:`support_log` trust their input to be such a finite Hermitian
+matrix.  :func:`eigh` and :func:`eigvalsh` are the program's only entry
+points to the Hermitian eigensolvers, and both turn a solver that fails to
+converge into NumericalError.
 """
 
 from __future__ import annotations
@@ -86,29 +85,18 @@ def support(w: np.ndarray, scale: float | None = None) -> np.ndarray:
     return w > SUPPORT_CUTOFF * scale
 
 
-def support_spectrum(
-    rho: np.ndarray, scale: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors spanning the :func:`support` of a PSD
-    Hermitian matrix at scale.  Returns ``(values, columns)``, ascending,
-    from a single eigendecomposition.
-    """
-    w, v = eigh(rho)
-    keep = support(w, scale)
-    return w[keep], v[:, keep]
-
-
 def support_log(
     rho: np.ndarray, scale: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix log restricted to the support of a PSD Hermitian matrix.
-
-    The support is that of :func:`support_spectrum` at the same scale; the
-    log vanishes off it.  Returns ``(logm, projector)``, both zero for an
-    empty support.
+    """Matrix log restricted to the :func:`support` at scale of a PSD
+    Hermitian matrix, from a single eigendecomposition; the log vanishes
+    off the support.  Returns ``(logm, projector)``, both zero for an empty
+    support.
     """
-    w, vk = support_spectrum(rho, scale)
-    return (vk * np.log(w)) @ dag(vk), vk @ dag(vk)
+    w, v = eigh(rho)
+    keep = support(w, scale)
+    vk = v[:, keep]
+    return (vk * np.log(w[keep])) @ dag(vk), vk @ dag(vk)
 
 
 def partial_trace(joint: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:

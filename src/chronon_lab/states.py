@@ -42,7 +42,8 @@ class StateVector:
 
     def __post_init__(self):
         v = _as_vector(self.amplitudes)
-        norm = float(np.linalg.norm(v))
+        with np.errstate(over="ignore"):  # an entry past ~1.3e154 gives norm inf
+            norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > VALIDATION_ATOL:
             raise InvalidState(f"state vector norm {norm} != 1")
         object.__setattr__(self, "amplitudes", v)
@@ -70,13 +71,17 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = linalg.require_square(self.mat)
-        dev = linalg.frobenius(m - linalg.dag(m))
-        if dev > VALIDATION_ATOL * max(1.0, linalg.frobenius(m)):
+        # huge entries give inf or nan, which fail closed; the tolerance is
+        # absolute, as a unit-trace PSD matrix has ||m||_F <= 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev = linalg.frobenius(m - linalg.dag(m))
+            tr = float(np.trace(m).real)
+        if not dev <= VALIDATION_ATOL:
             raise InvalidState(f"density matrix not Hermitian (dev {dev:.3e})")
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > VALIDATION_ATOL:
+        if not abs(tr - 1.0) <= VALIDATION_ATOL:
             raise InvalidState(f"trace {tr} != 1")
-        w = linalg.eigvalsh((m + linalg.dag(m)) / 2)
+        # halved first, so no finite entry overflows
+        w = linalg.eigvalsh(m / 2 + linalg.dag(m) / 2)
         if w[0] < -VALIDATION_ATOL:
             raise InvalidState(f"negative eigenvalue {w[0]:.3e}")
         object.__setattr__(self, "mat", m)
@@ -116,8 +121,10 @@ class ClassicalQuantumState:
             raise InvalidState(f"branch probability must be finite, got {bad[0]}")
         if np.any(probs < -VALIDATION_ATOL):
             raise InvalidState(f"negative branch probability {probs.min()}")
-        if abs(probs.sum() - 1.0) > VALIDATION_ATOL:
-            raise InvalidState(f"branch probabilities sum to {probs.sum()}")
+        with np.errstate(over="ignore"):  # huge weights sum to inf
+            total = probs.sum()
+        if abs(total - 1.0) > VALIDATION_ATOL:
+            raise InvalidState(f"branch probabilities sum to {total}")
         diagonals = np.array([np.diagonal(state.mat) for _, state in br])
         # summed as the joint's own diagonal, entry (s, i) at s*n + i
         tr = float((probs[:, None] * diagonals).T.ravel().sum().real)
@@ -158,11 +165,6 @@ class BipartiteState:
             raise InvalidState(
                 f"dim_a*dim_b = {self.dim_a * self.dim_b} != joint dim {self.joint.dim}"
             )
-
-    def marginal_b(self) -> DensityMatrix:
-        return DensityMatrix(
-            linalg.partial_trace(self.joint.mat, self.dim_a, self.dim_b, keep="B")
-        )
 
 
 @dataclass(frozen=True)

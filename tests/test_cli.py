@@ -32,7 +32,7 @@ from chronon_lab.flow import SystemSpec
 from chronon_lab.speed_limits import time_quantum
 from chronon_lab.states import BipartiteState, ClassicalQuantumState, DensityMatrix, StateVector
 
-from conftest import bell_state, cq_embed, encode_matrix, save_state
+from conftest import bell_state, cq_embed, encode_matrix, random_density, save_state
 from test_flow import reference_ticks
 from test_golden import CASES, FORMATS, GOLDEN, INPUTS, _in, render_case
 
@@ -219,6 +219,28 @@ class TestConditionalCommand:
         report = json.loads(out)
         assert report["trotter"]["n"] == 64
         assert report["trotter"]["distance"] < 1e-3
+
+    @pytest.mark.parametrize("kind", ["cq", "bipartite"])
+    @pytest.mark.parametrize("n", [pytest.param(10**19, id="1e19"),
+                                   pytest.param(10**400, id="1e400")])
+    def test_huge_trotter_n_raises_nothing(self, kind, n, tmp_path, capsys):
+        # at n = 1e19 the power of each product leaves the float range; past
+        # 1.8e308, n itself does.  Either ends in a finite report or in one
+        # error line, with no warning or traceback
+        path = tmp_path / "state.json"
+        if kind == "cq":
+            path = INPUTS / "cq.json"
+        else:
+            joint = random_density(4, np.random.default_rng(0))
+            save_state(path, BipartiteState(joint=joint, dim_a=2, dim_b=2))
+        code = cli.run(["conditional", "--state", str(path), "--trotter-n", str(n),
+                        "--eps", "0.5"])
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert math.isfinite(json.loads(out)["trotter"]["distance"]) and err == ""
+        else:
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unregularized_singular_exit_two(self, bell_file, capsys):
         code, _ = run_capture(
@@ -431,6 +453,19 @@ class TestMalformedStateFiles:
             pytest.param('{"kind": "density", "matrix": {"rows": 1, "cols": 1, "data": [[1%s, 0]]}}'
                          % ("0" * 400), "'matrix'", id="entry-overflow"),
             pytest.param("[" * 100_000, "invalid JSON", id="deep-nesting"),
+            # finite entries whose norms or sums leave the float range
+            pytest.param({"kind": "density", "matrix": {"rows": 2, "cols": 2, "data": [
+                             [0.5, 0], [0, 1e200], [0, 1e200], [0.5, 0]]}},
+                         "density matrix not Hermitian (dev inf)", id="entry-huge-anti-hermitian"),
+            pytest.param({"kind": "density", "matrix": {"rows": 2, "cols": 2, "data": [
+                             [0.5, 0], [1e308, 0], [1e308, 0], [0.5, 0]]}},
+                         "negative eigenvalue -1.000e+308", id="entry-huge-off-diagonal"),
+            pytest.param({"kind": "state_vector", "matrix": {"rows": 2, "cols": 1, "data": [
+                             [1e200, 0], [0, 0]]}},
+                         "state vector norm inf != 1", id="entry-huge-amplitude"),
+            pytest.param({"kind": "cq", "branches": [
+                             {"p": 1e308, "matrix": encode_matrix(1.0)}] * 2},
+                         "branch probabilities sum to inf", id="p-huge"),
             # sizes are integers: a bool or a fraction is not truncated
             pytest.param({"kind": "bipartite", "dimA": 1.5, "dimB": 1,
                           "matrix": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}},
@@ -1203,7 +1238,7 @@ def _replaced(node, path, value):
 
 
 _STATE_KINDS = ("state_vector", "density", "cq", "bipartite", "correlation_basis", "bogus")
-_FUZZ_VALUES = (None, True, 0, -1, 2.5, math.inf, 10**30, "x", [], {})
+_FUZZ_VALUES = (None, True, 0, -1, 2.5, math.inf, 10**30, 1e308, "x", [], {})
 
 
 @st.composite

@@ -10,7 +10,6 @@ from chronon_lab.entropy import (
     conditional_state,
     cq_conditional,
     cq_conditional_state,
-    cq_trotter_distance,
     generalized_conditional,
     trotter_conditional_density,
     von_neumann,
@@ -194,7 +193,7 @@ class TestBlockConditionalState:
             for eps in (0.0, 1e-3):
                 expected = _outcome(lambda: frobenius(
                     trotter_conditional_density(cq_embed(cq), n, eps) - ref.density))
-                got = _outcome(lambda: cq_trotter_distance(cq, cs, n, eps))
+                got = _outcome(lambda: cs.trotter_distance(n, eps))
                 if isinstance(expected, tuple) or isinstance(got, tuple):
                     assert got == expected, (n, eps)
                 else:
@@ -222,12 +221,12 @@ class TestBlockConditionalState:
             b = (1 - eps) * p * np.trace(psi.mat).real + eps / 4
             closed += frobenius(reg / b - (v * values) @ v.conj().T) ** 2
         for n in (1, 3, 16):
-            assert cq_trotter_distance(cq, cs, n, eps) == pytest.approx(math.sqrt(closed), abs=1e-14)
+            assert cs.trotter_distance(n, eps) == pytest.approx(math.sqrt(closed), abs=1e-14)
 
     def test_rejects_nonpositive_n(self, rng):
         cq = random_cq(rng)
         with pytest.raises(InvalidState, match="n must be >= 1"):
-            cq_trotter_distance(cq, cq_conditional_state(cq), 0)
+            cq_conditional_state(cq).trotter_distance(0)
 
 
 class TestTrotterConditionalDensity:
