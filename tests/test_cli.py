@@ -227,10 +227,10 @@ class TestConditionalCommand:
         # at n = 1e19 the power of each product leaves the float range; past
         # 1.8e308, n itself does.  Either ends in a finite report or in one
         # error line, with no warning or traceback
-        path = tmp_path / "state.json"
         if kind == "cq":
-            path = INPUTS / "cq.json"
+            path = _in("cq.json")
         else:
+            path = tmp_path / "joint.json"
             joint = random_density(4, np.random.default_rng(0))
             save_state(path, BipartiteState(joint=joint, dim_a=2, dim_b=2))
         code = cli.run(["conditional", "--state", str(path), "--trotter-n", str(n),
