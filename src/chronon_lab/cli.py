@@ -431,25 +431,8 @@ def _cmd_lorentz(args):
     return payload, rows
 
 
-def _load_flow_config(path: str):
-    """Systems, temperature and horizon of a flow config, checked whatever
-    the mode reads of them."""
-    cfg = serialization.read_json(path)
-    try:
-        systems = [
-            flow.SystemSpec(id=s["id"], entropy=serialization._number(s["entropyNats"]))
-            for s in cfg["systems"]
-        ]
-        temperature = serialization._number(cfg.get("T", 1.0))
-        horizon = serialization._number(cfg["horizon"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidState(f"{path}: malformed flow config: {exc}") from exc
-    return (systems, speed_limits.require_positive("T", temperature),
-            speed_limits.require_positive("horizon", horizon))
-
-
 def _cmd_flow(args):
-    systems, T, horizon = _load_flow_config(args.config)
+    systems, T, horizon = serialization.load_flow_config(args.config)
 
     if args.ratio is not None:
         id1, id2 = args.ratio

@@ -53,6 +53,7 @@ from .states import BipartiteState, ClassicalQuantumState, DensityMatrix
 
 DUAL_PATH_TOL = 1e-8
 SUPPORT_CONTAINMENT_TOL = 1e-7
+MAX_TROTTER_N = 2**20  # largest Trotter n; past it the roots round towards 1
 
 
 def _id_kron(dim_a: int, x: np.ndarray) -> np.ndarray:
@@ -61,9 +62,9 @@ def _id_kron(dim_a: int, x: np.ndarray) -> np.ndarray:
 
 
 def _entropy(weights: np.ndarray) -> float:
-    """-sum w ln w over the positive weights, in their order; never negative."""
+    """-sum w ln w over the positive weights, in their order; +0.0 or more."""
     s = -sum(x * math.log(x) for x in weights.tolist() if x > 0.0)
-    return max(s, 0.0)
+    return max(0.0, s)
 
 
 def von_neumann(rho: DensityMatrix) -> float:
@@ -155,9 +156,10 @@ def _require_paths_agree(primary: float, dual: float) -> None:
 
 def _trotter_roots(lam: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """lam ** (1/n) and b ** (-1/n) by Python's ``**`` on each value, for the
-    spectra lam of a full-rank joint and b of its rho_B."""
-    if n < 1:
-        raise InvalidState(f"n must be >= 1, got {n}")
+    spectra lam of a full-rank joint and b of its rho_B.  n >= 1 is trusted;
+    n above MAX_TROTTER_N raises InvalidState."""
+    if n > MAX_TROTTER_N:
+        raise InvalidState(f"Trotter n {n} is above the cap of {MAX_TROTTER_N}")
     thr = linalg.SUPPORT_CUTOFF
     if lam.min() <= thr * lam.max() or b.min() <= thr * b.max():
         raise NumericalError(

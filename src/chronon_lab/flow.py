@@ -72,7 +72,8 @@ def simulate_flow(systems: list, T: float, horizon: float) -> ThermalFlow:
     """Merge the periodic ticks of every active system, each with its
     quantum at temperature T, up to the horizon.
 
-    The horizon must be positive and finite.  Systems with zero
+    The horizon is trusted to be positive and finite, as
+    ``serialization.load_flow_config`` checks it.  Systems with zero
     entropy contribute no ticks; if none is active the flow is undefined
     and InvalidState is raised, as it is for a flow of more than MAX_TICKS
     ticks, before any tick is built.  Each active system gives one column
@@ -83,7 +84,6 @@ def simulate_flow(systems: list, T: float, horizon: float) -> ThermalFlow:
     """
     import numpy as np
 
-    require_positive("horizon", horizon)
     active = [s for s in systems if s.entropy > 0.0]
     if not active:
         raise InvalidState("no system has positive entropy: nothing happens")

@@ -31,10 +31,9 @@ def partition_entropy_G(x: float) -> float:
     """Binary entropy (nats) of the in-interval weight erf(x); at most ln 2.
 
     Each term p ln p takes the continuous extension 0 ln 0 := 0, and the
-    leading 0.0 keeps G at +0.0 rather than -0.0 where erf(x) = 1.
+    leading 0.0 keeps G at +0.0 rather than -0.0 where erf(x) = 1.  x >= 0
+    is trusted: every grid and bracket searched lies in [0, SEARCH_UPPER].
     """
-    if x < 0.0:
-        raise InvalidState(f"x must be >= 0, got {x}")
     p = math.erf(x)
     q = 1.0 - p
     return 0.0 - (p * math.log(p) if p > 0.0 else 0.0) - (q * math.log(q) if q > 0.0 else 0.0)

@@ -1,4 +1,4 @@
-"""Decoding of the JSON state files the CLI reads.
+"""Decoding of the JSON state files and flow configs the CLI reads.
 
 Matrix encoding:
 
@@ -17,6 +17,11 @@ Correlation bases for the measurement operator:
 
 A matrix's rows and cols, and a cq file's embedding dimension d*n, are
 checked against ``linalg.MAX_DIM`` before the work they size.
+
+Flow configs, each system a ``flow.SystemSpec``, T (default 1) and the
+horizon positive and finite:
+
+    {"systems": [{"id": "a", "entropyNats": 0.69}, ...], "T": 1.0, "horizon": 10.0}
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import json
 from itertools import chain
 from typing import TYPE_CHECKING
 
-from . import linalg, states
+from . import flow, linalg, speed_limits, states
 from .errors import InvalidState
 
 # numpy loads inside the matrix codec, so read_json loads without it
@@ -150,3 +155,17 @@ def read_json(path: str):
 def load_state(path: str):
     return decode_state(read_json(path))
 
+
+def load_flow_config(path: str) -> tuple[list, float, float]:
+    """Systems, temperature and horizon of the flow config at path, checked
+    whatever the mode reads of them."""
+    cfg = read_json(path)
+    try:
+        systems = [flow.SystemSpec(id=s["id"], entropy=_number(s["entropyNats"]))
+                   for s in cfg["systems"]]
+        temperature = _number(cfg.get("T", 1.0))
+        horizon = _number(cfg["horizon"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidState(f"{path}: malformed flow config: {exc}") from exc
+    return (systems, speed_limits.require_positive("T", temperature),
+            speed_limits.require_positive("horizon", horizon))

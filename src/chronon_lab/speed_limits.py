@@ -28,7 +28,6 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .entropy import BlockConditionalState, ConditionalState
-    from .states import StateVector
 
 ORTHOGONALITY_TOL = 1e-9
 SCAN_GRID_POINTS = 4096
@@ -77,13 +76,8 @@ def time_quantum(s: float, T: float) -> float:
 
 def ml_bound_shifted(e_mean: float, e0: float) -> float:
     """Shifted Margolus-Levitin bound 2*pi / (4 (E_mean - E0)) under
-    exp(-iHt); invariant under a common energy shift."""
-    gap = e_mean - e0
-    if gap <= 0.0:
-        raise InvalidState(
-            f"mean energy {e_mean} does not exceed ground energy {e0}"
-        )
-    return require_positive("time quantum", 2.0 * math.pi / (4.0 * gap))
+    exp(-iHt), for E_mean > E0; invariant under a common energy shift."""
+    return 2.0 * math.pi / (4.0 * (e_mean - e0))
 
 
 def process_velocity(s0: float) -> float:
@@ -129,14 +123,14 @@ def _overlap_rows(weights: np.ndarray, energies: np.ndarray, ts: np.ndarray) -> 
 
 
 def orthogonalization_time(
-    spectrum: tuple[np.ndarray, np.ndarray], psi0: StateVector, t_max: float
+    spectrum: tuple[np.ndarray, np.ndarray], psi0: np.ndarray, t_max: float
 ) -> OrthogonalizationResult:
     """Earliest time at which exp(-iHt)|psi0> becomes orthogonal to |psi0>.
 
-    spectrum is H's ``(energies, vectors)`` pair as
-    :func:`chronon_lab.linalg.eigh` returns it, trusted as such and not
-    checked here; a caller that needs the pair for anything else
-    decomposes H once and passes the same pair here.
+    spectrum is H's ``(energies, vectors)`` pair as :func:`linalg.eigh`
+    returns it, psi0 normalized amplitudes of H's dimension and t_max > 0,
+    all trusted; a caller that needs the pair for anything else decomposes
+    H once and passes the same pair here.
 
     Scans A(t) = |sum_k w_k exp(-i E_k t)| on a grid ts of SCAN_GRID_POINTS
     points over [0, t_max], refines grid-local minima by golden section down
@@ -176,14 +170,7 @@ def orthogonalization_time(
     import numpy as np
 
     energies, vectors = spectrum
-    if vectors.shape[0] != psi0.dim:
-        raise InvalidState(
-            f"Hamiltonian dim {vectors.shape[0]} != state dim {psi0.dim}"
-        )
-    if t_max <= 0.0:
-        raise InvalidState(f"t_max must be positive, got {t_max}")
-
-    weights = np.abs(vectors.conj().T @ psi0.amplitudes) ** 2
+    weights = np.abs(vectors.conj().T @ psi0) ** 2
 
     e_mean = float(weights @ energies)
     e0 = float(energies[0])

@@ -60,10 +60,11 @@ class StateVector:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator.
 
-    Construction is the one check of a density's invariants; the linalg
-    operations that take its mat check nothing again.  eigenvalues holds
-    the ascending spectrum that the positivity check computes, so
-    consumers such as the von Neumann entropy need not decompose it again.
+    Construction is the one check of a density's invariants (finite,
+    square, Hermitian and unit trace within VALIDATION_ATOL, no eigenvalue
+    below -linalg.SUPPORT_CUTOFF); linalg checks nothing of its mat again.
+    eigenvalues holds the ascending spectrum that check computes, so the
+    von Neumann entropy and others need not decompose it again.
     """
 
     mat: np.ndarray
@@ -82,7 +83,7 @@ class DensityMatrix:
             raise InvalidState(f"trace {tr} != 1")
         # halved first, so no finite entry overflows
         w = linalg.eigvalsh(m / 2 + linalg.dag(m) / 2)
-        if w[0] < -VALIDATION_ATOL:
+        if w[0] < -linalg.SUPPORT_CUTOFF:
             raise InvalidState(f"negative eigenvalue {w[0]:.3e}")
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "eigenvalues", w)
@@ -101,9 +102,9 @@ class ClassicalQuantumState:
     """Mixture of quantum branches labelled by classical probabilities.
 
     branches is a tuple of (probability, DensityMatrix) pairs sharing one
-    dimension; probabilities are finite and sum to one, and so does the
-    embedded joint's trace sum_i p_i tr Psi_i, which the branch checks bound
-    only to about twice VALIDATION_ATOL.
+    dimension; probabilities are finite, none below -linalg.SUPPORT_CUTOFF,
+    and sum to one, as does the embedded joint's trace sum_i p_i tr Psi_i,
+    which the branch checks bound only to about twice VALIDATION_ATOL.
     """
 
     branches: tuple
@@ -119,7 +120,7 @@ class ClassicalQuantumState:
         bad = probs[~np.isfinite(probs)]
         if bad.size:
             raise InvalidState(f"branch probability must be finite, got {bad[0]}")
-        if np.any(probs < -VALIDATION_ATOL):
+        if np.any(probs < -linalg.SUPPORT_CUTOFF):
             raise InvalidState(f"negative branch probability {probs.min()}")
         with np.errstate(over="ignore"):  # huge weights sum to inf
             total = probs.sum()
@@ -236,6 +237,8 @@ def measurement_probability(xi: StateVector, basis: CorrelationBasis) -> float:
 
 def reduce_over_apparatus(xi: StateVector, dim_s: int, dim_a: int) -> DensityMatrix:
     """Density matrix assigned to the system by tracing out the apparatus."""
+    if dim_s < 1 or dim_a < 1:
+        raise InvalidState("factor dimensions must be positive")
     if dim_s * dim_a != xi.dim:
         raise InvalidState(
             f"dim_s*dim_a = {dim_s * dim_a} != state dim {xi.dim}"

@@ -15,7 +15,6 @@ import numpy as np
 from . import linalg
 from .errors import InvalidState
 from .speed_limits import orthogonalization_time
-from .states import StateVector
 
 MAX_SWEEP_TRIALS = 5_000  # most trials (trials per dim x dims) one sweep runs
 MAX_SWEEP_DIM = 64  # largest Hamiltonian dimension a sweep draws
@@ -115,7 +114,7 @@ def ml_bound_sweep(dims: list[int], trials_per_dim: int, seed: int) -> MlSweepRe
             psi = _eigenpair_state(spectrum, rng) if trial % 2 else None
             if psi is None:
                 psi = random_state_vector(dim, rng)
-            result = orthogonalization_time(spectrum, StateVector(psi), t_max=_SCAN_WINDOW)
+            result = orthogonalization_time(spectrum, psi, t_max=_SCAN_WINDOW)
             slack = None
             if result.t_orth is not None and math.isfinite(result.bound):
                 slack = result.t_orth - result.bound

@@ -94,6 +94,10 @@ def _mlcheck_ok(out: Path, trials: int) -> bool:
     pytest.param("conditional --state {d}/cq.json", 60, True, _cq_ok, id="cq"),
     pytest.param("conditional --state {d}/cq.json --trotter-n 4", 60, True,
                  lambda out: _cq_ok(out, max_trotter_distance=1e-12), id="cq-trotter"),
+    # the n-th power carries each root's rounding of about 1e-16 n-fold:
+    # a distance of about 1e-8 at n = 2^20
+    pytest.param("conditional --state {d}/cq.json --trotter-n 1048576", 60, True,
+                 lambda out: _cq_ok(out, max_trotter_distance=1e-6), id="trotter-n-cap"),
     pytest.param("gaussian --grid 100000", 60, False,
                  lambda out: _count(out, b"\n") == 100_006, id="gaussian-grid"),
     pytest.param("mlcheck --dim 64 --trials 2", 60, False,

@@ -224,9 +224,9 @@ class TestConditionalCommand:
     @pytest.mark.parametrize("n", [pytest.param(10**19, id="1e19"),
                                    pytest.param(10**400, id="1e400")])
     def test_huge_trotter_n_raises_nothing(self, kind, n, tmp_path, capsys):
-        # at n = 1e19 the power of each product leaves the float range; past
-        # 1.8e308, n itself does.  Either ends in a finite report or in one
-        # error line, with no warning or traceback
+        # at n = 1e19 the power of each product would leave the float range;
+        # past 1.8e308, n itself would.  Both routes reject n above the cap
+        # with one error line, before any product, warning or traceback
         if kind == "cq":
             path = _in("cq.json")
         else:
@@ -235,12 +235,8 @@ class TestConditionalCommand:
             save_state(path, BipartiteState(joint=joint, dim_a=2, dim_b=2))
         code = cli.run(["conditional", "--state", str(path), "--trotter-n", str(n),
                         "--eps", "0.5"])
-        out, err = capsys.readouterr()
-        if code == 0:
-            assert math.isfinite(json.loads(out)["trotter"]["distance"]) and err == ""
-        else:
-            assert (code, out) == (1, "")
-            assert err.startswith("error: ") and err.count("\n") == 1
+        assert (code, *capsys.readouterr()) == (
+            1, "", f"error: Trotter n {n} is above the cap of {entropy.MAX_TROTTER_N}\n")
 
     def test_unregularized_singular_exit_two(self, bell_file, capsys):
         code, _ = run_capture(
@@ -393,34 +389,37 @@ class TestConditionalCommand:
         assert calls == []
 
     @pytest.mark.parametrize(
-        "branches, readers, code, message",
+        "branches, readers, code, message, embedded",
         [
             # each branch has trace 1 + 9e-11 and the weights sum to 1 + 9e-11,
             # both inside 1e-10; the embedded joint's trace is not
             pytest.param([(0.5 + 4.5e-11, [0.5 + 4.5e-11] * 2)] * 2,
                          [_STATE_MODES[mode] for mode in _CQ_MODES], 1,
-                         "trace 1.00000000018 != 1", id="joint-trace"),
+                         "trace 1.00000000018 != 1", None, id="joint-trace"),
+            # the cq type names the weight where the joint sees an eigenvalue
             pytest.param([(1 + 1e-11, [0.5, 0.5]), (-1e-11, [1.0, 0.0])],
-                         [_STATE_MODES["conditional"]], 1,
-                         "eigenvalue -1.000e-11 below -cutoff", id="negative-weight"),
-            # p_1 (1 + 2^-34) is above the cutoff 1e-12 * 1.0 and rho_B's
+                         [_STATE_MODES[mode] for mode in _CQ_MODES], 1,
+                         "negative branch probability -1e-11",
+                         "negative eigenvalue -1.000e-11", id="negative-weight"),
+            # p_1 (1 + 2^-43) is above the cutoff 1e-12 * 1.0 and rho_B's
             # p_1 tr Psi_1 = 1e-12 is not, so the whole block leaks
-            pytest.param([(1.0, [1.0, 0.0]), (1e-12, [1 + 2.0**-34, -(2.0**-34)])],
+            pytest.param([(1.0, [1.0, 0.0]), (1e-12, [1 + 2.0**-43, -(2.0**-43)])],
                          [_STATE_MODES["conditional"]], 2,
-                         "joint support leaks out of id (x) supp(rho_B) by 1.000e+00",
+                         "joint support leaks out of id (x) supp(rho_B) by 1.000e+00", None,
                          id="support-leak"),
             pytest.param([(0.5, [1.0, 0.0]), (0.5, [0.25, 0.75])],
                          [_STATE_MODES["conditional"] + ["--trotter-n", "4"]], 2,
                          "rank-deficient state; pass eps > 0 to regularize before the product",
-                         id="rank-deficient-trotter"),
+                         None, id="rank-deficient-trotter"),
         ],
     )
     def test_cq_rejections_of_the_embedded_joint(self, branches, readers, code, message,
-                                                  tmp_path, capsys):
+                                                  embedded, tmp_path, capsys):
         # every reader given rejects what the embedded joint rejected,
         # with the same exit code and error line; the reference embedding
-        # (cq_embed, then the bipartite pipeline) raises the same text.  The
-        # file is written directly: the joint-trace one is no valid cq state
+        # (cq_embed, then the bipartite pipeline) raises the same text, or
+        # the text embedded where it differs.  The file is written
+        # directly: the joint-trace one is no valid cq state
         path = tmp_path / "cq.json"
         path.write_text(json.dumps({"kind": "cq", "branches": [
             {"p": p, "matrix": encode_matrix(np.diag(w))} for p, w in branches]}))
@@ -432,7 +431,7 @@ class TestConditionalCommand:
             bi = cq_embed(SimpleNamespace(dim=len(branches[0][1]), branches=branch_states))
             entropy.conditional_state(bi)
             entropy.trotter_conditional_density(bi, 4)
-        assert str(raised.value) == message
+        assert str(raised.value) == (embedded or message)
 
 
 class TestMalformedStateFiles:
@@ -540,6 +539,21 @@ class TestMalformedStateFiles:
                                                         "data": [[1.0, 0.0, 0.0]]}},
                          "malformed matrix object: each entry must be a [re, im] pair",
                          id="entry-triple"),
+            pytest.param({"kind": "density", "matrix": {"rows": 2, "cols": 2,
+                                                        "data": [[1.0, 0.0]]}},
+                         "matrix data length 1 != rows*cols = 4", id="data-length"),
+            pytest.param({"kind": "state_vector", "matrix": {"rows": 2, "cols": 1, "data": [
+                             [math.nan, 0.0], [1.0, 0.0]]}},
+                         "amplitudes contain NaN or Inf", id="amplitude-nan"),
+            # the product of two negative factors is the joint's dimension
+            pytest.param({"kind": "bipartite", "dimA": -2, "dimB": -2,
+                          "matrix": encode_matrix(np.eye(4) / 4)},
+                         "factor dimensions must be positive", id="bipartite-negative-dims"),
+            pytest.param({"kind": "correlation_basis",
+                          "system": [encode_matrix([[1.0], [0.0]]),
+                                     encode_matrix([[0.0], [1.0]])],
+                          "apparatus": [encode_matrix([[1.0], [0.0]])]},
+                         "2 system vectors vs 1 apparatus vectors", id="basis-unpaired"),
         ],
     )
     def test_exit_one_naming_the_field(self, payload, field, tmp_path, capsys):
@@ -550,6 +564,31 @@ class TestMalformedStateFiles:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert field in err
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            pytest.param({"kind": "density",
+                          "matrix": encode_matrix(np.diag([1 + 5e-11, -5e-11]))},
+                         "negative eigenvalue -5.000e-11", id="density"),
+            pytest.param({"kind": "bipartite", "dimA": 2, "dimB": 2,
+                          "matrix": encode_matrix(np.diag([0.5 + 5e-11, 0.5, 0.0, -5e-11]))},
+                         "negative eigenvalue -5.000e-11", id="bipartite"),
+            pytest.param({"kind": "cq", "branches": [
+                             {"p": 1 + 1e-11, "matrix": encode_matrix(np.eye(2) / 2)},
+                             {"p": -1e-11, "matrix": encode_matrix(np.diag([1.0, 0.0]))}]},
+                         "negative branch probability -1e-11", id="cq"),
+        ],
+    )
+    def test_borderline_negativity_rejected_by_every_reader(self, payload, message,
+                                                             tmp_path, capsys):
+        # an eigenvalue or weight just below -linalg.SUPPORT_CUTOFF: one
+        # verdict, made where the file is decoded, whichever mode reads it
+        path = tmp_path / "borderline.json"
+        path.write_text(json.dumps(payload))
+        for mode, argv in _STATE_MODES.items():
+            code = cli.run([a.format(f=path) for a in argv])
+            assert (code, *capsys.readouterr()) == (1, "", f"error: {message}\n"), mode
 
 
 class TestMlcheckCommand:
@@ -818,6 +857,11 @@ class TestSimultaneityCommand:
          "sigma_k0 must be positive and finite, got 0.0"),
         (["lorentz", "--v", "2", "--sigma-k0", "0"], "|v| = 2.0 must be < c = 1.0"),
         (["mlcheck", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["conditional", "--state", _in("cq.json"), "--trotter-n", str(2**20 + 1)],
+         "Trotter n 1048577 is above the cap of 1048576"),
+        # two negative factors whose product is the state's dimension 4
+        (["entropy", "--state", _in("xi.json"), "--reduce", "-1", "-4"],
+         "factor dimensions must be positive"),
     ],
 )
 def test_numeric_flag_out_of_range_exit_one(argv, flag, capsys):

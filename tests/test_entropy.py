@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronon_lab.entropy import (
+    MAX_TROTTER_N,
     _id_kron,
     conditional_state,
     cq_conditional,
@@ -223,10 +224,11 @@ class TestBlockConditionalState:
         for n in (1, 3, 16):
             assert cs.trotter_distance(n, eps) == pytest.approx(math.sqrt(closed), abs=1e-14)
 
-    def test_rejects_nonpositive_n(self, rng):
-        cq = random_cq(rng)
-        with pytest.raises(InvalidState, match="n must be >= 1"):
-            cq_conditional_state(cq).trotter_distance(0)
+    def test_rejects_n_above_the_cap(self, rng):
+        cs = cq_conditional_state(random_cq(rng))
+        assert math.isfinite(cs.trotter_distance(MAX_TROTTER_N, 1e-6))
+        with pytest.raises(InvalidState, match=f"^Trotter n {MAX_TROTTER_N + 1} is above the cap"):
+            cs.trotter_distance(MAX_TROTTER_N + 1)
 
 
 class TestTrotterConditionalDensity:
@@ -276,9 +278,10 @@ class TestTrotterConditionalDensity:
         approx = trotter_conditional_density(bi, 4096, eps=1e-6)
         assert frobenius(approx - 2.0 * bi.joint.mat) <= 1e-3
 
-    def test_rejects_nonpositive_n(self):
-        with pytest.raises(InvalidState, match="n must be >= 1"):
-            trotter_conditional_density(bell_state(), 0)
+    def test_rejects_n_above_the_cap(self):
+        # the cap is checked before the full-rank check
+        with pytest.raises(InvalidState, match=f"^Trotter n {MAX_TROTTER_N + 1} is above the cap"):
+            trotter_conditional_density(bell_state(), MAX_TROTTER_N + 1)
 
 
 class TestGeneralizedConditional:

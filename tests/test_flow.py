@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from chronon_lab.flow import (
     simulate_flow,
     simultaneity_offset,
 )
+from chronon_lab.serialization import load_flow_config
 from chronon_lab.speed_limits import time_quantum
 from chronon_lab.states import ClassicalQuantumState, DensityMatrix
 
@@ -158,9 +160,13 @@ class TestSimulateFlow:
         assert tick_rows(flow) == reference_ticks(systems, temp, horizon)
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
-    def test_horizon_must_be_positive_and_finite(self, horizon):
+    def test_horizon_must_be_positive_and_finite(self, horizon, tmp_path):
+        # checked where the config is decoded; simulate_flow trusts it
+        path = tmp_path / "flow.json"
+        path.write_text(json.dumps({"systems": [{"id": "s", "entropyNats": LN2}],
+                                    "horizon": horizon}))
         with pytest.raises(InvalidState, match="horizon must be positive and finite"):
-            simulate_flow([SystemSpec("s", LN2)], 1.0, horizon=horizon)
+            load_flow_config(str(path))
 
 
 class TestSystemSpec:

@@ -82,10 +82,6 @@ class TestPartitionEntropy:
             s = partition_entropy_G(float(x))
             assert 0.0 <= s <= LN2 + 1e-12
 
-    def test_negative_rejected(self):
-        with pytest.raises(InvalidState, match="x must be >= 0"):
-            partition_entropy_G(-0.1)
-
     def test_unimodal_on_bracket(self):
         # finite-difference slope changes sign exactly once over a dense grid
         # (differences inside round-off of zero are not sign-relevant)
@@ -109,10 +105,6 @@ class TestScaledFunction:
 
     def test_tail_vanishes(self):
         assert scaled_function_H(6.0) <= 1e-10
-
-    def test_negative_rejected(self):
-        with pytest.raises(InvalidState, match="x must be >= 0"):
-            scaled_function_H(-1.0)
 
 
 class TestMaxima:

@@ -37,6 +37,9 @@ CASES = {
     "entropy_conditional_cq": ["entropy", "--state", _in("cq.json"), "--conditional"],
     "entropy_reduce": ["entropy", "--state", _in("xi.json"), "--reduce", "2", "2"],
     "entropy_vector": ["entropy", "--state", _in("xi.json")],
+    # a pure state's entropy prints as 0, not -0
+    "entropy_pure": ["entropy", "--state", _in("pure.json")],
+    "entropy_pure_reduce": ["entropy", "--state", _in("pure.json"), "--reduce", "2", "2"],
     "entropy_measure": [
         "entropy", "--state", _in("xi.json"), "--measure", _in("basis.json"),
     ],
