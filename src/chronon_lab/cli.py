@@ -84,8 +84,8 @@ def _lazy(name: str):
 entropy = _lazy("entropy")
 flow = _lazy("flow")
 gaussian = _lazy("gaussian")
-# cli calls nothing in linalg; bound here, it is what serialization's
-# ``from . import linalg`` takes, so flow --ratio stays numpy-free
+# bound here, linalg is what serialization's ``from . import linalg``
+# takes, so flow --ratio stays numpy-free
 linalg = _lazy("linalg")
 relativity = _lazy("relativity")
 serialization = _lazy("serialization")
@@ -287,8 +287,8 @@ def _cmd_entropy(args):
     elif args.reduce is not None:
         if not isinstance(state, states.StateVector):
             raise InvalidState("--reduce needs a state_vector input")
-        dim_s, dim_a = args.reduce
-        value = entropy.von_neumann(states.reduce_over_apparatus(state, dim_s, dim_a))
+        reduced = states.reduce_over_apparatus(state, *args.reduce)
+        value = entropy.von_neumann(linalg.spectrum(reduced))
     elif args.conditional:
         if isinstance(state, states.ClassicalQuantumState):
             value = entropy.cq_conditional(state)
@@ -298,19 +298,24 @@ def _cmd_entropy(args):
             raise InvalidState("--conditional needs a cq or bipartite input")
     else:
         if isinstance(state, states.StateVector):
-            state = states.DensityMatrix.from_state_vector(state)
+            w = linalg.spectrum(state.projector())
         elif isinstance(state, states.ClassicalQuantumState):
-            state = state.mixture()
+            w = linalg.spectrum(state.mixture())
         elif isinstance(state, states.BipartiteState):
-            state = state.joint
-        elif not isinstance(state, states.DensityMatrix):
+            w = state.joint.eigenvalues
+        elif isinstance(state, states.DensityMatrix):
+            w = state.eigenvalues
+        else:
             raise InvalidState("entropy needs a state_vector, density, cq or bipartite input")
-        value = entropy.von_neumann(state)
+        value = entropy.von_neumann(w)
     return {"value": value}, [(value,)]
 
 
 def _cmd_conditional(args):
     _require(args, ">= 1", _at_least_one, "trotter_n")
+    if args.trotter_n is not None and args.trotter_n > entropy.MAX_TROTTER_N:
+        raise InvalidState(
+            f"Trotter n {args.trotter_n} is above the cap of {entropy.MAX_TROTTER_N}")
     _require(args, "finite", math.isfinite, "eps")
     _require(args, "in [0, 1)", lambda eps: 0.0 <= eps < 1.0, "eps")
     if args.eps and args.trotter_n is None:

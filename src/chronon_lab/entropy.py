@@ -4,7 +4,9 @@ conditional entropy through the Cerf-Adami conditional density matrix.
 All entropies are plain floats, dimensionless and in nats; the Boltzmann
 factor enters only when entropies are converted to energies or time quanta
 elsewhere.  Generalized conditional entropy may be negative for entangled
-joints.
+joints.  :func:`von_neumann` takes a spectrum.  Nothing here checks a state
+again: the types of :mod:`chronon_lab.states` judged each input, and the
+matrices derived from one here, rho_B above all, are trusted plain arrays.
 
 The conditional density matrix is defined by the operator limit
 
@@ -21,8 +23,9 @@ pass decomposes the joint and rho_B once each, diagonalizes the compressed
 exponent once, and returns the entropy and the density together as a
 :class:`ConditionalState`, which decomposes the density only when its
 spectrum is asked for; every consumer reads that record instead of
-rebuilding the pipeline.  The entropies of the joint and of rho_B come from
-the spectra their DensityMatrix validation already computed.
+rebuilding the pipeline.  The joint's entropy comes from the spectrum its
+DensityMatrix validation already computed, rho_B's from
+``linalg.spectrum``, the same call.
 
 A classical-quantum state is conditioned on its register, as the joint
 sum_i p_i Psi_i (x) |i><i|, but that (d*n)-dim embedding is never built.
@@ -48,8 +51,8 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import InvalidState, NumericalError
-from .states import BipartiteState, ClassicalQuantumState, DensityMatrix
+from .errors import NumericalError
+from .states import BipartiteState, ClassicalQuantumState
 
 DUAL_PATH_TOL = 1e-8
 SUPPORT_CONTAINMENT_TOL = 1e-7
@@ -61,15 +64,11 @@ def _id_kron(dim_a: int, x: np.ndarray) -> np.ndarray:
     return (np.eye(dim_a)[:, None, :, None] * x[:, None, :]).reshape((dim_a * len(x),) * 2)
 
 
-def _entropy(weights: np.ndarray) -> float:
-    """-sum w ln w over the positive weights, in their order; +0.0 or more."""
-    s = -sum(x * math.log(x) for x in weights.tolist() if x > 0.0)
+def von_neumann(w: np.ndarray) -> float:
+    """-sum w ln w over the positive eigenvalues of the spectrum w, in
+    their order; +0.0 or more, and at most ln len(w) for a density's."""
+    s = -sum(x * math.log(x) for x in w.tolist() if x > 0.0)
     return max(0.0, s)
-
-
-def von_neumann(rho: DensityMatrix) -> float:
-    """-sum_i w_i ln w_i over the spectrum's support; in [0, ln dim]."""
-    return _entropy(rho.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -156,10 +155,8 @@ def _require_paths_agree(primary: float, dual: float) -> None:
 
 def _trotter_roots(lam: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """lam ** (1/n) and b ** (-1/n) by Python's ``**`` on each value, for the
-    spectra lam of a full-rank joint and b of its rho_B.  n >= 1 is trusted;
-    n above MAX_TROTTER_N raises InvalidState."""
-    if n > MAX_TROTTER_N:
-        raise InvalidState(f"Trotter n {n} is above the cap of {MAX_TROTTER_N}")
+    spectra lam of a full-rank joint and b of its rho_B.  1 <= n <= MAX_TROTTER_N
+    is trusted: the CLI checks both bounds before it reads a file."""
     thr = linalg.SUPPORT_CUTOFF
     if lam.min() <= thr * lam.max() or b.min() <= thr * b.max():
         raise NumericalError(
@@ -173,7 +170,7 @@ def _trotter_roots(lam: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, 
 
 def cq_conditional(cq: ClassicalQuantumState) -> float:
     """Branch-averaged entropy sum_i p_i S(Psi_i); never negative."""
-    return sum(p * von_neumann(state) for p, state in cq.branches)
+    return sum(p * von_neumann(state.eigenvalues) for p, state in cq.branches)
 
 
 def cq_conditional_state(cq: ClassicalQuantumState) -> BlockConditionalState:
@@ -195,7 +192,7 @@ def cq_conditional_state(cq: ClassicalQuantumState) -> BlockConditionalState:
     _require_contained(math.sqrt(keep[~keep_b].sum()))
     values = np.where(keep, w / tau[:, None], 0.0)
 
-    primary = _entropy(np.sort(lam, axis=None)) - _entropy(np.sort(t))
+    primary = von_neumann(np.sort(lam, axis=None)) - von_neumann(np.sort(t))
     _require_paths_agree(primary, -float(np.sum(lam[keep] * np.log(values[keep]))))
     return BlockConditionalState(entropy=primary, values=values, cq=cq)
 
@@ -240,11 +237,11 @@ def conditional_state(bi: BipartiteState) -> ConditionalState:
     NumericalError too.
     """
     rho = bi.joint.mat
-    marginal = DensityMatrix(linalg.partial_trace(rho, bi.dim_a, bi.dim_b, keep="B"))
+    rho_b = linalg.partial_trace(rho, bi.dim_a, bi.dim_b, keep="B")
     w, v = linalg.eigh(rho)
     keep = linalg.support(w)
     w, basis = w[keep], v[:, keep]
-    log_b, proj_b = linalg.support_log(marginal.mat, scale=float(w[-1]))
+    log_b, proj_b = linalg.support_log(rho_b, scale=float(w[-1]))
     proj_joint = basis @ linalg.dag(basis)
     embed_proj = _id_kron(bi.dim_a, proj_b)
     _require_contained(linalg.frobenius(proj_joint - embed_proj @ proj_joint @ embed_proj))
@@ -256,7 +253,7 @@ def conditional_state(bi: BipartiteState) -> ConditionalState:
     vecs = basis @ u
     density = (vecs * np.exp(mu)) @ linalg.dag(vecs)
 
-    primary = von_neumann(bi.joint) - von_neumann(marginal)
+    primary = von_neumann(bi.joint.eigenvalues) - von_neumann(linalg.spectrum(rho_b))
     _require_paths_agree(primary, -float(np.trace(rho @ ((vecs * mu) @ linalg.dag(vecs))).real))
     return ConditionalState(entropy=primary, density=density, joint=bi)
 

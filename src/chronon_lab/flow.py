@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import entropy
+from . import entropy, linalg
 from .errors import InvalidState
 from .speed_limits import require_entropy, require_positive, time_quantum
 
@@ -127,7 +127,7 @@ def dilation_from_conditioning(cq: ClassicalQuantumState, T: float) -> tuple[flo
     has stopped.
     """
     dt_conditional = time_quantum(entropy.cq_conditional(cq), T)
-    dt_marginal = time_quantum(entropy.von_neumann(cq.mixture()), T)
+    dt_marginal = time_quantum(entropy.von_neumann(linalg.spectrum(cq.mixture())), T)
     return dt_conditional, dt_marginal
 
 

@@ -4,13 +4,13 @@ All operations are pure functions of ndarray inputs and are safe to call
 concurrently.  Matrices are complex128 throughout; Hermitian eigenproblems
 go through LAPACK's ``eigh``, ascending-sorted by contract.
 
-Inputs are checked once, at the boundary: a density where it becomes a
-``states.DensityMatrix``, a file's sizes where it is decoded.  No operation
-here re-checks the arrays it is given; :func:`partial_trace` and
-:func:`support_log` trust their input to be such a finite Hermitian
-matrix.  :func:`eigh` and :func:`eigvalsh` are the program's only entry
-points to the Hermitian eigensolvers, and both turn a solver that fails to
-converge into NumericalError.
+Inputs are checked once, at the boundary: by the five state types of
+:mod:`chronon_lab.states`, and a file's sizes where it is decoded.  The
+matrices derived from a state are plain arrays, trusted like every array
+given here; :func:`spectrum`, the call ``DensityMatrix`` makes for its
+own, reads their eigenvalues.  :func:`eigh` and :func:`eigvalsh` are the
+program's only entry points to the Hermitian eigensolvers, and both turn
+a solver that fails to converge into NumericalError.
 """
 
 from __future__ import annotations
@@ -68,6 +68,11 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
+
+
+def spectrum(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of m's Hermitian part, halved first so no entry overflows."""
+    return eigvalsh(m / 2 + dag(m) / 2)
 
 
 def support(w: np.ndarray, scale: float | None = None) -> np.ndarray:

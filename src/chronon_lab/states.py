@@ -1,15 +1,19 @@
 """Validated quantum-state types and the measurement-completion observable.
 
-The value types here are immutable carriers validated on construction:
-state vectors, density matrices, classical-quantum mixtures and bipartite
-joints.  A classical-quantum state is validated branch by branch, and by
-its embedded joint's trace, but never embedded as one bipartite joint:
-:mod:`chronon_lab.entropy` conditions on its register one branch block at
-a time.  The measurement-completion projector M onto span{psi_I (x) A_I}
-is defined by a pair of correlated orthonormal bases (system factor first,
-apparatus second), so that ``<Xi|M|Xi>`` is the probability that the
-pointer indicates the correct value.  M is never built: with V the d x k
-matrix whose columns are the product vectors, M = V V^dag and
+The five value types here (state vectors, density matrices,
+classical-quantum mixtures, bipartite joints and correlation bases) are
+immutable carriers validated on construction.  They are the only checks of
+an input, and only :mod:`chronon_lab.serialization` builds them.  A matrix
+derived from one (a projector, a reduced state, a mixture, a marginal) is
+a plain array, trusted and never validated again.  A classical-quantum
+state is validated branch by branch, and by its embedded joint's trace,
+but never embedded as one bipartite joint: :mod:`chronon_lab.entropy`
+conditions on its register one branch block at a time.  The
+measurement-completion projector M onto span{psi_I (x) A_I} is defined by
+a pair of correlated orthonormal bases (system factor first, apparatus
+second), so that ``<Xi|M|Xi>`` is the probability that the pointer
+indicates the correct value.  M is never built: with V the d x k matrix
+whose columns are the product vectors, M = V V^dag and
 ``<Xi|M|Xi> = ||V^dag Xi||^2``.
 """
 
@@ -81,8 +85,7 @@ class DensityMatrix:
             raise InvalidState(f"density matrix not Hermitian (dev {dev:.3e})")
         if not abs(tr - 1.0) <= VALIDATION_ATOL:
             raise InvalidState(f"trace {tr} != 1")
-        # halved first, so no finite entry overflows
-        w = linalg.eigvalsh(m / 2 + linalg.dag(m) / 2)
+        w = linalg.spectrum(m)
         if w[0] < -linalg.SUPPORT_CUTOFF:
             raise InvalidState(f"negative eigenvalue {w[0]:.3e}")
         object.__setattr__(self, "mat", m)
@@ -91,10 +94,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return int(self.mat.shape[0])
-
-    @classmethod
-    def from_state_vector(cls, psi: StateVector) -> "DensityMatrix":
-        return cls(psi.projector())
 
 
 @dataclass(frozen=True)
@@ -135,16 +134,9 @@ class ClassicalQuantumState:
             self, "branches", tuple((float(p), s) for p, s in br)
         )
 
-    @property
-    def dim(self) -> int:
-        return self.branches[0][1].dim
-
-    def mixture(self) -> DensityMatrix:
+    def mixture(self) -> np.ndarray:
         """The register-averaged state sum_i p_i Psi_i."""
-        acc = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for p, state in self.branches:
-            acc += p * state.mat
-        return DensityMatrix(acc)
+        return sum(p * state.mat for p, state in self.branches)
 
 
 @dataclass(frozen=True)
@@ -168,17 +160,35 @@ class BipartiteState:
             )
 
 
+def _require_orthogonal(name: str, vecs: tuple) -> None:
+    """InvalidState for one side's vectors of mixed dimensions, else for
+    its first pair j < i, by i then j, with |<v_j, v_i>| > VALIDATION_ATOL;
+    that pair lies among the first dim + 1 vectors, the only ones compared."""
+    if len({u.dim for u in vecs}) != 1:
+        raise InvalidState(f"{name} basis vectors have mixed dimensions")
+    a = np.stack([u.amplitudes for u in vecs[: vecs[0].dim + 1]], axis=1)
+    overlaps = np.abs(linalg.dag(a) @ a)
+    later, earlier = np.nonzero(np.triu(overlaps > VALIDATION_ATOL, 1).T)
+    if later.size:
+        i, j = later[0], earlier[0]
+        raise InvalidState(f"{name} basis vectors {j},{i} not orthogonal "
+                           f"(|<u,v>|={overlaps[j, i]:.3e})")
+
+
 @dataclass(frozen=True)
 class CorrelationBasis:
     """Paired orthonormal bases of system and apparatus over one index set.
 
     The system (x) apparatus space that the measurement operator acts on
     has dimension ``dim``; above ``linalg.MAX_DIM`` it raises InvalidState
-    before the pairwise orthogonality checks.
+    before either side is checked.  v is the d x k matrix V of product
+    vectors; columns too far from orthonormal for V V^dag to be a projector
+    raise InvalidState.
     """
 
     system_basis: tuple
     apparatus_basis: tuple
+    v: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         sys_b = tuple(self.system_basis)
@@ -190,59 +200,37 @@ class CorrelationBasis:
         if not sys_b:
             raise InvalidState("empty correlation basis")
         linalg.require_within_cap(sys_b[0].dim * app_b[0].dim, "tensor product dimension")
-        for name, vecs in (("system", sys_b), ("apparatus", app_b)):
-            dim = vecs[0].dim
-            for i, u in enumerate(vecs):
-                if u.dim != dim:
-                    raise InvalidState(f"{name} basis vectors have mixed dimensions")
-                for j, v in enumerate(vecs[:i]):
-                    ip = abs(np.vdot(v.amplitudes, u.amplitudes))
-                    if ip > VALIDATION_ATOL:
-                        raise InvalidState(
-                            f"{name} basis vectors {j},{i} not orthogonal (|<u,v>|={ip:.3e})"
-                        )
+        _require_orthogonal("system", sys_b)
+        _require_orthogonal("apparatus", app_b)
+        v = np.stack([np.kron(s.amplitudes, a.amplitudes) for s, a in zip(sys_b, app_b)], axis=1)
+        gram_dev = linalg.frobenius(linalg.dag(v) @ v - np.eye(v.shape[1]))
+        if gram_dev > VALIDATION_ATOL * max(1.0, linalg.frobenius(v)):
+            raise InvalidState("operator is not a projector")
         object.__setattr__(self, "system_basis", sys_b)
         object.__setattr__(self, "apparatus_basis", app_b)
+        object.__setattr__(self, "v", v)
 
     @property
     def dim(self) -> int:
-        return self.system_basis[0].dim * self.apparatus_basis[0].dim
+        return int(self.v.shape[0])
 
 
 def measurement_probability(xi: StateVector, basis: CorrelationBasis) -> float:
     """P = <Xi|M|Xi> = ||V^dag Xi||^2 for the projector M = V V^dag onto
-    span{psi_I (x) A_I}; lies in [0, 1].
-
-    V is d x k, so neither M nor any other d x d matrix is formed.  Columns
-    too far from orthonormal for M to be a projector raise InvalidState.
-    """
+    span{psi_I (x) A_I}, capped at 1, which a state and a basis within
+    their tolerances can pass by a few 1e-10.  No d x d matrix is formed."""
     if basis.dim != xi.dim:
         raise InvalidState(f"operator dim {basis.dim} != state dim {xi.dim}")
-    v = np.stack(
-        [
-            np.kron(psi.amplitudes, app.amplitudes)
-            for psi, app in zip(basis.system_basis, basis.apparatus_basis)
-        ],
-        axis=1,
-    )
-    gram_dev = linalg.frobenius(linalg.dag(v) @ v - np.eye(v.shape[1]))
-    if gram_dev > VALIDATION_ATOL * max(1.0, linalg.frobenius(v)):
-        raise InvalidState("operator is not a projector")
-    c = linalg.dag(v) @ xi.amplitudes
-    p = float(np.real(np.vdot(c, c)))
-    if p < -VALIDATION_ATOL or p > 1.0 + VALIDATION_ATOL:
-        raise InvalidState(f"probability {p} outside [0,1]")
-    return min(max(p, 0.0), 1.0)
+    c = linalg.dag(basis.v) @ xi.amplitudes
+    return min(float(np.real(np.vdot(c, c))), 1.0)
 
 
-def reduce_over_apparatus(xi: StateVector, dim_s: int, dim_a: int) -> DensityMatrix:
-    """Density matrix assigned to the system by tracing out the apparatus."""
+def reduce_over_apparatus(xi: StateVector, dim_s: int, dim_a: int) -> np.ndarray:
+    """The system's reduced state tr_A |Xi><Xi|, a trusted plain array."""
     if dim_s < 1 or dim_a < 1:
         raise InvalidState("factor dimensions must be positive")
     if dim_s * dim_a != xi.dim:
         raise InvalidState(
             f"dim_s*dim_a = {dim_s * dim_a} != state dim {xi.dim}"
         )
-    joint = np.outer(xi.amplitudes, xi.amplitudes.conj())
-    return DensityMatrix(linalg.partial_trace(joint, dim_s, dim_a, keep="A"))
-
+    return linalg.partial_trace(xi.projector(), dim_s, dim_a, keep="A")

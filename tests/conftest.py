@@ -154,11 +154,11 @@ def cq_embed(cq):
     returns the mixture sum_i p_i Psi_i.  A joint dimension above
     ``linalg.MAX_DIM`` raises InvalidState before the joint is allocated.
     """
-    n = len(cq.branches)
-    linalg.require_within_cap(cq.dim * n, "tensor product dimension")
-    joint = np.zeros((cq.dim * n, cq.dim * n), dtype=np.complex128)
+    n, d = len(cq.branches), cq.branches[0][1].dim
+    linalg.require_within_cap(d * n, "tensor product dimension")
+    joint = np.zeros((d * n, d * n), dtype=np.complex128)
     for i, (p, state) in enumerate(cq.branches):
         # entry ((s, i), (t, i)) sits at (s*n + i, t*n + i); adding onto the
         # zeros turns a -0.0 into +0.0, bit for bit sum_i p_i Psi_i (x) |i><i|
         joint[i::n, i::n] += p * state.mat
-    return BipartiteState(joint=DensityMatrix(joint), dim_a=cq.dim, dim_b=n)
+    return BipartiteState(joint=DensityMatrix(joint), dim_a=d, dim_b=n)

@@ -238,6 +238,22 @@ class TestConditionalCommand:
         assert (code, *capsys.readouterr()) == (
             1, "", f"error: Trotter n {n} is above the cap of {entropy.MAX_TROTTER_N}\n")
 
+    def test_trotter_cap_checked_before_the_file(self, tmp_path, monkeypatch, capsys):
+        # n is judged with the other flags: above the cap, the cap line
+        # comes before the missing file and no eigensolver runs; at the
+        # cap, both routes report a finite distance
+        cap = entropy.MAX_TROTTER_N
+        calls = _eig_calls(monkeypatch)
+        code = cli.run(["conditional", "--state", str(tmp_path / "missing.json"),
+                        "--trotter-n", str(cap + 1)])
+        assert (code, *capsys.readouterr()) == (
+            1, "", f"error: Trotter n {cap + 1} is above the cap of {cap}\n")
+        assert calls == []
+        for name in ("cq.json", "bell.json"):
+            argv = ["conditional", "--state", _in(name), "--trotter-n", str(cap), "--eps", "1e-6"]
+            code, out = run_capture(argv, capsys)
+            assert code == 0 and math.isfinite(json.loads(out)["trotter"]["distance"]), name
+
     def test_unregularized_singular_exit_two(self, bell_file, capsys):
         code, _ = run_capture(
             ["conditional", "--state", bell_file, "--trotter-n", "8"], capsys
@@ -248,9 +264,9 @@ class TestConditionalCommand:
         # skew S(joint) alone, so S(joint) - S(B) no longer matches -tr(rho log rho_{A|B})
         exact = entropy.von_neumann
 
-        def skewed(rho):
-            s = exact(rho)
-            return s + 1e-6 if rho.dim == 4 else s
+        def skewed(w):
+            s = exact(w)
+            return s + 1e-6 if len(w) == 4 else s
 
         monkeypatch.setattr(entropy, "von_neumann", skewed)
         with pytest.raises(NumericalError, match="conditional-entropy paths disagree"):
@@ -428,7 +444,7 @@ class TestConditionalCommand:
             assert (exit_code, *capsys.readouterr()) == (code, "", f"error: {message}\n"), argv
         branch_states = [(p, DensityMatrix(np.diag(w).astype(complex))) for p, w in branches]
         with pytest.raises((InvalidState, NumericalError)) as raised:
-            bi = cq_embed(SimpleNamespace(dim=len(branches[0][1]), branches=branch_states))
+            bi = cq_embed(SimpleNamespace(branches=branch_states))
             entropy.conditional_state(bi)
             entropy.trotter_conditional_density(bi, 4)
         assert str(raised.value) == (embedded or message)
@@ -589,6 +605,39 @@ class TestMalformedStateFiles:
         for mode, argv in _STATE_MODES.items():
             code = cli.run([a.format(f=path) for a in argv])
             assert (code, *capsys.readouterr()) == (1, "", f"error: {message}\n"), mode
+
+
+    @staticmethod
+    def _within_tolerance(kind) -> dict:
+        if kind == "vector":
+            # norm 1 + 0.9e-10: its projector, reduced state and P all read
+            # 1 + 1.8e-10, twice the deviation the input itself may have
+            xi = (1 + 0.9e-10) * np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)
+            return {"kind": "state_vector", "matrix": encode_matrix(xi.reshape(-1, 1))}
+        # Hermitian deviation 0.9e-10 from an anti-Hermitian id (x) e term,
+        # which tracing out the 4-dim first factor doubles in rho_B
+        e = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        joint = np.eye(8) / 8 + 0.9e-10 / (4 * math.sqrt(2)) * np.kron(np.eye(4), e)
+        return {"kind": "bipartite", "dimA": 4, "dimB": 2, "matrix": encode_matrix(joint)}
+
+    @pytest.mark.parametrize(
+        "kind, expected",
+        [
+            ("vector", {"entropy": 0.0, "entropy-reduce": LN2, "entropy-measure-state": 1.0}),
+            ("joint", {"entropy": 3 * LN2, "entropy-conditional": 2 * LN2,
+                       "conditional": 2 * LN2}),
+        ],
+    )
+    def test_derived_matrices_are_not_judged_again(self, kind, expected, tmp_path, capsys):
+        # each input passes its type's check, and the matrices derived from
+        # it (a projector, a reduced state, P, rho_B) are trusted: none is
+        # rejected for a deviation that the input's own tolerance allows
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(self._within_tolerance(kind)))
+        for mode, value in expected.items():
+            code, out = run_capture([a.format(f=path) for a in _STATE_MODES[mode]], capsys)
+            got = json.loads(out)["conditionalEntropy"] if mode == "conditional" else float(out)
+            assert code == 0 and got == pytest.approx(value, abs=1e-8), mode
 
 
 class TestMlcheckCommand:
@@ -1652,6 +1701,25 @@ def test_eigensolvers_called_only_through_linalg():
             elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
                 stray.append(f"{path.name}:{node.lineno}: from numpy.linalg import")
     assert not stray, f"eigensolver calls outside linalg: {stray}"
+
+
+def test_state_types_built_only_where_files_are_decoded():
+    """The five state types are the only checks of an input, and only
+    serialization builds them: a matrix the program derives from a state
+    is a plain array, so no input is judged twice."""
+    types = {"StateVector", "DensityMatrix", "ClassicalQuantumState", "BipartiteState",
+             "CorrelationBasis"}
+    stray = []
+    for path in sorted(Path(chronon_lab.__file__).parent.glob("*.py")):
+        if path.name == "serialization.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in types:
+                    stray.append(f"{path.name}:{node.lineno}: {ast.unparse(func)}(...)")
+    assert not stray, f"state types built outside serialization: {stray}"
 
 
 def test_every_operation_reachable_from_a_subcommand(tmp_path):

@@ -234,8 +234,9 @@ class TestDilation:
             dilation_from_conditioning(cq, 1.0)
         # the marginal flow alone would still tick at 1/(4 ln 2)
         from chronon_lab.entropy import von_neumann
+        from chronon_lab.linalg import spectrum
 
-        dt_marg = time_quantum(von_neumann(cq.mixture()), 1.0)
+        dt_marg = time_quantum(von_neumann(spectrum(cq.mixture())), 1.0)
         assert dt_marg == pytest.approx(1.0 / (4 * LN2), rel=1e-12)
 
     def test_half_mixed_branch_oracle(self):
@@ -261,6 +262,7 @@ class TestDilation:
         # cq_conditional <= S(mixture), so dt_conditional >= dt_marginal;
         # pure[i] makes branch i pure
         from chronon_lab.entropy import cq_conditional, von_neumann
+        from chronon_lab.linalg import spectrum
         from conftest import random_density
 
         rng = np.random.default_rng(seed)
@@ -270,7 +272,7 @@ class TestDilation:
             for w, p in zip(weights / weights.sum(), pure)
         ))
         s_cond = cq_conditional(cq)
-        assert s_cond <= von_neumann(cq.mixture()) + 1e-12
+        assert s_cond <= von_neumann(spectrum(cq.mixture())) + 1e-12
         if not all(pure):  # all-pure branches stop the conditional flow
             dt_cond, dt_marg = dilation_from_conditioning(cq, 1.0)
             assert dt_cond >= dt_marg * (1 - 1e-12)

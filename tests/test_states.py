@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,56 @@ class TestStateTypes:
         w = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2))
         with pytest.raises(InvalidState):
             CorrelationBasis((v, w), computational_basis(2))
+
+    @pytest.mark.parametrize(
+        "dim, picks, message",
+        [
+            # the uniform vector overlaps e0 first, then e1
+            (2, [0, 1, "+"], "0,2 not orthogonal (|<u,v>|=7.071e-01)"),
+            (3, [0, 1, 2, "+"], "0,3 not orthogonal (|<u,v>|=5.774e-01)"),
+            # more vectors than dimensions: the first pair lies among the
+            # first dim + 1, whatever follows
+            (2, [0, 1, 1, 0, 0], "1,2 not orthogonal (|<u,v>|=1.000e+00)"),
+            (1, [0] * 6, "0,1 not orthogonal (|<u,v>|=1.000e+00)"),
+        ],
+    )
+    def test_first_overlapping_pair_reported(self, dim, picks, message):
+        # pairs j < i are ordered by i, then j
+        plus = np.ones(dim, dtype=complex) / math.sqrt(dim)
+        system = tuple(StateVector(plus) if k == "+" else basis_vec(dim, k) for k in picks)
+        with pytest.raises(InvalidState, match=f"^system basis vectors {re.escape(message)}$"):
+            CorrelationBasis(system, computational_basis(len(picks)))
+
+    def test_overlaps_match_the_pairwise_loop(self, rng):
+        # reference: the vdot loop over pairs j < i that the one Gram matrix
+        # per side replaced; overlaps are near 1e-11, 1e-9, 0.3 or 1, never
+        # near the 1e-10 threshold, so both must name the same pair
+        for _ in range(200):
+            dim = int(rng.integers(1, 5))
+            u = random_unitary(dim, rng)
+            vectors = []
+            for _ in range(int(rng.integers(1, dim + 3))):
+                a, b = rng.integers(0, dim, 2)
+                v = u[:, a] + rng.choice([0.0, 1e-11, 1e-9, 0.3]) * u[:, b]
+                vectors.append(StateVector(v / np.linalg.norm(v)))
+            first = next(((j, i, abs(np.vdot(vectors[j].amplitudes, vectors[i].amplitudes)))
+                          for i in range(len(vectors)) for j in range(i)
+                          if abs(np.vdot(vectors[j].amplitudes, vectors[i].amplitudes)) > 1e-10),
+                         None)
+            apparatus = computational_basis(len(vectors))
+            if first is None:
+                CorrelationBasis(tuple(vectors), apparatus)
+                continue
+            j, i, ip = first
+            message = f"system basis vectors {j},{i} not orthogonal (|<u,v>|={ip:.3e})"
+            with pytest.raises(InvalidState, match=f"^{re.escape(message)}$"):
+                CorrelationBasis(tuple(vectors), apparatus)
+
+    def test_mixed_dimensions_reported_before_overlaps(self):
+        v = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2))
+        system = (basis_vec(2, 0), v, basis_vec(3, 0))
+        with pytest.raises(InvalidState, match="^system basis vectors have mixed dimensions$"):
+            CorrelationBasis(system, computational_basis(3))
 
     def test_basis_operator_dimension_cap(self, monkeypatch):
         # the operator acts on system (x) apparatus: 2 x 3 = 6 dimensions
@@ -194,12 +245,11 @@ class TestMeasurementProbability:
         xi = basis_vec(4, 0)
         for delta, ok in ((2e-11, True), (5e-11, False)):
             scaled = tuple(StateVector((1.0 + delta) * v.amplitudes) for v in computational_basis(2))
-            basis = CorrelationBasis(scaled, scaled)
             if ok:
-                assert measurement_probability(xi, basis) == 1.0
+                assert measurement_probability(xi, CorrelationBasis(scaled, scaled)) == 1.0
             else:
                 with pytest.raises(InvalidState, match="^operator is not a projector$"):
-                    measurement_probability(xi, basis)
+                    CorrelationBasis(scaled, scaled)
 
 
 class TestReduceOverApparatus:
@@ -207,21 +257,21 @@ class TestReduceOverApparatus:
         psi = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
         app = np.array([1.0, 0.0], dtype=complex)
         rho = reduce_over_apparatus(StateVector(np.kron(psi, app)), 2, 2)
-        assert frobenius(rho.mat - np.outer(psi, psi.conj())) < 1e-12
+        assert frobenius(rho - np.outer(psi, psi.conj())) < 1e-12
 
     @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.25, 0.75)])
     def test_correlated_state_weights(self, weights):
         c = np.sqrt(weights)
         xi = c[0] * np.kron([1, 0], [1, 0]) + c[1] * np.kron([0, 1], [0, 1])
         rho = reduce_over_apparatus(StateVector(xi.astype(complex)), 2, 2)
-        assert np.allclose(rho.mat, np.diag(weights), atol=1e-12)
+        assert np.allclose(rho, np.diag(weights), atol=1e-12)
 
     def test_against_partial_trace_oracle(self, rng):
         v = rng.normal(size=6) + 1j * rng.normal(size=6)
         v /= np.linalg.norm(v)
         rho = reduce_over_apparatus(StateVector(v), 2, 3)
         oracle = partial_trace_oracle(np.outer(v, v.conj()), 2, 3, keep="A")
-        assert frobenius(rho.mat - oracle) < 1e-12
+        assert frobenius(rho - oracle) < 1e-12
 
     def test_dim_mismatch(self):
         with pytest.raises(InvalidState, match=r"dim_s\*dim_a = 6 != state dim 4"):
@@ -256,7 +306,7 @@ class TestCqEmbed:
             cq = ClassicalQuantumState(branches)
             bi = cq_embed(cq)
             marg = partial_trace(bi.joint.mat, bi.dim_a, bi.dim_b, keep="A")
-            assert frobenius(marg - cq.mixture().mat) <= 1e-12
+            assert frobenius(marg - cq.mixture()) <= 1e-12
 
     def test_joint_dimension_cap(self, rng, monkeypatch):
         monkeypatch.setattr(linalg, "MAX_DIM", 3)
