@@ -606,7 +606,6 @@ class TestMalformedStateFiles:
             code = cli.run([a.format(f=path) for a in argv])
             assert (code, *capsys.readouterr()) == (1, "", f"error: {message}\n"), mode
 
-
     @staticmethod
     def _within_tolerance(kind) -> dict:
         if kind == "vector":
