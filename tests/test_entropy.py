@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chronon_lab import cli
 from chronon_lab.entropy import (
+    MAX_TROTTER_N,
     _id_kron,
     conditional_state,
     cq_conditional,
@@ -31,6 +33,7 @@ from conftest import (
     random_density_mat,
     random_separable,
     random_unitary,
+    save_state,
 )
 
 LN2 = math.log(2.0)
@@ -223,6 +226,16 @@ class TestBlockConditionalState:
         for n in (1, 3, 16):
             assert cs.trotter_distance(n, eps) == pytest.approx(math.sqrt(closed), abs=1e-14)
 
+    def test_rejects_n_above_the_cap(self, rng, tmp_path, capsys):
+        # the record trusts n; the --trotter-n flag check holds the cap
+        cq = random_cq(rng)
+        assert math.isfinite(cq_conditional_state(cq).trotter_distance(MAX_TROTTER_N, 1e-6))
+        path = tmp_path / "cq.json"
+        save_state(path, cq)
+        code = cli.run(["conditional", "--state", str(path), "--trotter-n", str(MAX_TROTTER_N + 1)])
+        assert (code, *capsys.readouterr()) == (
+            1, "", f"error: Trotter n {MAX_TROTTER_N + 1} is above the cap of {MAX_TROTTER_N}\n")
+
 
 class TestTrotterConditionalDensity:
     def test_product_exact_at_any_n(self, rng):
@@ -270,6 +283,15 @@ class TestTrotterConditionalDensity:
         bi = bell_state()
         approx = trotter_conditional_density(bi, 4096, eps=1e-6)
         assert frobenius(approx - 2.0 * bi.joint.mat) <= 1e-3
+
+    def test_rejects_n_above_the_cap(self, tmp_path, capsys):
+        # the cap is checked before the full-rank check: the Bell joint is
+        # rank-deficient, and the cap line is the one reported
+        path = tmp_path / "bell.json"
+        save_state(path, bell_state())
+        code = cli.run(["conditional", "--state", str(path), "--trotter-n", str(MAX_TROTTER_N + 1)])
+        assert (code, *capsys.readouterr()) == (
+            1, "", f"error: Trotter n {MAX_TROTTER_N + 1} is above the cap of {MAX_TROTTER_N}\n")
 
 
 class TestGeneralizedConditional:
