@@ -313,9 +313,8 @@ def _cmd_entropy(args):
 
 def _cmd_conditional(args):
     _require(args, ">= 1", _at_least_one, "trotter_n")
-    if args.trotter_n is not None and args.trotter_n > entropy.MAX_TROTTER_N:
-        raise InvalidState(
-            f"Trotter n {args.trotter_n} is above the cap of {entropy.MAX_TROTTER_N}")
+    if args.trotter_n is not None:
+        entropy.require_trotter_n(args.trotter_n)
     _require(args, "finite", math.isfinite, "eps")
     _require(args, "in [0, 1)", lambda eps: 0.0 <= eps < 1.0, "eps")
     if args.eps and args.trotter_n is None:

@@ -51,7 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import NumericalError
+from .errors import InvalidState, NumericalError
 from .states import BipartiteState, ClassicalQuantumState
 
 DUAL_PATH_TOL = 1e-8
@@ -153,10 +153,17 @@ def _require_paths_agree(primary: float, dual: float) -> None:
         raise NumericalError(f"conditional-entropy paths disagree: {primary} vs {dual}")
 
 
+def require_trotter_n(n: int) -> None:
+    """InvalidState for a Trotter n above MAX_TROTTER_N."""
+    if n > MAX_TROTTER_N:
+        raise InvalidState(f"Trotter n {n} is above the cap of {MAX_TROTTER_N}")
+
+
 def _trotter_roots(lam: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """lam ** (1/n) and b ** (-1/n) by Python's ``**`` on each value, for the
     spectra lam of a full-rank joint and b of its rho_B.  1 <= n <= MAX_TROTTER_N
-    is trusted: the CLI checks both bounds before it reads a file."""
+    is trusted: the CLI checks n >= 1 and :func:`require_trotter_n` before it
+    reads a file."""
     thr = linalg.SUPPORT_CUTOFF
     if lam.min() <= thr * lam.max() or b.min() <= thr * b.max():
         raise NumericalError(

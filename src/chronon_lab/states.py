@@ -160,30 +160,15 @@ class BipartiteState:
             )
 
 
-def _require_orthogonal(name: str, vecs: tuple) -> None:
-    """InvalidState for one side's vectors of mixed dimensions, else for
-    its first pair j < i, by i then j, with |<v_j, v_i>| > VALIDATION_ATOL;
-    that pair lies among the first dim + 1 vectors, the only ones compared."""
-    if len({u.dim for u in vecs}) != 1:
-        raise InvalidState(f"{name} basis vectors have mixed dimensions")
-    a = np.stack([u.amplitudes for u in vecs[: vecs[0].dim + 1]], axis=1)
-    overlaps = np.abs(linalg.dag(a) @ a)
-    later, earlier = np.nonzero(np.triu(overlaps > VALIDATION_ATOL, 1).T)
-    if later.size:
-        i, j = later[0], earlier[0]
-        raise InvalidState(f"{name} basis vectors {j},{i} not orthogonal "
-                           f"(|<u,v>|={overlaps[j, i]:.3e})")
-
-
 @dataclass(frozen=True)
 class CorrelationBasis:
     """Paired orthonormal bases of system and apparatus over one index set.
 
     The system (x) apparatus space that the measurement operator acts on
     has dimension ``dim``; above ``linalg.MAX_DIM`` it raises InvalidState
-    before either side is checked.  v is the d x k matrix V of product
-    vectors; columns too far from orthonormal for V V^dag to be a projector
-    raise InvalidState.
+    before the pairwise orthogonality checks.  v is the d x k matrix V of
+    product vectors; columns too far from orthonormal for V V^dag to be a
+    projector raise InvalidState.
     """
 
     system_basis: tuple
@@ -200,8 +185,17 @@ class CorrelationBasis:
         if not sys_b:
             raise InvalidState("empty correlation basis")
         linalg.require_within_cap(sys_b[0].dim * app_b[0].dim, "tensor product dimension")
-        _require_orthogonal("system", sys_b)
-        _require_orthogonal("apparatus", app_b)
+        for name, vecs in (("system", sys_b), ("apparatus", app_b)):
+            dim = vecs[0].dim
+            for i, u in enumerate(vecs):
+                if u.dim != dim:
+                    raise InvalidState(f"{name} basis vectors have mixed dimensions")
+                for j, v in enumerate(vecs[:i]):
+                    ip = abs(np.vdot(v.amplitudes, u.amplitudes))
+                    if ip > VALIDATION_ATOL:
+                        raise InvalidState(
+                            f"{name} basis vectors {j},{i} not orthogonal (|<u,v>|={ip:.3e})"
+                        )
         v = np.stack([np.kron(s.amplitudes, a.amplitudes) for s, a in zip(sys_b, app_b)], axis=1)
         gram_dev = linalg.frobenius(linalg.dag(v) @ v - np.eye(v.shape[1]))
         if gram_dev > VALIDATION_ATOL * max(1.0, linalg.frobenius(v)):

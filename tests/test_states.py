@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -71,56 +70,6 @@ class TestStateTypes:
         w = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2))
         with pytest.raises(InvalidState):
             CorrelationBasis((v, w), computational_basis(2))
-
-    @pytest.mark.parametrize(
-        "dim, picks, message",
-        [
-            # the uniform vector overlaps e0 first, then e1
-            (2, [0, 1, "+"], "0,2 not orthogonal (|<u,v>|=7.071e-01)"),
-            (3, [0, 1, 2, "+"], "0,3 not orthogonal (|<u,v>|=5.774e-01)"),
-            # more vectors than dimensions: the first pair lies among the
-            # first dim + 1, whatever follows
-            (2, [0, 1, 1, 0, 0], "1,2 not orthogonal (|<u,v>|=1.000e+00)"),
-            (1, [0] * 6, "0,1 not orthogonal (|<u,v>|=1.000e+00)"),
-        ],
-    )
-    def test_first_overlapping_pair_reported(self, dim, picks, message):
-        # pairs j < i are ordered by i, then j
-        plus = np.ones(dim, dtype=complex) / math.sqrt(dim)
-        system = tuple(StateVector(plus) if k == "+" else basis_vec(dim, k) for k in picks)
-        with pytest.raises(InvalidState, match=f"^system basis vectors {re.escape(message)}$"):
-            CorrelationBasis(system, computational_basis(len(picks)))
-
-    def test_overlaps_match_the_pairwise_loop(self, rng):
-        # reference: the vdot loop over pairs j < i that the one Gram matrix
-        # per side replaced; overlaps are near 1e-11, 1e-9, 0.3 or 1, never
-        # near the 1e-10 threshold, so both must name the same pair
-        for _ in range(200):
-            dim = int(rng.integers(1, 5))
-            u = random_unitary(dim, rng)
-            vectors = []
-            for _ in range(int(rng.integers(1, dim + 3))):
-                a, b = rng.integers(0, dim, 2)
-                v = u[:, a] + rng.choice([0.0, 1e-11, 1e-9, 0.3]) * u[:, b]
-                vectors.append(StateVector(v / np.linalg.norm(v)))
-            first = next(((j, i, abs(np.vdot(vectors[j].amplitudes, vectors[i].amplitudes)))
-                          for i in range(len(vectors)) for j in range(i)
-                          if abs(np.vdot(vectors[j].amplitudes, vectors[i].amplitudes)) > 1e-10),
-                         None)
-            apparatus = computational_basis(len(vectors))
-            if first is None:
-                CorrelationBasis(tuple(vectors), apparatus)
-                continue
-            j, i, ip = first
-            message = f"system basis vectors {j},{i} not orthogonal (|<u,v>|={ip:.3e})"
-            with pytest.raises(InvalidState, match=f"^{re.escape(message)}$"):
-                CorrelationBasis(tuple(vectors), apparatus)
-
-    def test_mixed_dimensions_reported_before_overlaps(self):
-        v = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2))
-        system = (basis_vec(2, 0), v, basis_vec(3, 0))
-        with pytest.raises(InvalidState, match="^system basis vectors have mixed dimensions$"):
-            CorrelationBasis(system, computational_basis(3))
 
     def test_basis_operator_dimension_cap(self, monkeypatch):
         # the operator acts on system (x) apparatus: 2 x 3 = 6 dimensions
