@@ -317,7 +317,7 @@ def _cmd_conditional(args):
         entropy.require_trotter_n(args.trotter_n)
     _require(args, "finite", math.isfinite, "eps")
     _require(args, "in [0, 1)", lambda eps: 0.0 <= eps < 1.0, "eps")
-    if args.eps and args.trotter_n is None:
+    if args.eps is not None and args.trotter_n is None:
         raise InvalidState("--eps applies only with --trotter-n")
     state = serialization.load_state(args.state)
     if isinstance(state, states.ClassicalQuantumState):
@@ -342,8 +342,9 @@ def _cmd_conditional(args):
     rows.append(("antiqubitVelocity", payload["antiqubitVelocity"]))
     rows += [(f"conditionalEigenvalue{i}", w) for i, w in enumerate(spectrum)]
     if args.trotter_n is not None:
-        distance = cs.trotter_distance(args.trotter_n, args.eps)
-        payload["trotter"] = {"n": args.trotter_n, "eps": args.eps, "distance": distance}
+        eps = 0.0 if args.eps is None else args.eps
+        distance = cs.trotter_distance(args.trotter_n, eps)
+        payload["trotter"] = {"n": args.trotter_n, "eps": eps, "distance": distance}
         rows.append(("trotterDistance", distance))
     return payload, rows
 
@@ -399,22 +400,16 @@ def _cmd_gaussian(args):
 
 
 def _frame(quantities) -> dict:
-    return {
-        "T": quantities.T,
-        "S": quantities.S,
-        "r": quantities.r,
-        "dtMin": quantities.dt_min,
-        "velocity": quantities.velocity(),
-    }
+    frame = quantities._asdict()
+    frame["dtMin"] = frame.pop("dt_min")
+    frame["velocity"] = quantities.velocity()
+    return frame
 
 
 def _cmd_lorentz(args):
     _require(args, "finite", math.isfinite, "temp_exponent", "length_exponent")
     report = relativity.check_bound_invariance(
-        args.sigma_k0,
-        args.v,
-        length_exponent=args.length_exponent,
-        temp_exponent=args.temp_exponent,
+        args.sigma_k0, args.v, args.length_exponent, args.temp_exponent
     )
     payload = {
         "gamma": report.gamma,
@@ -525,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "json")
     p.add_argument("--state", required=True)
     p.add_argument("--trotter-n", type=int, default=None)
-    p.add_argument("--eps", type=float, default=0.0)
+    p.add_argument("--eps", type=float, default=None)
     p.set_defaults(func=_cmd_conditional)
 
     p = sub.add_parser("mlcheck", help="orthogonalization-time bound sweep")

@@ -15,7 +15,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .errors import InvalidState
-from .speed_limits import _golden_min, require_positive
+from .speed_limits import _golden_min, process_velocity, require_positive
 
 # numpy loads inside tabulate, so G, H and their maxima load without it
 if TYPE_CHECKING:
@@ -61,7 +61,10 @@ def tabulate(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, g, g * x
 
 
-def _grid_seeded_argmax(f) -> float:
+# The maxima are constants: search for each location once per process.
+# max_G and max_H stay plain functions, so tracing still wraps them.
+@functools.cache
+def _argmax(f) -> float:
     """Coarse grid over [0, SEARCH_UPPER], then golden-section refinement."""
     step = SEARCH_UPPER / (SEARCH_GRID - 1)
     best_i, best_v = 0, f(0.0)
@@ -74,32 +77,22 @@ def _grid_seeded_argmax(f) -> float:
     return _golden_min(lambda x: -f(x), lo, hi, BRACKET_TOL)
 
 
-# The maxima are constants: search for each location once per process.
-@functools.cache
-def _argmax_G() -> float:
-    return _grid_seeded_argmax(partition_entropy_G)
-
-
-@functools.cache
-def _argmax_H() -> float:
-    return _grid_seeded_argmax(scaled_function_H)
-
-
 def max_G() -> tuple[float, float]:
     """Location and value of the partition-entropy maximum (ln 2)."""
-    x = _argmax_G()
+    x = _argmax(partition_entropy_G)
     return x, partition_entropy_G(x)
 
 
 def max_H() -> tuple[float, float]:
     """Location and value of the maximum of G(x) * x (about 0.4579)."""
-    x = _argmax_H()
+    x = _argmax(scaled_function_H)
     return x, scaled_function_H(x)
 
 
 def bound_process_velocity() -> float:
-    """Repeated-position-measurement process velocity cap 4 ln 2 at T = 1."""
-    return 4.0 * math.log(2.0)
+    """Repeated-position-measurement process velocity cap 4 ln 2 at T = 1:
+    the process velocity of the largest partition entropy, ln 2."""
+    return process_velocity(math.log(2.0))
 
 
 def bound_classical_velocity(sigma_k0: float) -> float:

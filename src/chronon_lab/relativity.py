@@ -1,15 +1,19 @@
-"""Lorentz-frame transform of temperature and the invariance check for the
-composite velocity bound.
+"""The invariance check of the composite velocity bound under a Lorentz
+boost.
 
 The literature disagrees on how temperature (and length) should scale with
-the Lorentz factor, so the temperature transform and the check take their
-gamma exponents as explicit parameters.  The check defaults to the (-1, -1)
-length/temperature pair, the only one under which the boosted and rest-frame
-bound values agree exactly.  In natural units, h = k = c = 1, a boost
-velocity is a plain float with |v| < 1 and the rest frame is at T = 1.
+the Lorentz factor, so the check takes its two gamma exponents as explicit
+parameters.  One temperature convention holds throughout: our frame, at
+rest with T = 1, sees the frame boosted by v at
+T = gamma^temp_exponent * T_bar, so the boosted frame's own temperature
+is T_bar = 1 / gamma^temp_exponent.  Planck's T = T_bar / gamma is the
+exponent -1, Ott's T = gamma * T_bar is +1.  Lengths read
+r_bar = gamma^length_exponent * r, and the pair (-1, -1) is the only one
+under which the two frames' bound values agree exactly.  In natural
+units, h = k = c = 1, a boost velocity is a plain float with |v| < 1.
 Entropy is frame-invariant, so the time quantum 1/(4TS) of one frame
 follows from the other's by recomputing it at the transformed
-temperature: dt = gamma^(-e) * dt_bar when T = gamma^e * T_bar.
+temperature: dt = gamma^(-e) * dt_bar.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .errors import InvalidState
 from .gaussian import max_H, partition_entropy_G
 from .speed_limits import require_positive, time_quantum
 
-PLANCK_TEMPERATURE_EXPONENT = -1.0   # moving bodies appear cooler by 1/gamma
 INVARIANCE_REL_TOL = 1e-12
 
 
@@ -47,20 +50,6 @@ def gamma(v: float) -> float:
     return 1.0 / math.sqrt(1.0 - v ** 2)
 
 
-def transform_temperature(v: float, exponent: float) -> float:
-    """The temperature gamma(v)^exponent in our frame of a frame at T = 1.
-
-    Evaluated as 1 / gamma^(-exponent).  :func:`check_bound_invariance`
-    calls it with its temperature exponent negated to get the boosted
-    frame's temperature from the rest frame's.  A power of gamma outside
-    the float range raises InvalidState.
-    """
-    try:
-        return 1.0 / gamma(v) ** (-exponent)
-    except (OverflowError, ZeroDivisionError):
-        raise InvalidState(f"temperature factor gamma^{exponent} is out of range") from None
-
-
 class InvarianceReport(NamedTuple):
     """Rest- and boosted-frame quantities with their velocity mismatch."""
 
@@ -73,23 +62,20 @@ class InvarianceReport(NamedTuple):
 
 
 def check_bound_invariance(
-    sigma_k0: float,
-    v: float,
-    length_exponent: float = -1.0,
-    temp_exponent: float = PLANCK_TEMPERATURE_EXPONENT,
+    sigma_k0: float, v: float, length_exponent: float, temp_exponent: float
 ) -> InvarianceReport:
     """Compare the bound-attaining velocity r/dt_min across frames boosted
     by v relative to each other.
 
     The rest frame, at T = 1, evaluates the classical bound of a packet
     of width parameter sigma_k0 (positive and finite, else InvalidState)
-    at its attaining radius r* = x* sigma_k0.  The boosted frame contracts
-    the length by gamma^length_exponent and rescales temperature so that
-    our-frame recovery uses gamma^temp_exponent, then recomputes the
-    quantum from the transformed temperature and the invariant entropy.
-    The residual scales as gamma^(length_exponent - temp_exponent); the
-    pair (-1, -1) cancels exactly and is the certified one.  A power of
-    gamma outside the float range raises InvalidState.
+    at its attaining radius r* = x* sigma_k0.  The boosted frame takes the
+    length gamma^length_exponent * r* and the temperature
+    1 / gamma^temp_exponent (see the module docstring), then recomputes
+    the quantum from that temperature and the invariant entropy.  The
+    residual scales as gamma^(length_exponent - temp_exponent); the pair
+    (-1, -1) cancels exactly and is the certified one.  A power of gamma
+    outside the float range raises InvalidState.
     """
     g = gamma(v)
     x_star, _ = max_H()
@@ -97,7 +83,10 @@ def check_bound_invariance(
     r_rest = x_star * require_positive("sigma_k0", sigma_k0)
     rest = FrameQuantities(T=1.0, S=s_star, r=r_rest, dt_min=time_quantum(s_star, 1.0))
 
-    t_boost = transform_temperature(v, -temp_exponent)
+    try:
+        t_boost = 1.0 / g**temp_exponent
+    except (OverflowError, ZeroDivisionError):
+        raise InvalidState(f"temperature factor gamma^{-temp_exponent} is out of range") from None
     dt_boost = time_quantum(s_star, t_boost)
     try:
         r_boost = g**length_exponent * r_rest

@@ -242,7 +242,9 @@ def antiqubit_process_velocity(cs: ConditionalState | BlockConditionalState) -> 
 
     E0 is the smallest eigenvalue of -log rho_{A|B} on its support, i.e.
     -ln of the conditional density's largest eigenvalue.  The shift keeps
-    the velocity non-negative even when S(A|B) < 0.
+    the velocity non-negative up to rounding, even when S(A|B) < 0: for a
+    maximally entangled joint S(A|B) and E0 cancel exactly, and the
+    computed difference may be a few ulps below zero.  It is not clamped.
     """
     e0 = -math.log(float(cs.spectrum[-1]))
     return 4.0 * (cs.entropy - e0)

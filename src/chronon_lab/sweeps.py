@@ -8,7 +8,7 @@ is what makes the CLI's sweep output byte-stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-@dataclass(frozen=True)
-class MlSweepResult:
+class MlSweepResult(NamedTuple):
     """The trials of one sweep in draw order, each a ``(t_orth, slack)``
     pair; every count is read from them.
 
@@ -72,14 +71,10 @@ def _eigenpair_state(
     spectrum: tuple[np.ndarray, np.ndarray], rng: np.random.Generator
 ) -> np.ndarray | None:
     w, v = spectrum
-    d = len(w)
-    pairs = [
-        (i, j)
-        for i in range(d)
-        for j in range(i + 1, d)
-        if w[j] - w[i] >= _MIN_PAIR_GAP
-    ]
-    if not pairs:
+    # pairs i < j with w[j] - w[i] >= _MIN_PAIR_GAP in row-major order,
+    # the order the seeded draw below indexes
+    pairs = np.argwhere(np.triu(w[None, :] - w[:, None] >= _MIN_PAIR_GAP, 1))
+    if not len(pairs):
         return None
     i, j = pairs[int(rng.integers(len(pairs)))]
     psi = v[:, i] + v[:, j]

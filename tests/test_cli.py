@@ -1178,6 +1178,15 @@ class TestEntryPoint:
         assert self._loaded(done) <= ({"json"} if reads_json else set())
         assert done.stdout == (GOLDEN / f"{case}.{fmt}").read_bytes()
 
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_mlcheck_loads_no_dataclasses(self, fmt):
+        """A sweep loads numpy, but its result is a NamedTuple: a fresh run
+        writes the golden and never loads dataclasses."""
+        done = _python("-c", self._MAIN_REPORTING_IMPORTS, *CASES["mlcheck"], "--format", fmt)
+        assert done.returncode == 0 and done.stderr.count(b"\n") == 1, done.stderr
+        assert "numpy" in self._loaded(done) and "dataclasses" not in self._loaded(done)
+        assert done.stdout == (GOLDEN / f"mlcheck.{fmt}").read_bytes()
+
     @pytest.mark.parametrize(
         "argv, code",
         [(["--help"], 0), (["mlcheck", "--help"], 0), (["lorentz", "--v", "0.5", "--bogus"], 1)],
@@ -1216,6 +1225,8 @@ _COUNTS = ["--s1", "1", "--t1", "1", "--s2", "1", "--t2", "2"]
          "--eps applies only with --trotter-n"),
         (["mlcheck", "--dims", "2,3", "--dim", "4"],
          "argument --dim: not allowed with argument --dims"),
+        (["conditional", "--state", "s.json", "--eps", "0"],
+         "--eps applies only with --trotter-n"),
     ],
 )
 def test_dropped_flag_combination_exit_one(argv, message, capsys):

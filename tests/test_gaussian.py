@@ -129,22 +129,13 @@ class TestMaxima:
         grid = np.linspace(0.0, 6.0, 1000)
         assert all(scaled_function_H(float(x)) <= value + 1e-12 for x in grid)
 
-    def test_maxima_searched_once_per_process(self, monkeypatch):
-        searches = 0
-        search = gaussian._grid_seeded_argmax
-
-        def counting(f):
-            nonlocal searches
-            searches += 1
-            return search(f)
-
-        monkeypatch.setattr(gaussian, "_grid_seeded_argmax", counting)
-        gaussian._argmax_G.cache_clear()
-        gaussian._argmax_H.cache_clear()
+    def test_maxima_searched_once_per_process(self):
+        gaussian._argmax.cache_clear()
         first = (max_G(), max_H())
         assert (max_G(), max_H()) == first
-        assert searches == 2
-        x_h = search(scaled_function_H)
+        info = gaussian._argmax.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+        x_h = gaussian._argmax.__wrapped__(scaled_function_H)
         assert first[1] == (x_h, scaled_function_H(x_h))
 
     def test_argmax_scale_invariance(self):
@@ -215,4 +206,4 @@ class TestVelocityBounds:
         with pytest.raises(InvalidState, match="sigma_k0 must be positive and finite"):
             bound_classical_velocity(-1.0)
         with pytest.raises(InvalidState, match="sigma_k0 must be positive and finite"):
-            check_bound_invariance(-1.0, 0.5)
+            check_bound_invariance(-1.0, 0.5, -1.0, -1.0)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronon_lab.errors import InvalidState
-from chronon_lab.relativity import check_bound_invariance, gamma, transform_temperature
+from chronon_lab.relativity import check_bound_invariance, gamma
 from chronon_lab.speed_limits import time_quantum
 
 
@@ -39,37 +39,41 @@ class TestGamma:
 
 
 class TestTransforms:
+    # the boosted temperature is 1 / gamma^temp_exponent, so temp_exponent
+    # -e checks the temperature law T -> gamma^e T
     def test_temperature_identity_at_rest(self):
-        assert transform_temperature(0.0, -0.5) == 1.0
+        assert check_bound_invariance(1.0, 0.0, -1.0, 0.5).boosted.T == 1.0
 
     def test_temperature_sqrt_convention(self):
-        # gamma = 4 with exponent -1/2 halves the temperature
+        # gamma = 4 with the law T -> gamma^(-1/2) T halves the temperature
         v = math.sqrt(1.0 - 1.0 / 16.0)
-        assert transform_temperature(v, -0.5) == pytest.approx(0.5, rel=1e-12)
+        rep = check_bound_invariance(1.0, v, -1.0, 0.5)
+        assert rep.boosted.T == pytest.approx(0.5, rel=1e-12)
 
     def test_temperature_planck_convention(self):
         v = math.sqrt(1.0 - 1.0 / 4.0)  # gamma = 2
-        assert transform_temperature(v, -1.0) == pytest.approx(0.5, rel=1e-12)
+        rep = check_bound_invariance(1.0, v, -1.0, 1.0)
+        assert rep.boosted.T == pytest.approx(0.5, rel=1e-12)
 
     def test_entropy_is_identity(self):
         # entropy is frame-invariant: both frames of the check carry one S
         for v in (0.0, 0.6, 0.95):
-            rep = check_bound_invariance(1.0, v)
+            rep = check_bound_invariance(1.0, v, -1.0, -1.0)
             assert rep.boosted.S == rep.rest.S
 
     def test_time_quantum_at_rest(self):
-        rep = check_bound_invariance(1.0, 0.0)
+        rep = check_bound_invariance(1.0, 0.0, -1.0, -1.0)
         assert rep.boosted.dt_min == pytest.approx(rep.rest.dt_min, rel=1e-15)
 
     def test_time_quantum_dilation_factor(self):
         # temperature exponent -1: our quantum is gamma times the other frame's
-        rep = check_bound_invariance(1.0, 0.6, temp_exponent=-1.0)
+        rep = check_bound_invariance(1.0, 0.6, -1.0, -1.0)
         assert rep.rest.dt_min == pytest.approx(1.25 * rep.boosted.dt_min, rel=1e-12)
 
     def test_time_quantum_substitution_oracle(self):
         # exponent -1/2 at gamma = 4: push T through the quantum formula by hand
         v = math.sqrt(1.0 - 1.0 / 16.0)
-        rep = check_bound_invariance(1.0, v, temp_exponent=-0.5)
+        rep = check_bound_invariance(1.0, v, -1.0, -0.5)
         t_bar = 2.0  # T = gamma^-1/2 T_bar with T = 1 and gamma = 4
         assert rep.rest.T == 1.0
         assert rep.boosted.T == pytest.approx(t_bar, rel=1e-12)
@@ -81,7 +85,7 @@ class TestTransforms:
         # the rest quantum is gamma^(-e) times the boosted one, which equals
         # the quantum recomputed from the boosted temperature
         for v, exp in ((0.3, -1.0), (0.8, -0.5), (0.95, -2.0)):
-            rep = check_bound_invariance(1.0, v, temp_exponent=exp)
+            rep = check_bound_invariance(1.0, v, -1.0, exp)
             dt_bar = rep.boosted.dt_min
             assert rep.rest.dt_min == pytest.approx(gamma(v) ** -exp * dt_bar, rel=1e-12)
             recomputed = time_quantum(rep.boosted.S, rep.boosted.T)
@@ -90,7 +94,7 @@ class TestTransforms:
 
 class TestBoundInvariance:
     def test_rest_frame_trivial(self):
-        rep = check_bound_invariance(1.0, 0.0)
+        rep = check_bound_invariance(1.0, 0.0, -1.0, -1.0)
         assert rep.passed
         assert rep.rest.velocity() == pytest.approx(rep.boosted.velocity(), rel=1e-15)
 
@@ -129,7 +133,7 @@ class TestBoundInvariance:
     def test_rest_velocity_is_classical_bound(self):
         from chronon_lab.gaussian import bound_classical_velocity
 
-        rep = check_bound_invariance(1.3, 0.5)
+        rep = check_bound_invariance(1.3, 0.5, -1.0, -1.0)
         assert rep.rest.velocity() == pytest.approx(
             bound_classical_velocity(1.3), rel=1e-9
         )
