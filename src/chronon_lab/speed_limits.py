@@ -17,6 +17,7 @@ for a temperature, horizon, packet width, velocity or time quantum, and
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional
@@ -32,6 +33,7 @@ if TYPE_CHECKING:
 ORTHOGONALITY_TOL = 1e-9
 SCAN_GRID_POINTS = 4096
 BLOCK_ROWS = 8  # grid rows per coarse block; SCAN_GRID_POINTS is a multiple
+_TABLE_COLUMNS = 32  # block centres per row of the phase tables; divides the blocks
 REFINE_TIME_RESOLUTION = 1e-12
 _EPS = sys.float_info.epsilon
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -122,6 +124,83 @@ def _overlap_rows(weights: np.ndarray, energies: np.ndarray, ts: np.ndarray) -> 
     return np.abs((weights[None, :] * np.exp(-1j * np.outer(ts, energies))).sum(axis=1))
 
 
+class _ScanGrid(NamedTuple):
+    """The times of a scan over [0, t_max], read-only and shared by every
+    scan with that t_max."""
+
+    ts: np.ndarray  # the SCAN_GRID_POINTS grid times
+    offsets: np.ndarray  # u_i = c0 + 32 i B, the times of phase table U
+    steps: np.ndarray  # v_j = j B, the times of phase table V
+    radius: np.ndarray  # per block, from its nominal centre to its farther end row
+
+
+@functools.lru_cache(maxsize=16)
+def _scan_grid(t_max: float) -> _ScanGrid:
+    """The grid of t_max, built on its first scan."""
+    import numpy as np
+
+    ts = np.linspace(0.0, t_max, SCAN_GRID_POINTS)
+    dt = t_max / (SCAN_GRID_POINTS - 1)
+    block = BLOCK_ROWS * dt
+    rows = SCAN_GRID_POINTS // (BLOCK_ROWS * _TABLE_COLUMNS)
+    offsets = 0.5 * (BLOCK_ROWS - 1) * dt + (_TABLE_COLUMNS * block) * np.arange(rows)
+    steps = block * np.arange(_TABLE_COLUMNS)
+    centres = (offsets[:, None] + steps[None, :]).ravel()
+    first, last = ts[::BLOCK_ROWS], ts[BLOCK_ROWS - 1::BLOCK_ROWS]
+    radius = np.maximum(centres - first, last - centres) * (1.0 + 1e-9)
+    for array in (ts, offsets, steps, radius):
+        array.flags.writeable = False
+    return _ScanGrid(ts, offsets, steps, radius)
+
+
+class _Terms(NamedTuple):
+    """One scan's coefficients and error terms of the second-order bound."""
+
+    coeffs: np.ndarray  # rows w_k and -i w_k (E_k - E_mean): (a, c) = coeffs @ phases
+    lipschitz: float  # L = sum_k w_k |E_k - E_mean|
+    half_m2: float  # M2 / 2, widened by 1e-9 relative
+    rounding: float  # the error of a computed overlap
+
+
+def _terms(weights: np.ndarray, energies: np.ndarray, e_mean: float, t_max: float) -> _Terms:
+    import numpy as np
+
+    shifted = energies - e_mean
+    # Every overlap evaluation rounds phases of size up to max|E| * t_max;
+    # the energies ascend, so max|E| is at one end.
+    e_abs = max(-float(energies[0]), float(energies[-1]))
+    rounding = 1e-12 + 64 * _EPS * (e_abs * t_max + len(energies))
+    return _Terms(
+        coeffs=np.array((weights, -1j * weights * shifted)),
+        lipschitz=float(weights @ np.abs(shifted)),
+        half_m2=0.5 * float(weights @ shifted**2) * (1.0 + 1e-9),
+        rounding=rounding,
+    )
+
+
+def _block_sums(coeffs: np.ndarray, energies: np.ndarray, grid: _ScanGrid) -> np.ndarray:
+    """coeffs @ exp(-i E t) at every block's nominal centre t = u_i + v_j,
+    in block order, from the phase tables U = exp(-i E u), V = exp(-i E v)."""
+    import numpy as np
+
+    u = np.exp(-1j * np.outer(grid.offsets, energies))
+    v = np.exp(-1j * np.outer(energies, grid.steps))
+    return ((coeffs[:, None, :] * u).reshape(-1, len(energies)) @ v).reshape(len(coeffs), -1)
+
+
+def _floor(terms: _Terms, ac: np.ndarray, h) -> np.ndarray:
+    """Second-order lower bound on the computed A over [t - h, t + h], from
+    ac = (a, c), the overlap and its slope at each t."""
+    import numpy as np
+
+    a, c = ac
+    cc = c.real**2 + c.imag**2
+    # the s in [-h, h] nearest the minimum of |a + c s| over all real s
+    s = np.divide(-(a.real * c.real + a.imag * c.imag), cc, out=np.zeros_like(cc), where=cc > 0)
+    s = np.clip(s, -h, h)
+    return np.abs(a + c * s) - terms.half_m2 * h * h - terms.rounding * (2.0 + terms.lipschitz * h)
+
+
 def orthogonalization_time(
     spectrum: tuple[np.ndarray, np.ndarray], psi0: np.ndarray, t_max: float
 ) -> OrthogonalizationResult:
@@ -153,11 +232,31 @@ def orthogonalization_time(
       modulus sees), A(t + s) >= min_{|s| <= h} |a + c s| - M2 h^2/2 on
       |s| <= h, where M2 = sum_k w_k (E_k - E_mean)^2.  Rounding is taken
       off twice: scaled by 1 + L h for the computed a and c, and once for
-      the value compared.  At the centre of each block of BLOCK_ROWS rows,
-      with h half its width, the bound skips the blocks above skip_above:
-      the trace is computed only on the other blocks' rows, every other
-      row reading inf.  At a candidate, with h = dt, it skips a bracket
-      above tol.  A NaN bound skips nothing.
+      the value compared.  Over each block of BLOCK_ROWS rows the bound
+      skips the blocks above skip_above: the trace is computed only on the
+      other blocks' rows, every other row reading inf.  At a candidate,
+      with h = dt, it skips a bracket above tol.  A NaN bound skips nothing.
+
+    The bound only prunes, so its own bits are free.  Block k = 32 i + j
+    (i < 16, j < 32) is bounded at its nominal centre t = u_i + v_j, with
+    u_i = c0 + 32 i B, v_j = j B, B = BLOCK_ROWS dt and c0 = (BLOCK_ROWS - 1)
+    dt / 2.  From the phase tables U = exp(-i E u) (d x 16) and
+    V = exp(-i E v) (d x 32), a = (w * U)^T V and c = (w' * U)^T V, where
+    w'_k = -i w_k (E_k - E_mean) and x * U scales row k of U by x_k: 48 d
+    exponentials and one matrix product per scan, not 512 d exponentials.
+
+    - The rounding term covers these a and c.  A term U V rounds the two
+      phases E u_i and E v_j, whose errors add to at most eps/2 |E| (u_i +
+      v_j) = eps/2 |E| t <= eps/2 max|E| t_max, no more than the one rounded
+      phase E t of a direct exp(-i E t); the second exponential and the
+      product add a few eps per term, inside the 64 eps d part.
+    - Each block's h covers its rows.  linspace rounds each ts on its own,
+      so a nominal centre is not its block's midpoint; h is the larger of
+      the distances from the centre to the block's first and last rows,
+      widened by 1e-9 relative, far more than the few ulps of t_max lost
+      in forming the centre and the distances.  So [t - h, t + h] holds
+      all BLOCK_ROWS rows.  ts, the table times and the radii depend on
+      t_max alone and are built once per t_max (:func:`_scan_grid`).
 
     Each computed row uses the full grid's per-row arithmetic
     (:func:`_overlap_rows`), so it holds the full grid's bits.  A skipped
@@ -180,32 +279,15 @@ def orthogonalization_time(
     else:
         bound = math.inf
 
-    ts = np.linspace(0.0, t_max, SCAN_GRID_POINTS)
-    lipschitz = float(weights @ np.abs(energies - e_mean))
+    grid = _scan_grid(t_max)
+    ts = grid.ts
+    terms = _terms(weights, energies, e_mean, t_max)
     half_step = 0.5 * t_max / (SCAN_GRID_POINTS - 1)
-    # Both overlap evaluations round phases of size up to max|E| * t_max.
-    rounding = 1e-12 + 64 * _EPS * (float(np.abs(energies).max()) * t_max + len(energies))
     # A(t) >= trace[i] - L*dt/2 on the bracket of a grid minimum, so one above
     # tol + L*dt/2 (plus rounding) cannot refine to a passing point: skip it.
-    skip_above = ORTHOGONALITY_TOL + lipschitz * half_step * (1.0 + 1e-9) + rounding
-    slope_weights = -1j * weights * (energies - e_mean)
-    half_m2 = 0.5 * float(weights @ (energies - e_mean) ** 2) * (1.0 + 1e-9)
+    skip_above = ORTHOGONALITY_TOL + terms.lipschitz * half_step * (1.0 + 1e-9) + terms.rounding
 
-    def floor(t: np.ndarray, h) -> np.ndarray:
-        """Second-order lower bound on the computed A over [t - h, t + h]."""
-        p = np.exp(-1j * np.outer(energies, t))
-        a = (weights[:, None] * p).sum(axis=0)
-        c = (slope_weights[:, None] * p).sum(axis=0)
-        cc = c.real**2 + c.imag**2
-        # the s in [-h, h] nearest the minimum of |a + c s| over all real s
-        s = np.divide(-(a.real * c.real + a.imag * c.imag), cc,
-                      out=np.zeros_like(cc), where=cc > 0)
-        s = np.clip(s, -h, h)
-        return np.abs(a + c * s) - half_m2 * h * h - rounding * (2.0 + lipschitz * h)
-
-    first, last = ts[::BLOCK_ROWS], ts[BLOCK_ROWS - 1::BLOCK_ROWS]
-    radius = 0.5 * (last - first) * (1.0 + 1e-9)
-    kept = ~(floor(0.5 * (first + last), radius) > skip_above)
+    kept = ~(_floor(terms, _block_sums(terms.coeffs, energies, grid), grid.radius) > skip_above)
     rows = np.flatnonzero(np.repeat(kept, BLOCK_ROWS))
     trace = np.full(SCAN_GRID_POINTS, np.inf)
     trace[rows] = _overlap_rows(weights, energies, ts[rows])
@@ -213,9 +295,11 @@ def orthogonalization_time(
     mid = trace[1:-1]
     candidates = (mid <= trace[:-2]) & (mid <= trace[2:]) & (mid <= skip_above)
     candidates = np.flatnonzero(candidates) + 1
-    # every point of a candidate's bracket lies within dt of its grid point
-    step = 2.0 * half_step * (1.0 + 1e-9)
-    candidates = candidates[~(floor(ts[candidates], step) > ORTHOGONALITY_TOL)]
+    if len(candidates):
+        # every point of a candidate's bracket lies within dt of its grid point
+        step = 2.0 * half_step * (1.0 + 1e-9)
+        ac = terms.coeffs @ np.exp(-1j * np.outer(energies, ts[candidates]))
+        candidates = candidates[~(_floor(terms, ac, step) > ORTHOGONALITY_TOL)]
 
     # (-1j * energies) * t and np.sum's reduce, hoisted: the same bits, cheaper
     neg_i_energies = -1j * energies

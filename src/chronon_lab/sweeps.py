@@ -71,12 +71,13 @@ def _eigenpair_state(
     spectrum: tuple[np.ndarray, np.ndarray], rng: np.random.Generator
 ) -> np.ndarray | None:
     w, v = spectrum
-    # pairs i < j with w[j] - w[i] >= _MIN_PAIR_GAP in row-major order,
-    # the order the seeded draw below indexes
-    pairs = np.argwhere(np.triu(w[None, :] - w[:, None] >= _MIN_PAIR_GAP, 1))
-    if not len(pairs):
+    # pairs with w[j] - w[i] >= _MIN_PAIR_GAP in row-major order, the order
+    # the seeded draw below indexes; w ascends, so each has i < j
+    rows, cols = np.nonzero(w[None, :] - w[:, None] >= _MIN_PAIR_GAP)
+    if not len(rows):
         return None
-    i, j = pairs[int(rng.integers(len(pairs)))]
+    k = int(rng.integers(len(rows)))
+    i, j = rows[k], cols[k]
     psi = v[:, i] + v[:, j]
     return psi / np.linalg.norm(psi)
 

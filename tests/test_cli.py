@@ -25,7 +25,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import chronon_lab
-from chronon_lab import cli, entropy, errors, linalg
+from chronon_lab import cli, entropy, errors, gaussian, linalg
 from chronon_lab.entropy import generalized_conditional
 from chronon_lab.errors import InvalidState, NumericalError
 from chronon_lab.flow import SystemSpec
@@ -1178,6 +1178,39 @@ class TestEntryPoint:
         assert self._loaded(done) <= ({"json"} if reads_json else set())
         assert done.stdout == (GOLDEN / f"{case}.{fmt}").read_bytes()
 
+    # runs the CLI as `python -m chronon_lab.cli` does, with a finder first
+    # on sys.meta_path that records every module the import system looks
+    # for; the last stderr line lists their top-level packages, then whether
+    # numpy is in sys.modules at exit
+    _MAIN_RECORDING_FINDS = (
+        "import sys\n"
+        "asked = set()\n"
+        "class Recorder:\n"
+        "    @staticmethod\n"
+        "    def find_spec(name, path=None, target=None):\n"
+        "        asked.add(name.partition('.')[0])\n"
+        "sys.meta_path.insert(0, Recorder)\n"
+        "from chronon_lab import cli\n"
+        "try:\n"
+        "    cli.main()\n"
+        "finally:\n"
+        "    print(*sorted(asked), 'numpy' in sys.modules, file=sys.stderr)\n"
+    )
+
+    @pytest.mark.parametrize(
+        "case", ["lorentz", "simultaneity_theta", "simultaneity_counts", "flow_ratio"]
+    )
+    def test_math_only_subcommands_never_import_numpy(self, case):
+        """lorentz, simultaneity and flow --ratio load speed_limits, whose
+        scan grid is built on the first scan, never at import: from start to
+        exit no numpy module is even looked for."""
+        done = _python("-c", self._MAIN_RECORDING_FINDS, *CASES[case], "--format", "csv")
+        assert done.returncode == 0 and done.stderr.count(b"\n") == 1, done.stderr
+        *asked, numpy_at_exit = done.stderr.decode().split()
+        assert "chronon_lab" in asked  # the recorder saw the package load
+        assert "numpy" not in asked and numpy_at_exit == "False"
+        assert done.stdout == (GOLDEN / f"{case}.csv").read_bytes()
+
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_mlcheck_loads_no_dataclasses(self, fmt):
         """A sweep loads numpy, but its result is a NamedTuple: a fresh run
@@ -1732,12 +1765,15 @@ def test_state_types_built_only_where_files_are_decoded():
     assert not stray, f"state types built outside serialization: {stray}"
 
 
-def test_every_operation_reachable_from_a_subcommand(tmp_path):
+def test_every_operation_reachable_from_a_subcommand(tmp_path, monkeypatch):
     """Coverage audit: every golden case runs in both formats under a
     profiler, and each public operation of the layer modules must be
     called by at least one of them."""
     ops = _public_operations()
     reached = set()
+    # the Gaussian maxima start uncached, as in a fresh process, so the
+    # cases search for them as a fresh run does
+    monkeypatch.setattr(gaussian, "_MAXIMA", {})
 
     def profile(frame, event, arg):
         if event == "call":

@@ -346,6 +346,48 @@ class TestScanPruning:
         assert 0 < rows < SCAN_GRID_POINTS / 4
 
 
+def degenerate_trial(dim, rng):
+    """A Hamiltonian whose energies come in equal pairs (all equal at d = 2)
+    in a random basis, and a random state."""
+    q, _ = np.linalg.qr(random_hermitian(dim, rng) + 1j * np.eye(dim))
+    energies = np.repeat(rng.normal(size=(dim + 1) // 2), 2)[:dim]
+    h_op = q @ np.diag(energies) @ q.conj().T
+    return h_op, StateVector(random_state_vector(dim, rng))
+
+
+class TestBlockBound:
+    """The block bound from the two phase tables is a lower bound on the
+    computed overlap over each block's rows."""
+
+    @pytest.mark.parametrize("kind", ["random", "eigenpair", "degenerate"])
+    @pytest.mark.parametrize("t_max", [0.5, 60.0, 1000.0])
+    @pytest.mark.parametrize("dim", [2, 16, 64])
+    def test_block_floor_is_a_lower_bound(self, dim, t_max, kind, rng):
+        if kind == "degenerate":
+            h_op, psi0 = degenerate_trial(dim, rng)
+        else:
+            h_op, psi0 = sweep_trial(dim, int(rng.integers(2**32)), kind == "eigenpair")
+        energies, vectors = linalg.eigh(h_op)
+        weights = np.abs(vectors.conj().T @ psi0.amplitudes) ** 2
+        grid = speed_limits._scan_grid(t_max)
+        terms = speed_limits._terms(weights, energies, float(weights @ energies), t_max)
+        ac = speed_limits._block_sums(terms.coeffs, energies, grid)
+
+        # the factored a and c against direct sums at the nominal centres,
+        # c's error scaled by L as the bound takes it off
+        centres = (grid.offsets[:, None] + grid.steps[None, :]).ravel()
+        phases = np.exp(-1j * np.outer(energies, centres))
+        a, c = (terms.coeffs[:, :, None] * phases[None]).sum(axis=1)
+        assert np.all(np.abs(ac[0] - a) <= terms.rounding)
+        assert np.all(np.abs(ac[1] - c) <= terms.rounding * terms.lipschitz)
+
+        # each block's floor lies below every computed row of the block
+        floors = speed_limits._floor(terms, ac, grid.radius)
+        rows = speed_limits._overlap_rows(weights, energies, grid.ts)
+        assert len(floors) * speed_limits.BLOCK_ROWS == SCAN_GRID_POINTS
+        assert np.all(floors <= rows.reshape(len(floors), -1).min(axis=1))
+
+
 _DIMS = st.integers(min_value=2, max_value=16)
 _SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
