@@ -32,8 +32,7 @@ if TYPE_CHECKING:
 
 ORTHOGONALITY_TOL = 1e-9
 SCAN_GRID_POINTS = 4096
-BLOCK_ROWS = 8  # grid rows per coarse block; SCAN_GRID_POINTS is a multiple
-_TABLE_COLUMNS = 32  # block centres per row of the phase tables; divides the blocks
+_TABLE_SIDE = math.isqrt(SCAN_GRID_POINTS)  # grid row r = _TABLE_SIDE p + q
 REFINE_TIME_RESOLUTION = 1e-12
 _EPS = sys.float_info.epsilon
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -124,37 +123,18 @@ def _overlap_rows(weights: np.ndarray, energies: np.ndarray, ts: np.ndarray) -> 
     return np.abs((weights[None, :] * np.exp(-1j * np.outer(ts, energies))).sum(axis=1))
 
 
-class _ScanGrid(NamedTuple):
-    """The times of a scan over [0, t_max], read-only and shared by every
-    scan with that t_max."""
-
-    ts: np.ndarray  # the SCAN_GRID_POINTS grid times
-    offsets: np.ndarray  # u_i = c0 + 32 i B, the times of phase table U
-    steps: np.ndarray  # v_j = j B, the times of phase table V
-    radius: np.ndarray  # per block, from its nominal centre to its farther end row
-
-
 @functools.lru_cache(maxsize=16)
-def _scan_grid(t_max: float) -> _ScanGrid:
-    """The grid of t_max, built on its first scan."""
+def _scan_grid(t_max: float) -> np.ndarray:
+    """The read-only grid times of t_max, built on its first scan."""
     import numpy as np
 
     ts = np.linspace(0.0, t_max, SCAN_GRID_POINTS)
-    dt = t_max / (SCAN_GRID_POINTS - 1)
-    block = BLOCK_ROWS * dt
-    rows = SCAN_GRID_POINTS // (BLOCK_ROWS * _TABLE_COLUMNS)
-    offsets = 0.5 * (BLOCK_ROWS - 1) * dt + (_TABLE_COLUMNS * block) * np.arange(rows)
-    steps = block * np.arange(_TABLE_COLUMNS)
-    centres = (offsets[:, None] + steps[None, :]).ravel()
-    first, last = ts[::BLOCK_ROWS], ts[BLOCK_ROWS - 1::BLOCK_ROWS]
-    radius = np.maximum(centres - first, last - centres) * (1.0 + 1e-9)
-    for array in (ts, offsets, steps, radius):
-        array.flags.writeable = False
-    return _ScanGrid(ts, offsets, steps, radius)
+    ts.flags.writeable = False
+    return ts
 
 
 class _Terms(NamedTuple):
-    """One scan's coefficients and error terms of the second-order bound."""
+    """One scan's coefficients and error terms of its bounds."""
 
     coeffs: np.ndarray  # rows w_k and -i w_k (E_k - E_mean): (a, c) = coeffs @ phases
     lipschitz: float  # L = sum_k w_k |E_k - E_mean|
@@ -178,14 +158,18 @@ def _terms(weights: np.ndarray, energies: np.ndarray, e_mean: float, t_max: floa
     )
 
 
-def _block_sums(coeffs: np.ndarray, energies: np.ndarray, grid: _ScanGrid) -> np.ndarray:
-    """coeffs @ exp(-i E t) at every block's nominal centre t = u_i + v_j,
-    in block order, from the phase tables U = exp(-i E u), V = exp(-i E v)."""
+def _row_floors(
+    terms: _Terms, weights: np.ndarray, energies: np.ndarray, ts: np.ndarray
+) -> np.ndarray:
+    """A lower bound on each computed row of :func:`_overlap_rows` over the
+    grid ts, from the phase tables U = exp(-i E ts[::64]) and
+    V = exp(-i E ts[:64]): row 64 p + q is bounded by |(w * U)^T V|[p, q]."""
     import numpy as np
 
-    u = np.exp(-1j * np.outer(grid.offsets, energies))
-    v = np.exp(-1j * np.outer(energies, grid.steps))
-    return ((coeffs[:, None, :] * u).reshape(-1, len(energies)) @ v).reshape(len(coeffs), -1)
+    u = np.exp(-1j * np.outer(ts[::_TABLE_SIDE], energies))
+    v = np.exp(-1j * np.outer(energies, ts[:_TABLE_SIDE]))
+    delta = 16 * _EPS * float(ts[-1])
+    return np.abs((u * weights) @ v).ravel() - (2.0 * terms.rounding + terms.lipschitz * delta)
 
 
 def _floor(terms: _Terms, ac: np.ndarray, h) -> np.ndarray:
@@ -219,44 +203,45 @@ def orthogonalization_time(
     E_mean = <psi0|H|psi0> and E0 the smallest eigenvalue (hbar = 1
     convention; inf when E_mean = E0).
 
-    A is evaluated only where it can reach tol, by two bounds that hold
-    for the computed values once rounding = 1e-12 + 64 eps (max|E| t_max + d),
-    the error of an overlap whose phases reach max|E| t_max, is taken off:
+    A is evaluated only where it can reach tol, by bounds that hold for the
+    computed values once rounding = 1e-12 + 64 eps (max|E| t_max + d), the
+    error of an overlap whose phases reach max|E| t_max, is taken off:
 
     - First order: A is Lipschitz with L = sum_k w_k |E_k - E_mean|, and
       each point of the bracket [ts[i-1], ts[i+1]] lies within dt/2 of a
       grid point no lower than the minimum trace[i]; a minimum above
       skip_above = tol + L dt/2 + rounding is not refined.
+    - Row prune: grid row r = 64 p + q (p, q < 64) is bounded at its table
+      time t = ts[64 p] + ts[q].  From the phase tables U = exp(-i E ts[::64])
+      and V = exp(-i E ts[:64]), both d x 64, A(t) = |(w * U)^T V|[p, q],
+      where w * U scales row k of U by w_k: 128 d exponentials and one
+      64 x 64 product per scan, not 4096 d.  A row whose value less
+      2 rounding + L delta is above skip_above is skipped: the trace is
+      computed only on the other rows, every skipped row reading inf.
     - Second order: with a the overlap and c = -i sum_k w_k (E_k - E_mean)
       exp(-i E_k t) its slope at t (phase shifted by E_mean, which no
       modulus sees), A(t + s) >= min_{|s| <= h} |a + c s| - M2 h^2/2 on
       |s| <= h, where M2 = sum_k w_k (E_k - E_mean)^2.  Rounding is taken
       off twice: scaled by 1 + L h for the computed a and c, and once for
-      the value compared.  Over each block of BLOCK_ROWS rows the bound
-      skips the blocks above skip_above: the trace is computed only on the
-      other blocks' rows, every other row reading inf.  At a candidate,
-      with h = dt, it skips a bracket above tol.  A NaN bound skips nothing.
+      the value compared.  At a candidate, with h = dt, it skips a bracket
+      above tol.
 
-    The bound only prunes, so its own bits are free.  Block k = 32 i + j
-    (i < 16, j < 32) is bounded at its nominal centre t = u_i + v_j, with
-    u_i = c0 + 32 i B, v_j = j B, B = BLOCK_ROWS dt and c0 = (BLOCK_ROWS - 1)
-    dt / 2.  From the phase tables U = exp(-i E u) (d x 16) and
-    V = exp(-i E v) (d x 32), a = (w * U)^T V and c = (w' * U)^T V, where
-    w'_k = -i w_k (E_k - E_mean) and x * U scales row k of U by x_k: 48 d
-    exponentials and one matrix product per scan, not 512 d exponentials.
+    A NaN bound skips nothing.  The bounds only prune, so their own bits are
+    free.  A table value lies within 2 rounding + L delta of the computed
+    row r, with delta = 16 eps t_max:
 
-    - The rounding term covers these a and c.  A term U V rounds the two
-      phases E u_i and E v_j, whose errors add to at most eps/2 |E| (u_i +
-      v_j) = eps/2 |E| t <= eps/2 max|E| t_max, no more than the one rounded
-      phase E t of a direct exp(-i E t); the second exponential and the
-      product add a few eps per term, inside the 64 eps d part.
-    - Each block's h covers its rows.  linspace rounds each ts on its own,
-      so a nominal centre is not its block's midpoint; h is the larger of
-      the distances from the centre to the block's first and last rows,
-      widened by 1e-9 relative, far more than the few ulps of t_max lost
-      in forming the centre and the distances.  So [t - h, t + h] holds
-      all BLOCK_ROWS rows.  ts, the table times and the radii depend on
-      t_max alone and are built once per t_max (:func:`_scan_grid`).
+    - One rounding covers the table value.  A term U V rounds the two
+      phases E ts[64 p] and E ts[q], whose errors add to at most
+      eps/2 |E| (ts[64 p] + ts[q]), about eps/2 max|E| t_max: the one
+      rounded phase E t of a direct exp(-i E t).  The second exponential
+      and the product's sum over the d terms add a few eps per term,
+      inside the 64 eps d part.  The other rounding covers the computed row.
+    - delta covers the time.  linspace puts each ts[r] within about one
+      ulp of t_max of r t_max / 4095, and ts[-1] at t_max itself, so
+      ts[64 p] + ts[q] and ts[r] differ by a few ulps of t_max, far less
+      than delta; A moves by at most L delta between the two times.
+
+    ts depends on t_max alone and is built once per t_max (:func:`_scan_grid`).
 
     Each computed row uses the full grid's per-row arithmetic
     (:func:`_overlap_rows`), so it holds the full grid's bits.  A skipped
@@ -279,16 +264,14 @@ def orthogonalization_time(
     else:
         bound = math.inf
 
-    grid = _scan_grid(t_max)
-    ts = grid.ts
+    ts = _scan_grid(t_max)
     terms = _terms(weights, energies, e_mean, t_max)
     half_step = 0.5 * t_max / (SCAN_GRID_POINTS - 1)
     # A(t) >= trace[i] - L*dt/2 on the bracket of a grid minimum, so one above
     # tol + L*dt/2 (plus rounding) cannot refine to a passing point: skip it.
     skip_above = ORTHOGONALITY_TOL + terms.lipschitz * half_step * (1.0 + 1e-9) + terms.rounding
 
-    kept = ~(_floor(terms, _block_sums(terms.coeffs, energies, grid), grid.radius) > skip_above)
-    rows = np.flatnonzero(np.repeat(kept, BLOCK_ROWS))
+    rows = np.flatnonzero(~(_row_floors(terms, weights, energies, ts) > skip_above))
     trace = np.full(SCAN_GRID_POINTS, np.inf)
     trace[rows] = _overlap_rows(weights, energies, ts[rows])
 

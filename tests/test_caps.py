@@ -5,9 +5,6 @@ and must exit 0 within its time limit, peak at <= 200 MiB RSS and pass its
 output check; the measure and cq rows must also trace < 32 MiB.  The RSS
 is the child's VmHWM: ``ru_maxrss``, of RUSAGE_SELF in the child or of
 ``os.wait4`` in the parent, starts from the peak of the test process.
-
-The ``slow`` row is left out of tier-1 (``addopts`` in pyproject.toml) and
-runs in a CI step of its own: ``python -m pytest -q -m slow tests/test_caps.py``.
 """
 
 import json
@@ -104,10 +101,9 @@ def _mlcheck_ok(out: Path, trials: int) -> bool:
                  lambda out: _mlcheck_ok(out, 2), id="mlcheck-dim"),
     pytest.param("mlcheck --dims 2 --trials 5000", 60, False,
                  lambda out: _mlcheck_ok(out, 5000), id="mlcheck-trials"),
-    # both caps at once take about 28 s on a 2-core host, too long for tier-1
+    # both caps at once take 20-24 s on a 2-core host
     pytest.param("mlcheck --dim 64 --trials 5000", 60, False,
-                 lambda out: _mlcheck_ok(out, 5000), id="mlcheck-dim-trials",
-                 marks=pytest.mark.slow),
+                 lambda out: _mlcheck_ok(out, 5000), id="mlcheck-dim-trials"),
 ])
 def test_cap_run_is_bounded(argv, seconds, traced, check, inputs, tmp_path):
     out = tmp_path / "out"

@@ -272,10 +272,11 @@ class TestScanPruning:
 
     @pytest.mark.parametrize("offset", [0.0, 0.5, -0.5, 1.0])
     def test_zero_on_a_block_boundary(self, offset):
-        # the first zero sits offset grid steps after the first row of a block
+        # the first zero sits offset grid steps after the first row of row 37
+        # of the 64 x 64 phase table
         t_max = 60.0
         step = t_max / (SCAN_GRID_POINTS - 1)
-        t_zero = (37 * speed_limits.BLOCK_ROWS + offset) * step
+        t_zero = (37 * 64 + offset) * step
         res = assert_matches_reference(*two_level(math.pi / t_zero), t_max)
         assert res.t_orth == pytest.approx(t_zero, rel=1e-9)
 
@@ -328,8 +329,8 @@ class TestScanPruning:
         assert 10 * calls <= reference_refinements
 
     def test_coarse_pass_leaves_most_rows_unevaluated(self, monkeypatch):
-        # the same trial: blocks whose second-order bound stays above the
-        # threshold are never evaluated row by row
+        # the same trial: rows whose phase-table bound stays above the
+        # threshold are never evaluated
         h_op, psi0 = sweep_trial(16, 0, eigenpair=False)
         t_ref, bound_ref, _ = reference_orthogonalization(h_op, psi0, 60.0)
         overlap_rows = speed_limits._overlap_rows
@@ -355,37 +356,35 @@ def degenerate_trial(dim, rng):
     return h_op, StateVector(random_state_vector(dim, rng))
 
 
-class TestBlockBound:
-    """The block bound from the two phase tables is a lower bound on the
-    computed overlap over each block's rows."""
+class TestRowBound:
+    """The row floor from the two phase tables is a lower bound on the
+    computed overlap at every grid row."""
 
     @pytest.mark.parametrize("kind", ["random", "eigenpair", "degenerate"])
     @pytest.mark.parametrize("t_max", [0.5, 60.0, 1000.0])
     @pytest.mark.parametrize("dim", [2, 16, 64])
-    def test_block_floor_is_a_lower_bound(self, dim, t_max, kind, rng):
+    def test_row_floor_is_a_lower_bound(self, dim, t_max, kind, rng):
         if kind == "degenerate":
             h_op, psi0 = degenerate_trial(dim, rng)
         else:
             h_op, psi0 = sweep_trial(dim, int(rng.integers(2**32)), kind == "eigenpair")
         energies, vectors = linalg.eigh(h_op)
         weights = np.abs(vectors.conj().T @ psi0.amplitudes) ** 2
-        grid = speed_limits._scan_grid(t_max)
+        ts = speed_limits._scan_grid(t_max)
         terms = speed_limits._terms(weights, energies, float(weights @ energies), t_max)
-        ac = speed_limits._block_sums(terms.coeffs, energies, grid)
 
-        # the factored a and c against direct sums at the nominal centres,
-        # c's error scaled by L as the bound takes it off
-        centres = (grid.offsets[:, None] + grid.steps[None, :]).ravel()
-        phases = np.exp(-1j * np.outer(energies, centres))
-        a, c = (terms.coeffs[:, :, None] * phases[None]).sum(axis=1)
-        assert np.all(np.abs(ac[0] - a) <= terms.rounding)
-        assert np.all(np.abs(ac[1] - c) <= terms.rounding * terms.lipschitz)
+        # the tables' value at row 64 p + q against a direct sum at
+        # ts[64 p] + ts[q], within the rounding the floor takes off for it
+        floors = speed_limits._row_floors(terms, weights, energies, ts)
+        margin = 2.0 * terms.rounding + terms.lipschitz * 16 * np.finfo(float).eps * t_max
+        table_times = (ts[::64, None] + ts[None, :64]).ravel()
+        direct = np.abs(np.exp(-1j * np.outer(table_times, energies)) @ weights)
+        assert np.all(np.abs(floors + margin - direct) <= terms.rounding)
 
-        # each block's floor lies below every computed row of the block
-        floors = speed_limits._floor(terms, ac, grid.radius)
-        rows = speed_limits._overlap_rows(weights, energies, grid.ts)
-        assert len(floors) * speed_limits.BLOCK_ROWS == SCAN_GRID_POINTS
-        assert np.all(floors <= rows.reshape(len(floors), -1).min(axis=1))
+        # each row's floor lies at or below the computed row
+        rows = speed_limits._overlap_rows(weights, energies, ts)
+        assert len(floors) == SCAN_GRID_POINTS
+        assert np.all(floors <= rows)
 
 
 _DIMS = st.integers(min_value=2, max_value=16)
