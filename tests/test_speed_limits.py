@@ -272,8 +272,8 @@ class TestScanPruning:
 
     @pytest.mark.parametrize("offset", [0.0, 0.5, -0.5, 1.0])
     def test_zero_on_a_block_boundary(self, offset):
-        # the first zero sits offset grid steps after the first row of row 37
-        # of the 64 x 64 phase table
+        # the first zero sits offset grid steps after grid row 37 * 64, where
+        # row 37 of the 64 x 64 phase table starts
         t_max = 60.0
         step = t_max / (SCAN_GRID_POINTS - 1)
         t_zero = (37 * 64 + offset) * step
